@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "common/rng.hh"
-#include "common/thread_pool.hh"
 #include "hw/platform.hh"
 #include "market/lbt.hh"
 #include "market/market.hh"
@@ -31,14 +30,9 @@ namespace {
 
 using namespace ppm;
 
-/**
- * A populated market + LBT instance for one (V, C, T) combination.
- * `jobs` > 1 attaches a dedicated clearing pool (the threshold is
- * dropped so every shape exercises the engine, not just the large
- * ones); results stay bit-identical to jobs = 1.
- */
+/** A populated market + LBT instance for one (V, C, T) combination. */
 struct Scenario {
-    Scenario(int clusters, int cores, int tasks_per_core, int jobs = 1,
+    Scenario(int clusters, int cores, int tasks_per_core,
              bool incremental = false)
         : chip(hw::synthetic_chip(clusters, cores))
     {
@@ -50,13 +44,7 @@ struct Scenario {
         // exits; pin full recompute to keep measuring the clearing
         // work itself.  BM_IncrementalClearingRound opts back in.
         cfg.incremental = incremental;
-        if (jobs > 1)
-            cfg.clearing_min_tasks = 1;
         market = std::make_unique<market::Market>(&chip, cfg);
-        if (jobs > 1) {
-            pool = std::make_unique<ThreadPool>(jobs);
-            market->set_thread_pool(pool.get());
-        }
         Rng rng(2014);
         TaskId id = 0;
         for (CoreId c = 0; c < chip.num_cores(); ++c) {
@@ -80,7 +68,6 @@ struct Scenario {
     }
 
     hw::Chip chip;
-    std::unique_ptr<ThreadPool> pool;
     std::unique_ptr<market::Market> market;
     std::unique_ptr<market::LbtModule> lbt;
 };
@@ -118,30 +105,6 @@ BM_LbtConstrainedCore(benchmark::State& state)
 }
 
 /**
- * One market round through the parallel clearing engine, swept over
- * worker counts.  Args: {V, C, T, jobs}.  jobs = 1 is the inline
- * (no-pool) path and the baseline the speedups in BENCH_clearing.json
- * are computed against; all job counts produce bit-identical market
- * state, so this measures pure wall-clock scaling.
- */
-void
-BM_ParallelClearingRound(benchmark::State& state)
-{
-    Scenario s(static_cast<int>(state.range(0)),
-               static_cast<int>(state.range(1)),
-               static_cast<int>(state.range(2)),
-               static_cast<int>(state.range(3)));
-    for (auto _ : state)
-        benchmark::DoNotOptimize(s.market->round());
-    state.SetLabel("V=" + std::to_string(state.range(0)) +
-                   " C=" + std::to_string(state.range(1)) +
-                   " T=" + std::to_string(state.range(2)) + " tasks=" +
-                   std::to_string(state.range(0) * state.range(1) *
-                                  state.range(2)) +
-                   " jobs=" + std::to_string(state.range(3)));
-}
-
-/**
  * Incremental active-set clearing under a controlled dirty fraction.
  * Args: {V, C, T, dirty_pct, incremental}.
  *
@@ -161,8 +124,7 @@ BM_IncrementalClearingRound(benchmark::State& state)
     const bool incremental = state.range(4) != 0;
     Scenario s(static_cast<int>(state.range(0)),
                static_cast<int>(state.range(1)),
-               static_cast<int>(state.range(2)),
-               /*jobs=*/1, incremental);
+               static_cast<int>(state.range(2)), incremental);
     const int n_tasks = static_cast<int>(s.market->tasks().size());
     // Re-post light demands so every cluster is unconstrained and the
     // tatonnement reaches an exact fixed point (bids clamp to the
@@ -233,29 +195,10 @@ table7_args(benchmark::internal::Benchmark* b)
 }
 
 void
-clearing_args(benchmark::internal::Benchmark* b)
-{
-    // Shapes centred on the ISSUE target of 4096 tasks over 64 cores
-    // in 8 clusters ({8, 8, 64}), with a smaller and a larger shape
-    // bracketing it, each swept over the clearing worker count.
-    for (const auto& shape :
-         {std::tuple{4, 4, 16},    //    256 tasks, 16 cores
-          std::tuple{8, 8, 64},    //  4,096 tasks, 64 cores, 8 clusters
-          std::tuple{16, 16, 64}}) // 16,384 tasks, 256 cores
-    {
-        for (int jobs : {1, 2, 4, 8}) {
-            b->Args({std::get<0>(shape), std::get<1>(shape),
-                     std::get<2>(shape), jobs});
-        }
-    }
-    b->Unit(benchmark::kMillisecond);
-}
-
-void
 incremental_args(benchmark::internal::Benchmark* b)
 {
-    // The jobs-sweep's small and target shapes, crossed with the
-    // dirty fraction (0% = governor wake with nothing changed, 10% =
+    // A small shape and a 4,096-task one, crossed with the dirty
+    // fraction (0% = governor wake with nothing changed, 10% =
     // typical steady state, 100% = everything moved) and the engine
     // flag; the same-shape full/incremental pair at each fraction is
     // the headline comparison.
@@ -275,7 +218,6 @@ incremental_args(benchmark::internal::Benchmark* b)
 
 BENCHMARK(BM_SupplyDemandRound)->Apply(table7_args);
 BENCHMARK(BM_LbtConstrainedCore)->Apply(table7_args);
-BENCHMARK(BM_ParallelClearingRound)->Apply(clearing_args);
 BENCHMARK(BM_IncrementalClearingRound)->Apply(incremental_args);
 
 } // namespace

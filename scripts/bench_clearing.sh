@@ -1,19 +1,16 @@
 #!/usr/bin/env bash
-# Build and run the clearing-engine benchmarks, emitting
-# BENCH_clearing.json at the repo root: one market round per (V, C, T)
-# shape swept over clearing worker counts, plus the incremental
-# active-set sweep (dirty fraction x engine on/off).  Every job count
-# and either engine mode produce bit-identical market state, so both
-# curves are pure wall-clock measurements.
+# Build and run the market-clearing benchmarks, emitting
+# BENCH_clearing.json at the repo root: one full-recompute market round
+# per Table 7 (V, C, T) shape (BM_SupplyDemandRound), plus the
+# incremental active-set sweep (dirty fraction x engine on/off,
+# BM_IncrementalClearingRound).  Either engine mode produces
+# bit-identical market state, so the incremental curve is a pure
+# wall-clock measurement.
 #
 # Usage: scripts/bench_clearing.sh [--quick] [--out FILE]
 #   --quick  one tiny min-time repetition (CI smoke: proves the driver
 #            runs and the JSON parses; timings are noisy)
 #   --out F  write the benchmark JSON to F (default BENCH_clearing.json)
-#
-# Speedup numbers are only meaningful when the host has at least as
-# many hardware threads as the largest jobs value (8); the script
-# warns when it does not.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,76 +25,49 @@ while [[ $# -gt 0 ]]; do
 done
 
 NCPU=$(nproc 2>/dev/null || echo 1)
-if [[ "$NCPU" -lt 8 ]]; then
-    echo "WARNING: host has $NCPU hardware thread(s); jobs > $NCPU" \
-         "rows oversubscribe the machine and understate the speedup." >&2
-fi
 
 cmake -B build -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 cmake --build build --target bench_table7_scalability > /dev/null
 
 ./build/bench/bench_table7_scalability \
-    --benchmark_filter='BM_ParallelClearingRound|BM_IncrementalClearingRound' \
+    --benchmark_filter='BM_SupplyDemandRound|BM_IncrementalClearingRound' \
     --benchmark_min_time="$MIN_TIME" \
     --benchmark_out="$OUT" \
     --benchmark_out_format=json \
     --benchmark_counters_tabular=true
 
-# The JSON must parse; print the jobs-sweep speedup table relative to
-# jobs=1 for each shape so the curve is visible at a glance.  The
-# host's hardware-thread count is recorded INTO the JSON -- and when
-# the sweep's largest jobs value oversubscribes the host, a loud
-# warning key rides along so a tracked BENCH file can never silently
-# pass off oversubscribed timings as a real scaling curve.
+# The JSON must parse and hold both families.  The host's
+# hardware-thread count is recorded INTO the JSON so every number
+# names its host; then the per-shape round cost and the incremental
+# sweep are printed for a glance.
 python3 - "$OUT" "$NCPU" <<'EOF'
 import json, sys
 path = sys.argv[1]
 with open(path) as f:
     doc = json.load(f)
 ncpu = int(sys.argv[2])
-runs = [b for b in doc["benchmarks"]
-        if b["name"].startswith("BM_ParallelClearingRound/")]
-assert runs, "no BM_ParallelClearingRound entries in " + path
+rounds = [b for b in doc["benchmarks"]
+          if b["name"].startswith("BM_SupplyDemandRound/")]
+assert rounds, "no BM_SupplyDemandRound entries in " + path
 inc_runs = [b for b in doc["benchmarks"]
             if b["name"].startswith("BM_IncrementalClearingRound/")]
 assert inc_runs, "no BM_IncrementalClearingRound entries in " + path
-print(f"{path}: {len(runs)} entries, JSON ok "
+print(f"{path}: {len(rounds) + len(inc_runs)} entries, JSON ok "
       f"(host hardware threads: {ncpu})")
 
-def parse(name):
-    # BM_ParallelClearingRound/V/C/T/jobs
-    parts = name.split("/")[1:5]
-    v, c, t, jobs = (int(p) for p in parts)
-    return (v, c, t), jobs
-
-shapes = {}
-max_jobs = 0
-for b in runs:
-    shape, jobs = parse(b["name"])
-    shapes.setdefault(shape, {})[jobs] = b["real_time"]
-    max_jobs = max(max_jobs, jobs)
-
 doc["host_hardware_threads"] = ncpu
-if max_jobs > ncpu:
-    doc["warning"] = (
-        f"OVERSUBSCRIBED: sweep uses up to {max_jobs} workers but the "
-        f"host has only {ncpu} hardware thread(s); jobs > {ncpu} rows "
-        "measure scheduler contention, not clearing-engine speedup.")
-    print("WARNING:", doc["warning"], file=sys.stderr)
 with open(path, "w") as f:
     json.dump(doc, f, indent=1)
     f.write("\n")
 
-for shape in sorted(shapes):
-    base = shapes[shape].get(1)
-    if base is None:
-        continue
-    v, c, t = shape
-    cells = []
-    for jobs in sorted(shapes[shape]):
-        ms = shapes[shape][jobs]
-        cells.append(f"jobs={jobs}: {ms:8.3f} ms ({base / ms:4.2f}x)")
-    print(f"V={v} C={c} T={t} ({v * c * t} tasks): " + "  ".join(cells))
+# Full-recompute round per shape: BM_SupplyDemandRound/V/C/T.
+print("supply-demand round (full recompute):")
+for b in rounds:
+    v, c, t = (int(p) for p in b["name"].split("/")[1:4])
+    tasks = v * c * t
+    ms = b["real_time"]
+    print(f"V={v:3d} C={c:2d} T={t:2d} ({tasks:7d} tasks): "
+          f"{ms:9.4f} ms ({ms * 1e6 / tasks:6.1f} ns/task)")
 
 # Incremental sweep: full-recompute vs active-set time per (shape,
 # dirty%), with the measured task skip rate alongside -- the speedup

@@ -58,24 +58,6 @@ for policy in PPM HPM HL; do
 done
 rm -f /tmp/ppm_macro.csv /tmp/ppm_tick.csv
 
-# Parallel-clearing determinism smoke: the market's clearing passes
-# fan out in fixed chunks whose boundaries are independent of the
-# worker count, so summaries and streamed traces must be byte-equal
-# for every --jobs value (single runs route --jobs to the clearing
-# pool; 1 is the inline walk).
-./build/tools/ppm_run --set l1 --seconds 8 --csv --jobs 1 \
-    > /tmp/ppm_jobs1.csv
-./build/tools/ppm_run --set l1 --seconds 8 --csv --jobs 4 \
-    > /tmp/ppm_jobs4.csv
-cmp /tmp/ppm_jobs1.csv /tmp/ppm_jobs4.csv
-./build/tools/ppm_run --set l1 --seconds 8 --jobs 1 \
-    --trace-format=jsonl --trace-out=/tmp/ppm_jobs1.jsonl > /dev/null
-./build/tools/ppm_run --set l1 --seconds 8 --jobs 4 \
-    --trace-format=jsonl --trace-out=/tmp/ppm_jobs4.jsonl > /dev/null
-cmp /tmp/ppm_jobs1.jsonl /tmp/ppm_jobs4.jsonl
-rm -f /tmp/ppm_jobs1.csv /tmp/ppm_jobs4.csv \
-    /tmp/ppm_jobs1.jsonl /tmp/ppm_jobs4.jsonl
-
 # Incremental-clearing equivalence smoke: the active-set engine skips
 # only entries whose every fold input is bit-unchanged, so a full
 # recompute of every round must produce the same bytes -- summary CSV
@@ -146,7 +128,7 @@ cmp /tmp/ppm_whole.csv /tmp/ppm_resumed.csv
 cmp /tmp/ppm_whole.csv /tmp/ppm_resumed.csv
 rm -f /tmp/ppm_whole.csv /tmp/ppm_resumed.csv /tmp/ppm_check.snap
 
-# Parallel-clearing and fleet bench smokes: one quick repetition each
+# Clearing and fleet bench smokes: one quick repetition each
 # with the JSON validated (full runs regenerate BENCH_clearing.json
 # and BENCH_fleet.json).
 ./scripts/bench_clearing.sh --quick --out /tmp/ppm_bench_clearing.json \
@@ -159,10 +141,10 @@ rm -f /tmp/ppm_bench_clearing.json /tmp/ppm_bench_fleet.json
 ./build/bench/bench_fault_resilience > /dev/null
 
 # Differential fuzz smoke: a few hundred seeded scenarios checked
-# across every engine equivalence (policies x macro-vs-tick, clearing
-# jobs, budget conservation, fault counters, chip-failure
-# conservation, snapshot restore-equivalence).  The full sweep is
-# scripts/fuzz_sweep.sh; this pass proves the fuzzer and the
+# across every engine equivalence (policies x macro-vs-tick,
+# incremental on/off, budget conservation, fault counters,
+# chip-failure conservation, snapshot restore-equivalence).  The full
+# sweep is scripts/fuzz_sweep.sh; this pass proves the fuzzer and the
 # invariants hold on a fresh build.  The second seed skews toward
 # federated scenarios, where the chip-fault and snapshot genes live.
 ./build/tools/ppm_fuzz --count 200 --seed 1 > /dev/null
@@ -175,7 +157,7 @@ rm -f /tmp/ppm_bench_clearing.json /tmp/ppm_bench_fleet.json
 cmake -B build-tsan -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DPPM_TSAN=ON
 cmake --build build-tsan --target test_common test_integration \
-    test_metrics test_market test_fleet test_snapshot
+    test_metrics test_fleet test_snapshot
 ./build-tsan/tests/test_common \
     --gtest_filter='ThreadPool.*' > /dev/null
 # The fleet macro-steps shards on pool workers between settlement
@@ -188,12 +170,6 @@ cmake --build build-tsan --target test_common test_integration \
 ./build-tsan/tests/test_snapshot \
     --gtest_filter='SnapshotRestore.Fleet*:SnapshotRestore.Faulted*' \
     > /dev/null
-# The clearing engine's fan-out shares the market state across pool
-# workers; the determinism tests double as its race detector.  The
-# incremental tests ride along: the dirty flags the passes publish
-# from worker threads are the newest shared state.
-./build-tsan/tests/test_market \
-    --gtest_filter='ParallelClearing.*:Incremental.*' > /dev/null
 ./build-tsan/tests/test_metrics \
     --gtest_filter='TraceBus.*:TraceSink.*:TraceRecorder.*' > /dev/null
 ./build-tsan/tests/test_integration \
@@ -212,9 +188,12 @@ cmake --build build-asan --target test_fault test_market test_hw \
     test_fleet test_snapshot
 ./build-asan/tests/test_fault > /dev/null
 # Incremental rides along here too: the memo arrays are the newest
-# indexed state, so overruns would surface under ASan first.
+# indexed state, so overruns would surface under ASan first.  The
+# market-correctness regressions (ParallelClearing.*) drive every
+# clearing pass, each indexing tasks_ through the core and cluster
+# indices.
 ./build-asan/tests/test_market \
-    --gtest_filter='Watchdog.*:OnlineEstimator.*:Incremental.*' \
+    --gtest_filter='Watchdog.*:OnlineEstimator.*:Incremental.*:ParallelClearing.*' \
     > /dev/null
 ./build-asan/tests/test_hw \
     --gtest_filter='VfTable.*:PowerModel*.*' > /dev/null

@@ -17,8 +17,7 @@ namespace ppm::experiment {
 std::unique_ptr<sim::Governor>
 make_governor(const std::string& policy, Watts tdp,
               const std::vector<double>& big_speedups,
-              bool online_speedup, int clearing_jobs,
-              ThreadPool* clearing_pool, bool incremental)
+              bool online_speedup, int, ThreadPool*, bool incremental)
 {
     if (policy == "PPM") {
         market::PpmGovernorConfig cfg;
@@ -27,8 +26,6 @@ make_governor(const std::string& policy, Watts tdp,
         cfg.market.incremental = incremental;
         cfg.big_speedup = big_speedups;
         cfg.online_speedup = online_speedup;
-        cfg.clearing_jobs = clearing_jobs;
-        cfg.clearing_pool = clearing_pool;
         return std::make_unique<market::PpmGovernor>(cfg);
     }
     if (policy == "HPM") {
@@ -64,8 +61,8 @@ run_specs(const std::vector<workload::TaskSpec>& specs,
     sim::Simulation simulation(
         std::move(chip), specs,
         make_governor(params.policy, params.tdp, big_speedups,
-                      params.online_speedup, params.clearing_jobs,
-                      params.clearing_pool, params.incremental),
+                      params.online_speedup, 1, nullptr,
+                      params.incremental),
         sim_cfg);
     if (params.extra_sink != nullptr)
         simulation.bus().add_sink(params.extra_sink);
@@ -187,7 +184,7 @@ aggregate_summaries(const std::vector<sim::RunSummary>& summaries)
 
 sim::RunSummary
 run_set_avg(const workload::WorkloadSet& set, RunParams params,
-            int n_seeds, int jobs, ThreadPool* pool)
+            int n_seeds, int jobs)
 {
     PPM_ASSERT(n_seeds >= 1, "need at least one seed");
     PPM_ASSERT(params.extra_sink == nullptr,
@@ -197,14 +194,11 @@ run_set_avg(const workload::WorkloadSet& set, RunParams params,
     for (int i = 0; i < n_seeds; ++i) {
         RunParams p = params;
         p.seed = cell_seed(params.seed, 100, i);
-        // Seed cells share the caller's pool for clearing too (one
-        // pool for the whole aggregation, never one per governor).
-        p.clearing_pool = pool;
         cells.push_back(
             [&set, p]() { return run_set(set, p).summary; });
     }
     return aggregate_summaries(
-        run_cells<sim::RunSummary>(std::move(cells), jobs, pool));
+        run_cells<sim::RunSummary>(std::move(cells), jobs));
 }
 
 } // namespace ppm::experiment

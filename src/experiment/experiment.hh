@@ -41,21 +41,6 @@ struct RunParams {
                                       ///< false = per-tick loop.
 
     /**
-     * Worker threads for PPM's parallel market clearing (see
-     * PpmGovernorConfig::clearing_jobs).  1 = inline; results are
-     * bit-identical for every value.  Ignored by the baselines.
-     */
-    int clearing_jobs = 1;
-
-    /**
-     * External shared worker pool for PPM's market clearing (see
-     * PpmGovernorConfig::clearing_pool).  Not owned; overrides
-     * `clearing_jobs`.  run_sweep() wires its cell-stepping pool in
-     * here so an N-cell sweep keeps exactly one pool.
-     */
-    ThreadPool* clearing_pool = nullptr;
-
-    /**
      * Incremental active-set clearing (PpmConfig::incremental).
      * Results are bit-identical on or off; off recomputes every
      * entry each round (debugging escape hatch, `--no-incremental`).
@@ -95,15 +80,18 @@ struct RunResult {
 
 /**
  * Build the governor `policy` with TDP `tdp`.  `big_speedups` feeds
- * PPM's cross-core-type demand estimator (empty = defaults); ignored
- * by the baselines, as is `clearing_jobs` (PPM's market clearing
- * worker count).  fatal() on an unknown policy name.
+ * PPM's cross-core-type demand estimator (empty = defaults); the
+ * baselines ignore it, `online_speedup` and `incremental`
+ * (PpmConfig::incremental).  Every policy ignores the fifth and sixth
+ * parameters (the market clears inline); they remain only so that
+ * existing callers keep compiling.  fatal() on an unknown policy
+ * name.
  */
 std::unique_ptr<sim::Governor>
 make_governor(const std::string& policy, Watts tdp,
               const std::vector<double>& big_speedups,
-              bool online_speedup = false, int clearing_jobs = 1,
-              ThreadPool* clearing_pool = nullptr,
+              bool online_speedup = false, int /*ignored*/ = 1,
+              ThreadPool* /*ignored*/ = nullptr,
               bool incremental = true);
 
 /** Run one of the paper's Table 6 sets on a fresh TC2-like chip. */
@@ -155,7 +143,7 @@ aggregate_summaries(const std::vector<sim::RunSummary>& summaries);
  */
 sim::RunSummary run_set_avg(const workload::WorkloadSet& set,
                             RunParams params, int n_seeds = 3,
-                            int jobs = 0, ThreadPool* pool = nullptr);
+                            int jobs = 0);
 
 } // namespace ppm::experiment
 

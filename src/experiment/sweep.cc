@@ -1,7 +1,5 @@
 #include "experiment/sweep.hh"
 
-#include <memory>
-
 #include "common/logging.hh"
 
 namespace ppm::experiment {
@@ -66,20 +64,9 @@ run_sweep(const SweepConfig& config)
     PPM_ASSERT(config.base.extra_sink == nullptr,
                "streaming sinks are single-run; cells would interleave");
 
-    const std::size_t planned = config.sets.size() *
-        config.policies.size() * static_cast<std::size_t>(config.n_seeds);
-
-    // One pool for the whole sweep: it steps the cells AND serves
-    // every cell's market clearing (a clearing round invoked from a
-    // cell worker runs inline -- ThreadPool::on_worker_thread), so an
-    // N-cell sweep on an M-core host never oversubscribes with N
-    // pools.  No pool at all when the sweep would run inline anyway.
-    std::unique_ptr<ThreadPool> shared;
-    if (planned > 1 && ThreadPool::resolve_jobs(config.jobs) > 1)
-        shared = std::make_unique<ThreadPool>(config.jobs);
-
     std::vector<std::function<RunResult()>> cells;
-    cells.reserve(planned);
+    cells.reserve(config.sets.size() * config.policies.size() *
+                  static_cast<std::size_t>(config.n_seeds));
     for (const workload::WorkloadSet& set : config.sets) {
         for (const std::string& policy : config.policies) {
             for (int i = 0; i < config.n_seeds; ++i) {
@@ -87,7 +74,6 @@ run_sweep(const SweepConfig& config)
                 params.policy = policy;
                 params.seed =
                     cell_seed(config.base.seed, config.seed_stride, i);
-                params.clearing_pool = shared.get();
                 cells.push_back([set, params]() {
                     return run_set(set, params);
                 });
@@ -97,7 +83,7 @@ run_sweep(const SweepConfig& config)
 
     const std::size_t n_cells = cells.size();
     std::vector<RunResult> results =
-        run_cells<RunResult>(std::move(cells), config.jobs, shared.get());
+        run_cells<RunResult>(std::move(cells), config.jobs);
     SweepResult sweep(static_cast<int>(config.sets.size()),
                       static_cast<int>(config.policies.size()),
                       config.n_seeds, std::move(results));

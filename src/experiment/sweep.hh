@@ -27,7 +27,6 @@
 
 #include <functional>
 #include <future>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -44,12 +43,6 @@ namespace ppm::experiment {
  * for debugging and determinism comparisons.  A cell's exception
  * propagates to the caller.
  *
- * When `pool` is non-null the cells run on that external pool instead
- * of a fresh one (`jobs` is ignored); a caller already *on* one of
- * that pool's workers runs its cells inline, exactly like a nested
- * for_chunks().  run_sweep() uses this to share one pool between cell
- * stepping and the cells' market clearing.
- *
  * Takes the cell vector by value and moves each closure to its
  * worker: cell closures capture whole RunParams/spec payloads, so
  * copying every std::function into the pool would reallocate all of
@@ -62,29 +55,20 @@ namespace ppm::experiment {
  */
 template <typename T>
 std::vector<T>
-run_cells(std::vector<std::function<T()>> cells, int jobs = 0,
-          ThreadPool* pool = nullptr)
+run_cells(std::vector<std::function<T()>> cells, int jobs = 0)
 {
     std::vector<T> results;
     results.reserve(cells.size());
-    const bool inline_run = cells.size() <= 1 ||
-        (pool != nullptr
-             ? pool->size() <= 1 || pool->on_worker_thread()
-             : ThreadPool::resolve_jobs(jobs) == 1);
-    if (inline_run) {
+    if (cells.size() <= 1 || ThreadPool::resolve_jobs(jobs) == 1) {
         for (auto& cell : cells)
             results.push_back(std::move(cell)());
         return results;
     }
-    std::optional<ThreadPool> owned;
-    if (pool == nullptr) {
-        owned.emplace(jobs);
-        pool = &*owned;
-    }
+    ThreadPool pool(jobs);
     std::vector<std::future<T>> futures;
     futures.reserve(cells.size());
     for (auto& cell : cells)
-        futures.push_back(pool->submit(std::move(cell)));
+        futures.push_back(pool.submit(std::move(cell)));
     // Reduce in submission order: completion order never leaks.
     for (auto& f : futures)
         results.push_back(f.get());

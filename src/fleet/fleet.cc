@@ -60,10 +60,6 @@ Fleet::Fleet(FleetConfig cfg)
         shards_.push_back(std::make_unique<sim::Simulation>(
             cfg_.make_chip(i), wl.specs, cfg_.make_governor(i, initial),
             sc));
-        // Attach the shared pool to the shard's market via the
-        // governor config, not here: the factory wires
-        // PpmGovernorConfig::clearing_pool itself when clearing
-        // should share the fleet pool.
     }
 
     next_barrier_ = cfg_.epoch;

@@ -113,11 +113,8 @@ struct FleetConfig {
 
     /**
      * Shard-stepping worker threads when no external pool is given:
-     * 1 = inline (default), <= 0 = one per hardware thread.  The same
-     * pool is attached to every shard's market for clearing (rounds
-     * invoked from a shard worker clear inline -- see
-     * ThreadPool::on_worker_thread), so an N-chip fleet runs on
-     * exactly one pool.
+     * 1 = inline (default), <= 0 = one per hardware thread.  Each
+     * shard's market clears inline on the worker stepping the shard.
      */
     int jobs = 1;
 

@@ -128,7 +128,7 @@ class MarketAuditSink final : public metrics::TraceSink
 };
 
 std::unique_ptr<sim::Governor>
-make_policy(const Scenario& sc, const std::string& policy, int jobs,
+make_policy(const Scenario& sc, const std::string& policy,
             bool incremental)
 {
     const Watts tdp = sc.tdp > 0.0 ? sc.tdp : 1e9;
@@ -138,16 +138,8 @@ make_policy(const Scenario& sc, const std::string& policy, int jobs,
         cfg.market.w_th = market::derive_w_th(tdp);
         cfg.market.adaptive_step = sc.adaptive_step;
         cfg.market.incremental = incremental;
-        // Fuzz markets have <= 10 tasks: at the production threshold
-        // (1024) the clearing pool would never engage, so the jobs
-        // differential would silently test nothing.  Drop the
-        // threshold and use the scenario's small grain so chunk
-        // boundaries fall inside the market.
-        cfg.market.clearing_min_tasks = 2;
-        cfg.market.clearing_grain = sc.clearing_grain;
         cfg.big_speedup = big_speedups(sc);
         cfg.online_speedup = sc.online_speedup;
-        cfg.clearing_jobs = jobs;
         return std::make_unique<market::PpmGovernor>(cfg);
     }
     if (policy == "HPM") {
@@ -192,7 +184,7 @@ struct RunOutput {
 
 RunOutput
 run_once(const Scenario& sc, const std::string& policy,
-         bool macro_step, int jobs, bool incremental)
+         bool macro_step, bool incremental)
 {
     hw::Chip chip = make_chip(sc);
     const sim::SimConfig cfg = make_sim_config(sc, chip, macro_step);
@@ -206,7 +198,7 @@ run_once(const Scenario& sc, const std::string& policy,
 
     sim::Simulation simulation(
         std::move(chip), make_specs(sc),
-        make_policy(sc, policy, jobs, incremental), cfg);
+        make_policy(sc, policy, incremental), cfg);
     simulation.bus().add_sink(&jsonl);
     if (policy == "PPM")
         simulation.bus().add_sink(&audit);
@@ -335,8 +327,6 @@ make_fleet_config(const Scenario& sc, int chips, int jobs,
         cfg.market.w_th = market::derive_w_th(budget);
         cfg.market.adaptive_step = sc.adaptive_step;
         cfg.market.incremental = incremental;
-        cfg.market.clearing_min_tasks = 2;
-        cfg.market.clearing_grain = sc.clearing_grain;
         cfg.big_speedup = big_speedups(sc);
         cfg.online_speedup = sc.online_speedup;
         return std::make_unique<market::PpmGovernor>(cfg);
@@ -397,7 +387,7 @@ run_split(const Scenario& sc, bool incremental, SimTime at)
         const sim::SimConfig cfg = make_sim_config(sc, chip, true);
         metrics::JsonlSink sink(os1);
         sim::Simulation first(std::move(chip), make_specs(sc),
-                              make_policy(sc, "PPM", 1, incremental),
+                              make_policy(sc, "PPM", incremental),
                               cfg);
         first.bus().add_sink(&sink);
         first.run_until(at);
@@ -408,7 +398,7 @@ run_split(const Scenario& sc, bool incremental, SimTime at)
     const sim::SimConfig cfg = make_sim_config(sc, chip, true);
     metrics::JsonlSink sink(os2);
     sim::Simulation second(std::move(chip), make_specs(sc),
-                           make_policy(sc, "PPM", 1, incremental),
+                           make_policy(sc, "PPM", incremental),
                            cfg);
     second.bus().add_sink(&sink);
     snap::Reader r;
@@ -648,10 +638,8 @@ check_scenario(const Scenario& sc)
     }
 
     for (const char* policy : {"PPM", "HPM", "HL"}) {
-        const RunOutput macro =
-            run_once(sc, policy, true, 1, sc.incremental);
-        const RunOutput tick =
-            run_once(sc, policy, false, 1, sc.incremental);
+        const RunOutput macro = run_once(sc, policy, true, sc.incremental);
+        const RunOutput tick = run_once(sc, policy, false, sc.incremental);
 
         if (summary_fingerprint(macro.summary) !=
             summary_fingerprint(tick.summary)) {
@@ -683,29 +671,6 @@ check_scenario(const Scenario& sc)
         check_tdp_duty(sc, policy, macro, chip_peak, violations);
     }
 
-    // PPM jobs differential: the macro run above cleared inline; the
-    // same scenario on a worker pool must match byte for byte.
-    if (sc.clearing_jobs > 1) {
-        const RunOutput inline_run =
-            run_once(sc, "PPM", true, 1, sc.incremental);
-        const RunOutput pooled =
-            run_once(sc, "PPM", true, sc.clearing_jobs, sc.incremental);
-        if (summary_fingerprint(inline_run.summary) !=
-            summary_fingerprint(pooled.summary)) {
-            violations.push_back(
-                {"clearing-jobs", "PPM",
-                 "summary fingerprints differ between clearing_jobs="
-                 "1 and clearing_jobs=" +
-                     std::to_string(sc.clearing_jobs)});
-        } else if (inline_run.jsonl != pooled.jsonl) {
-            violations.push_back(
-                {"clearing-jobs", "PPM",
-                 "telemetry streams differ between clearing_jobs=1 "
-                 "and clearing_jobs=" +
-                     std::to_string(sc.clearing_jobs)});
-        }
-    }
-
     // Incremental differential: the active-set engine must replay the
     // full recompute bit for bit on EVERY scenario -- summary
     // fingerprint (which embeds the market skip counters: the dirty
@@ -714,8 +679,8 @@ check_scenario(const Scenario& sc)
     // A divergence here is a dirty-set bug: some entry skipped a
     // recompute whose inputs had actually changed.
     {
-        const RunOutput inc = run_once(sc, "PPM", true, 1, true);
-        const RunOutput full = run_once(sc, "PPM", true, 1, false);
+        const RunOutput inc = run_once(sc, "PPM", true, true);
+        const RunOutput full = run_once(sc, "PPM", true, false);
         if (summary_fingerprint(inc.summary) !=
             summary_fingerprint(full.summary)) {
             violations.push_back(
@@ -744,7 +709,7 @@ check_scenario(const Scenario& sc)
     // nothing, and a 1-chip settlement never moves the budget).
     {
         const RunOutput plain =
-            run_once(sc, "PPM", true, 1, sc.incremental);
+            run_once(sc, "PPM", true, sc.incremental);
         const FleetOutput single = run_fleet(sc, 1, 1, sc.incremental);
         if (summary_fingerprint(single.combined) !=
             summary_fingerprint(plain.summary)) {
@@ -862,7 +827,7 @@ check_scenario(const Scenario& sc)
     // across the kill) and traced series byte for byte.
     if (sc.snapshot_at > 0) {
         const RunOutput full =
-            run_once(sc, "PPM", true, 1, sc.incremental);
+            run_once(sc, "PPM", true, sc.incremental);
         const RunOutput split =
             run_split(sc, sc.incremental, sc.snapshot_at);
         if (summary_fingerprint(full.summary) !=

@@ -3,8 +3,9 @@
  * Differential execution and invariant checking of one fuzz scenario.
  *
  * A scenario is executed several ways -- every policy, macro-stepped
- * vs per-tick, and (for PPM) market clearing on one worker vs many --
- * and the runs are compared byte-for-byte: the full-precision
+ * vs per-tick, and (for PPM) incremental vs full-recompute clearing,
+ * fleet shards on one worker vs many, and snapshot restores -- and
+ * the runs are compared byte-for-byte: the full-precision
  * RunSummary fingerprint, the JSONL telemetry stream (every market
  * round, every field), and the traced time series when the scenario
  * records them.  On top of the differentials, global invariants are
@@ -28,8 +29,8 @@ namespace ppm::fuzz {
 /** One invariant violation found while checking a scenario. */
 struct Violation {
     /**
-     * Stable invariant slug: "macro-vs-tick", "clearing-jobs",
-     * "market-budget", "summary-sanity", "fault-counters",
+     * Stable invariant slug: "macro-vs-tick", "market-budget",
+     * "summary-sanity", "fault-counters",
      * "tdp-duty", "incremental", "fleet-single", "fleet-jobs",
      * "fleet-determinism", "fleet-budget", "fleet-incremental",
      * "fleet-conservation", "fleet-fault-jobs", "snapshot-restore"
@@ -43,8 +44,8 @@ struct Violation {
 
 /**
  * Full-precision rendering of every RunSummary field (including the
- * fault counters), used as the macro-vs-tick and jobs-differential
- * comparison key: two runs are equivalent iff their fingerprints are
+ * fault counters), used as the comparison key of every differential
+ * (macro-vs-tick, incremental, fleet, snapshot): two runs are equivalent iff their fingerprints are
  * byte-identical.
  */
 std::string summary_fingerprint(const sim::RunSummary& s);

@@ -310,13 +310,12 @@ generate_scenario(std::uint64_t seed)
             kMillisecond;
     }
 
-    // Parallel clearing: the defaults (min_tasks 1024) keep small
-    // markets inline, so check_scenario lowers the engagement
-    // threshold; the grain is drawn small for the same reason --
-    // chunk boundaries must fall *inside* a <= 10-task market.
+    // Retired clearing-pool genes (worker count, chunk grain): the
+    // draws are still consumed and discarded so every seed keeps
+    // generating the same values for the genes drawn after them.
     if (rng.chance(0.5)) {
-        sc.clearing_jobs = static_cast<int>(rng.uniform_int(2, 4));
-        sc.clearing_grain = static_cast<int>(rng.uniform_int(1, 7));
+        (void)rng.uniform_int(2, 4);
+        (void)rng.uniform_int(1, 7);
     }
 
     sc.online_speedup = rng.chance(0.2);
@@ -478,8 +477,6 @@ serialize(const Scenario& sc)
     os << "warmup_ms=" << to_ms(sc.warmup) << "\n";
     os << "trace=" << (sc.trace ? 1 : 0) << "\n";
     os << "trace_period_ms=" << to_ms(sc.trace_period) << "\n";
-    os << "clearing_jobs=" << sc.clearing_jobs << "\n";
-    os << "clearing_grain=" << sc.clearing_grain << "\n";
     os << "online_speedup=" << (sc.online_speedup ? 1 : 0) << "\n";
     os << "adaptive_step=" << (sc.adaptive_step ? 1 : 0) << "\n";
     os << "fleet_chips=" << sc.fleet_chips << "\n";
@@ -593,12 +590,8 @@ parse_scenario(const std::string& text, Scenario* out,
         } else if (key == "trace_period_ms") {
             ok = parse_long(value, &l) && l >= 1;
             sc.trace_period = l * kMillisecond;
-        } else if (key == "clearing_jobs") {
-            ok = parse_long(value, &l) && l >= 1 && l <= 64;
-            sc.clearing_jobs = static_cast<int>(l);
-        } else if (key == "clearing_grain") {
-            ok = parse_long(value, &l) && l >= 1;
-            sc.clearing_grain = static_cast<int>(l);
+        } else if (key == "clearing_jobs" || key == "clearing_grain") {
+            // Retired genes: older fixtures still carry them.
         } else if (key == "online_speedup") {
             ok = parse_bool(value, &sc.online_speedup);
         } else if (key == "adaptive_step") {

@@ -69,8 +69,11 @@ struct Scenario {
     SimTime warmup = kSecond;    ///< QoS accounting start.
     bool trace = false;          ///< Compare traced time series too.
     SimTime trace_period = kSecond;
-    int clearing_jobs = 1;       ///< > 1 runs the jobs differential.
-    int clearing_grain = 512;    ///< Market fan-out chunk size.
+    /**
+     * Always 1: the market clears inline.  Kept only because the
+     * benchmark's fuzz workload (perfbench/fuzz.cc) still reads it.
+     */
+    int clearing_jobs = 1;
     bool online_speedup = false; ///< PPM: learn speedups online.
     bool adaptive_step = false;  ///< PPM: adaptive V-F stepping.
     bool has_faults = false;     ///< Fault plan enabled?

@@ -224,11 +224,6 @@ shrink_structure(Search& s)
         s.accept(cand);
     }
     // Governor knobs back to defaults.
-    if (s.best.clearing_jobs > 1) {
-        Scenario cand = s.best;
-        cand.clearing_jobs = 1;
-        s.accept(cand);
-    }
     if (s.best.online_speedup) {
         Scenario cand = s.best;
         cand.online_speedup = false;

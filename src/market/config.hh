@@ -147,24 +147,6 @@ struct PpmConfig {
      */
     double emergency_savings_tax = 0.03;
 
-    // --- Parallel clearing engine (Market::set_thread_pool) ---
-
-    /**
-     * Tasks per fan-out chunk of the parallel clearing passes.  The
-     * chunk boundaries depend only on the task count and this grain
-     * (never on the worker count), which is what keeps the cleared
-     * round bit-identical for every --jobs value.
-     */
-    int clearing_grain = 512;
-
-    /**
-     * Minimum task count before a round fans out to the attached
-     * thread pool.  Below it the passes run inline on the calling
-     * thread (a pool round-trip costs more than a small market), so
-     * the paper-scale fixtures stay allocation-free.
-     */
-    int clearing_min_tasks = 1024;
-
     /**
      * Incremental active-set clearing (escape hatch).  The dirty-bit
      * bookkeeping always runs; this flag only controls whether clean

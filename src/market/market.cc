@@ -6,7 +6,6 @@
 #include <cstring>
 
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 
 namespace ppm::market {
 
@@ -51,9 +50,6 @@ Market::Market(hw::Chip* chip, PpmConfig cfg)
     PPM_ASSERT(cfg_.w_th < cfg_.w_tdp, "W_th must be below W_tdp");
     PPM_ASSERT(cfg_.tolerance > 0.0, "tolerance factor must be positive");
     PPM_ASSERT(cfg_.min_bid > 0.0, "minimum bid must be positive");
-    PPM_ASSERT(cfg_.clearing_grain >= 1, "clearing grain must be >= 1");
-    PPM_ASSERT(cfg_.clearing_min_tasks >= 0,
-               "clearing threshold must be >= 0");
     PPM_ASSERT(cfg_.step_radix >= 0 && cfg_.step_radix <= 20 &&
                    cfg_.step_adjust_radix >= 0 &&
                    cfg_.step_adjust_radix <= 20,
@@ -62,8 +58,10 @@ Market::Market(hw::Chip* chip, PpmConfig cfg)
                    cfg_.step_down >= 0 &&
                    cfg_.step_down <= (1 << cfg_.step_adjust_radix),
                "step factors must grow on step_up and shrink on step_down");
-    for (CoreId c = 0; c < chip_->num_cores(); ++c)
+    for (CoreId c = 0; c < chip_->num_cores(); ++c) {
         cores_[static_cast<std::size_t>(c)].id = c;
+        core_cluster_.push_back(chip_->cluster_of(c));
+    }
     group_offset_.assign(cores_.size() + 1, 0);
     core_any_task_.assign(cores_.size(), 0);
     core_all_floor_.assign(cores_.size(), 0);
@@ -74,10 +72,7 @@ Market::Market(hw::Chip* chip, PpmConfig cfg)
     core_bid_recompute_.assign(ncores, 0);
     price_changed_last_.assign(ncores, 0);
     price_changed_now_.assign(ncores, 0);
-    core_fold_dirty_ =
-        std::make_unique<std::atomic<unsigned char>[]>(ncores);
-    for (std::size_t c = 0; c < ncores; ++c)
-        core_fold_dirty_[c].store(0, std::memory_order_relaxed);
+    core_fold_dirty_.assign(ncores, 0);
     const std::size_t ncl = clusters_.size();
     freeze_changed_.assign(ncl, 0);
     freeze_seen_.assign(ncl, 0);
@@ -113,115 +108,6 @@ Market::mark_task_ext(TaskId t)
 }
 
 void
-Market::TaskSoa::resize(std::size_t n)
-{
-    demand.resize(n);
-    supply.resize(n);
-    bid.resize(n);
-    allowance.resize(n);
-    savings.resize(n);
-    priority.resize(n);
-    core.resize(n);
-    cluster.resize(n);
-    active.resize(n);
-}
-
-bool
-Market::parallel_active() const
-{
-    return pool_ != nullptr && pool_->size() > 1 &&
-        tasks_.size() >=
-        static_cast<std::size_t>(cfg_.clearing_min_tasks);
-}
-
-template <typename Fn>
-void
-Market::for_task_chunks(Fn&& fn) const
-{
-    ThreadPool::for_chunks(
-        parallel_active() ? pool_ : nullptr, tasks_.size(),
-        static_cast<std::size_t>(cfg_.clearing_grain),
-        std::forward<Fn>(fn));
-}
-
-template <typename Fn>
-void
-Market::for_core_chunks(Fn&& fn) const
-{
-    // At most 16 chunks over the cores: per-core work is a handful of
-    // tasks, so finer chunks would be all dispatch overhead.  The
-    // chunk count depends only on the core count, never on the pool.
-    const std::size_t grain =
-        std::max<std::size_t>(1, (cores_.size() + 15) / 16);
-    ThreadPool::for_chunks(parallel_active() ? pool_ : nullptr,
-                           cores_.size(), grain, std::forward<Fn>(fn));
-}
-
-void
-Market::load_soa(bool full)
-{
-    soa_.resize(tasks_.size());
-    if (!full) {
-        // Only the externally-dirtied tasks can differ from the
-        // mirror: every column a round writes went back through
-        // store_soa(), and every out-of-round write marks its task.
-        for (const TaskId t : ext_list_) {
-            const auto i = static_cast<std::size_t>(t);
-            const TaskState& ts = tasks_[i];
-            soa_.demand[i] = ts.demand;
-            soa_.supply[i] = ts.supply;
-            soa_.bid[i] = ts.bid;
-            soa_.allowance[i] = ts.allowance;
-            soa_.savings[i] = ts.savings;
-            soa_.priority[i] = static_cast<double>(ts.priority);
-            soa_.core[i] = ts.core;
-            soa_.cluster[i] = chip_->cluster_of(ts.core);
-            soa_.active[i] = ts.active ? 1 : 0;
-        }
-        return;
-    }
-    for_task_chunks([this](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-            const TaskState& t = tasks_[i];
-            soa_.demand[i] = t.demand;
-            soa_.supply[i] = t.supply;
-            soa_.bid[i] = t.bid;
-            soa_.allowance[i] = t.allowance;
-            soa_.savings[i] = t.savings;
-            soa_.priority[i] = static_cast<double>(t.priority);
-            soa_.core[i] = t.core;
-            soa_.cluster[i] = chip_->cluster_of(t.core);
-            soa_.active[i] = t.active ? 1 : 0;
-        }
-    });
-}
-
-void
-Market::store_soa(bool full)
-{
-    if (!full) {
-        for (const TaskId id : recomputed_tasks_) {
-            const auto i = static_cast<std::size_t>(id);
-            TaskState& t = tasks_[i];
-            t.supply = soa_.supply[i];
-            t.bid = soa_.bid[i];
-            t.allowance = soa_.allowance[i];
-            t.savings = soa_.savings[i];
-        }
-        return;
-    }
-    for_task_chunks([this](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-            TaskState& t = tasks_[i];
-            t.supply = soa_.supply[i];
-            t.bid = soa_.bid[i];
-            t.allowance = soa_.allowance[i];
-            t.savings = soa_.savings[i];
-        }
-    });
-}
-
-void
 Market::rebuild_groups()
 {
     if (!groups_dirty_)
@@ -252,10 +138,8 @@ Market::rebuild_groups()
     // distribution writes inactive entries too), same counting sort.
     const std::size_t ncl = clusters_.size();
     cluster_cursor_.assign(ncl, 0);
-    for (const TaskState& t : tasks_) {
-        ++cluster_cursor_[static_cast<std::size_t>(
-            chip_->cluster_of(t.core))];
-    }
+    for (const TaskState& t : tasks_)
+        ++cluster_cursor_[static_cast<std::size_t>(cluster_of(t))];
     cluster_offset_.resize(ncl + 1);
     cluster_offset_[0] = 0;
     for (std::size_t v = 0; v < ncl; ++v)
@@ -265,8 +149,8 @@ Market::rebuild_groups()
         cluster_cursor_[v] = cluster_offset_[v];
     for (const TaskState& t : tasks_) {
         cluster_task_[static_cast<std::size_t>(
-            cluster_cursor_[static_cast<std::size_t>(
-                chip_->cluster_of(t.core))]++)] = t.id;
+            cluster_cursor_[static_cast<std::size_t>(cluster_of(t))]++)] =
+            t.id;
     }
 
     groups_dirty_ = false;
@@ -406,17 +290,6 @@ Market::core(CoreId c)
     return cores_[static_cast<std::size_t>(c)];
 }
 
-std::vector<TaskId>
-Market::tasks_on(CoreId c) const
-{
-    std::vector<TaskId> out;
-    for (const TaskState& t : tasks_) {
-        if (t.core == c && t.active)
-            out.push_back(t.id);
-    }
-    return out;
-}
-
 CoreId
 Market::constrained_core(ClusterId v) const
 {
@@ -444,27 +317,18 @@ Market::bids_frozen(ClusterId v) const
 void
 Market::refresh_core_demands(bool skip_clean)
 {
-    // Each core's demand folds over its grouped tasks in id order --
-    // the exact association of the old single sequential walk -- so
-    // the parallel fan-out over core ranges is bit-identical to it
-    // for any chunking and any worker count.  A core outside
-    // core_recompute_ had no member demand change and no regrouping,
-    // so its memoized sum is the bit-exact fold result already.
-    for_core_chunks([this, skip_clean](std::size_t begin,
-                                       std::size_t end) {
-        for (std::size_t c = begin; c < end; ++c) {
-            if (skip_clean && core_recompute_[c] == 0)
-                continue;
-            Pu demand = 0.0;
-            const int lo = group_offset_[c];
-            const int hi = group_offset_[c + 1];
-            for (int k = lo; k < hi; ++k) {
-                demand += soa_.demand[static_cast<std::size_t>(
-                    group_task_[static_cast<std::size_t>(k)])];
-            }
-            cores_[c].demand = demand;
-        }
-    });
+    // Each core's demand folds over its grouped tasks in id order.  A
+    // core outside core_recompute_ had no member demand change and no
+    // regrouping, so its memoized sum is the bit-exact fold result
+    // already.
+    for (std::size_t c = 0; c < cores_.size(); ++c) {
+        if (skip_clean && core_recompute_[c] == 0)
+            continue;
+        Pu demand = 0.0;
+        for (int k = group_offset_[c]; k < group_offset_[c + 1]; ++k)
+            demand += grouped_task(k).demand;
+        cores_[c].demand = demand;
+    }
 }
 
 ChipState
@@ -536,27 +400,20 @@ Market::distribute_allowance(Watts chip_power, bool skip_clean,
     // sums fold over the per-core groups; the cluster sums fold over
     // the cluster's cores.  Both are sums of small integers, which
     // doubles represent exactly under any association, so the
-    // regrouped parallel folds equal the old per-task walk -- and the
-    // epoch-cached reuse below equals both: priorities only move with
-    // the groups, and integer sums have one exact value.
+    // epoch-cached reuse below equals a recomputation: priorities
+    // only move with the groups, and integer sums have one exact
+    // value.
     std::vector<double>& core_prio = scratch_core_prio_;
     std::vector<double>& cluster_prio = scratch_cluster_prio_;
     if (prio_epoch_ != groups_epoch_) {
         core_prio.resize(cores_.size());
         cluster_prio.assign(clusters_.size(), 0.0);
-        for_core_chunks([this, &core_prio](std::size_t begin,
-                                           std::size_t end) {
-            for (std::size_t c = begin; c < end; ++c) {
-                double prio = 0.0;
-                const int lo = group_offset_[c];
-                const int hi = group_offset_[c + 1];
-                for (int k = lo; k < hi; ++k) {
-                    prio += soa_.priority[static_cast<std::size_t>(
-                        group_task_[static_cast<std::size_t>(k)])];
-                }
-                core_prio[c] = prio;
-            }
-        });
+        for (std::size_t c = 0; c < cores_.size(); ++c) {
+            double prio = 0.0;
+            for (int k = group_offset_[c]; k < group_offset_[c + 1]; ++k)
+                prio += static_cast<double>(grouped_task(k).priority);
+            core_prio[c] = prio;
+        }
         for (ClusterId v = 0; v < chip_->num_clusters(); ++v) {
             for (CoreId c : chip_->cluster(v).cores()) {
                 cluster_prio[static_cast<std::size_t>(v)] +=
@@ -617,34 +474,30 @@ Market::distribute_allowance(Watts chip_power, bool skip_clean,
     // out identical: unchanged values stamp nothing in either mode).
     auto write_task = [this, &weight, &core_prio, &cluster_prio,
                        weight_sum](std::size_t i) {
+        TaskState& t = tasks_[i];
         Money value = 0.0;
-        if (soa_.active[i] != 0) {
-            const auto v = static_cast<std::size_t>(soa_.cluster[i]);
-            const auto c = static_cast<std::size_t>(soa_.core[i]);
+        if (t.active) {
+            const auto v = static_cast<std::size_t>(cluster_of(t));
+            const auto c = static_cast<std::size_t>(t.core);
             const Money cluster_allowance =
                 allowance_ * weight[v] / weight_sum;
             const Money core_allowance =
                 cluster_allowance * core_prio[c] / cluster_prio[v];
-            value = core_allowance * soa_.priority[i] / core_prio[c];
+            value = core_allowance * static_cast<double>(t.priority) /
+                core_prio[c];
         }
-        if (!bits_eq(value, soa_.allowance[i])) {
-            soa_.allowance[i] = value;
+        if (!bits_eq(value, t.allowance)) {
+            t.allowance = value;
             alloc_stamp_[i] = round_tag_;
-            flag_any_alloc_.store(true, std::memory_order_relaxed);
+            flag_any_alloc_ = true;
         }
     };
 
     if (!skip_clean) {
-        for_task_chunks([&write_task](std::size_t begin,
-                                      std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i)
-                write_task(i);
-        });
+        for (std::size_t i = 0; i < tasks_.size(); ++i)
+            write_task(i);
     } else {
-        // Gather the members of the dirty clusters (cluster order,
-        // task-id order within -- both fixed by the index, never by
-        // the pool) and fan the writes out over that compact list.
-        alloc_tasks_.clear();
+        // Rewrite only the members of the dirty clusters.
         for (std::size_t v = 0; v < clusters_.size(); ++v) {
             const bool clean = !global && dist_valid_ &&
                 dist_epoch_ == groups_epoch_ &&
@@ -653,23 +506,11 @@ Market::distribute_allowance(Watts chip_power, bool skip_clean,
                 bits_eq(dist_weight_[v], weight[v]);
             if (clean)
                 continue;
-            const int lo = cluster_offset_[v];
-            const int hi = cluster_offset_[v + 1];
-            for (int k = lo; k < hi; ++k)
-                alloc_tasks_.push_back(
-                    cluster_task_[static_cast<std::size_t>(k)]);
-        }
-        if (!alloc_tasks_.empty()) {
-            ThreadPool::for_chunks(
-                parallel_active() ? pool_ : nullptr,
-                alloc_tasks_.size(),
-                static_cast<std::size_t>(cfg_.clearing_grain),
-                [this, &write_task](std::size_t begin,
-                                    std::size_t end) {
-                    for (std::size_t k = begin; k < end; ++k)
-                        write_task(static_cast<std::size_t>(
-                            alloc_tasks_[k]));
-                });
+            for (int k = cluster_offset_[v]; k < cluster_offset_[v + 1];
+                 ++k) {
+                write_task(static_cast<std::size_t>(
+                    cluster_task_[static_cast<std::size_t>(k)]));
+            }
         }
     }
 
@@ -683,38 +524,35 @@ Market::distribute_allowance(Watts chip_power, bool skip_clean,
 void
 Market::place_bids(const std::vector<TaskId>* list)
 {
-    // Purely element-wise over the task agents (reads of the shared
-    // core prices and cluster freeze flags are immutable during the
-    // pass), so the chunks are independent and the fan-out exact.
-    // Skipping an entry is sound only when it sat at a bitwise fixed
-    // point last round (bid/savings replayed verbatim) AND every
-    // exogenous input -- demand, allowance, savings tax, last round's
-    // price, last round's supply, the freeze flag, the rounds_ > 0
-    // branch -- is bit-unchanged; round() assembles exactly that set
-    // into `list`.  After the body, each executed entry bit-compares
-    // its outputs against the prev_* memos: the resulting stamps
-    // drive the bid folds, the purchase set and next round's dirty
-    // set, and are evaluated over the full range whenever the full
-    // range executes, so both modes stamp identically.
+    // Purely element-wise over the task agents; the pass only reads
+    // the shared core prices and cluster freeze flags.  Skipping an
+    // entry is sound only when it sat at a bitwise fixed point last
+    // round (bid/savings replayed verbatim) AND every exogenous input
+    // -- demand, allowance, savings tax, last round's price, last
+    // round's supply, the freeze flag, the rounds_ > 0 branch -- is
+    // bit-unchanged; round() assembles exactly that set into `list`.
+    // After the body, each executed entry bit-compares its outputs
+    // against the prev_* memos: the resulting stamps drive the bid
+    // folds, the purchase set and next round's dirty set, and are
+    // evaluated over the full range whenever the full range executes,
+    // so both modes stamp identically.
     auto agent = [this](std::size_t i) {
-        if (soa_.active[i] != 0) {
+        TaskState& t = tasks_[i];
+        if (t.active) {
             const bool frozen =
-                clusters_[static_cast<std::size_t>(soa_.cluster[i])]
+                clusters_[static_cast<std::size_t>(cluster_of(t))]
                     .freeze_bids;
             if (!frozen && rounds_ > 0) {
                 const Money price =
-                    cores_[static_cast<std::size_t>(soa_.core[i])]
-                        .price;
-                soa_.bid[i] +=
-                    (soa_.demand[i] - soa_.supply[i]) * price;
+                    cores_[static_cast<std::size_t>(t.core)].price;
+                t.bid += (t.demand - t.supply) * price;
             }
             // The bid bound b_min <= b <= a + m holds unconditionally
             // -- a frozen bid is still cut when the allowance
             // collapses (emergency response must not be deferred).
-            soa_.bid[i] = std::clamp(
-                soa_.bid[i], cfg_.min_bid,
-                std::max(cfg_.min_bid,
-                         soa_.allowance[i] + soa_.savings[i]));
+            t.bid = std::clamp(t.bid, cfg_.min_bid,
+                               std::max(cfg_.min_bid,
+                                        t.allowance + t.savings));
             // Savings bookkeeping: unspent allowance accrues,
             // overspend draws down.  Agents do not accrue while bids
             // are frozen during a V-F transition (cf. the flat
@@ -723,48 +561,37 @@ Market::place_bids(const std::vector<TaskId>* list)
             // accrual but never confiscates an existing balance when
             // the allowance shrinks.
             if (!frozen) {
-                const Money cap =
-                    cfg_.savings_cap_frac * soa_.allowance[i];
-                Money next = soa_.savings[i] +
-                    (soa_.allowance[i] - soa_.bid[i]);
-                if (next > soa_.savings[i])
-                    next = std::min(next, std::max(soa_.savings[i], cap));
-                soa_.savings[i] = std::max(0.0, next);
+                const Money cap = cfg_.savings_cap_frac * t.allowance;
+                Money next = t.savings + (t.allowance - t.bid);
+                if (next > t.savings)
+                    next = std::min(next, std::max(t.savings, cap));
+                t.savings = std::max(0.0, next);
             }
         }
         // Change flags: an inactive task writes nothing above, but a
         // mutator may have reset its ledger, so the compares run for
         // every executed entry.
-        const bool bid_moved = !bits_eq(soa_.bid[i], prev_bid_[i]);
+        const bool bid_moved = !bits_eq(t.bid, prev_bid_[i]);
         if (bid_moved) {
-            prev_bid_[i] = soa_.bid[i];
+            prev_bid_[i] = t.bid;
             bid_stamp_[i] = round_tag_;
-            core_fold_dirty_[static_cast<std::size_t>(soa_.core[i])]
-                .store(1, std::memory_order_relaxed);
-            flag_any_bid_.store(true, std::memory_order_relaxed);
+            core_fold_dirty_[static_cast<std::size_t>(t.core)] = 1;
+            flag_any_bid_ = true;
         }
-        const bool savings_moved =
-            !bits_eq(soa_.savings[i], prev_savings_[i]);
+        const bool savings_moved = !bits_eq(t.savings, prev_savings_[i]);
         if (savings_moved)
-            prev_savings_[i] = soa_.savings[i];
+            prev_savings_[i] = t.savings;
         task_carry_[i] = (bid_moved || savings_moved) ? 1 : 0;
         if (bid_moved || savings_moved)
-            flag_any_carry_.store(true, std::memory_order_relaxed);
+            flag_any_carry_ = true;
     };
 
     if (list == nullptr) {
-        for_task_chunks([&agent](std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i)
-                agent(i);
-        });
-    } else if (!list->empty()) {
-        ThreadPool::for_chunks(
-            parallel_active() ? pool_ : nullptr, list->size(),
-            static_cast<std::size_t>(cfg_.clearing_grain),
-            [&agent, list](std::size_t begin, std::size_t end) {
-                for (std::size_t k = begin; k < end; ++k)
-                    agent(static_cast<std::size_t>((*list)[k]));
-            });
+        for (std::size_t i = 0; i < tasks_.size(); ++i)
+            agent(i);
+    } else {
+        for (const TaskId t : *list)
+            agent(static_cast<std::size_t>(t));
     }
 }
 
@@ -772,37 +599,32 @@ bool
 Market::discover_prices(bool skip_clean)
 {
     // Sum of bids per core: like refresh_core_demands(), each core
-    // folds its grouped tasks in id order, so the parallel reduction
-    // reproduces the old sequential walk bit for bit.  The same pass
-    // derives the per-core bid-floor flags control_supply() consumes
-    // (booleans, hence order-independent): whether the core hosts any
-    // active task and whether every one of its bids sits at b_min.
-    // A core outside core_bid_recompute_ had no member bid change and
-    // no regrouping, so its memoized fold (and flags) stand.
+    // folds its grouped tasks in id order.  The same fold derives the
+    // per-core bid-floor flags control_supply() consumes: whether the
+    // core hosts any active task and whether every one of its bids
+    // sits at b_min.  A core outside core_bid_recompute_ had no member
+    // bid change and no regrouping, so its memoized fold (and flags)
+    // stand.
     std::vector<Money>& bid_sum = scratch_bid_sum_;
     bid_sum.resize(cores_.size());
     const Money floor = cfg_.min_bid + 1e-12;
-    for_core_chunks([this, &bid_sum, floor, skip_clean](
-                        std::size_t begin, std::size_t end) {
-        for (std::size_t c = begin; c < end; ++c) {
-            if (skip_clean && core_bid_recompute_[c] == 0)
-                continue;
-            Money bids = 0.0;
-            unsigned char all_floor = 1;
-            const int lo = group_offset_[c];
-            const int hi = group_offset_[c + 1];
-            for (int k = lo; k < hi; ++k) {
-                const auto i = static_cast<std::size_t>(
-                    group_task_[static_cast<std::size_t>(k)]);
-                bids += soa_.bid[i];
-                if (soa_.bid[i] > floor)
-                    all_floor = 0;
-            }
-            bid_sum[c] = bids;
-            core_any_task_[c] = hi > lo ? 1 : 0;
-            core_all_floor_[c] = all_floor;
+    for (std::size_t c = 0; c < cores_.size(); ++c) {
+        if (skip_clean && core_bid_recompute_[c] == 0)
+            continue;
+        Money bids = 0.0;
+        unsigned char all_floor = 1;
+        const int lo = group_offset_[c];
+        const int hi = group_offset_[c + 1];
+        for (int k = lo; k < hi; ++k) {
+            const Money bid = grouped_task(k).bid;
+            bids += bid;
+            if (bid > floor)
+                all_floor = 0;
         }
-    });
+        bid_sum[c] = bids;
+        core_any_task_[c] = hi > lo ? 1 : 0;
+        core_all_floor_[c] = all_floor;
+    }
 
     // Price loop: always O(cores), never skipped.  Reading the live
     // core supply and bit-comparing the resulting price is what makes
@@ -834,33 +656,25 @@ Market::run_purchases(const std::vector<TaskId>* list)
     // price, or an external mutation; everything else replays its
     // memoized supply bit for bit.
     auto purchase = [this](std::size_t i) {
+        TaskState& t = tasks_[i];
         Pu supply = 0.0;
-        if (soa_.active[i] != 0) {
-            const CoreState& c =
-                cores_[static_cast<std::size_t>(soa_.core[i])];
-            supply = c.price > 0.0 ? soa_.bid[i] / c.price : 0.0;
+        if (t.active) {
+            const CoreState& c = cores_[static_cast<std::size_t>(t.core)];
+            supply = c.price > 0.0 ? t.bid / c.price : 0.0;
         }
-        soa_.supply[i] = supply;
+        t.supply = supply;
         if (!bits_eq(supply, prev_supply_[i])) {
             prev_supply_[i] = supply;
             task_carry_[i] = 1;
-            flag_any_carry_.store(true, std::memory_order_relaxed);
+            flag_any_carry_ = true;
         }
     };
     if (list == nullptr) {
-        for_task_chunks([&purchase](std::size_t begin,
-                                    std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i)
-                purchase(i);
-        });
-    } else if (!list->empty()) {
-        ThreadPool::for_chunks(
-            parallel_active() ? pool_ : nullptr, list->size(),
-            static_cast<std::size_t>(cfg_.clearing_grain),
-            [&purchase, list](std::size_t begin, std::size_t end) {
-                for (std::size_t k = begin; k < end; ++k)
-                    purchase(static_cast<std::size_t>((*list)[k]));
-            });
+        for (std::size_t i = 0; i < tasks_.size(); ++i)
+            purchase(i);
+    } else {
+        for (const TaskId t : *list)
+            purchase(static_cast<std::size_t>(t));
     }
 }
 
@@ -1134,12 +948,8 @@ Market::sanitize(const std::vector<Pu>& fallback_supplies)
 RoundReport
 Market::round()
 {
-    // Hot-path staging: mirror the ledger into the SoA vectors and
-    // refresh the per-core task grouping, then run every clearing
-    // pass over the flat columns (fanning out to the attached pool
-    // when one is set -- see set_thread_pool for the determinism
-    // contract).  tasks_ itself is not written again until
-    // store_soa().
+    // Every clearing pass reads and writes the task ledger tasks_ in
+    // place, folding per-core sums over the grouping index.
     //
     // Incremental active-set clearing rides on top: the dirty
     // tracking below decides, pass by pass, which entries a full
@@ -1158,18 +968,16 @@ Market::round()
         dist_valid_ = false;
         circ_valid_ = false;
     }
-    flag_any_alloc_.store(false, std::memory_order_relaxed);
-    flag_any_bid_.store(false, std::memory_order_relaxed);
-    flag_any_carry_.store(false, std::memory_order_relaxed);
+    flag_any_alloc_ = false;
+    flag_any_bid_ = false;
+    flag_any_carry_ = false;
 
     const long epoch_before = groups_epoch_;
     rebuild_groups();
     const bool groups_rebuilt = groups_epoch_ != epoch_before;
-    load_soa(!skip_clean);
 
     // Demand-fold recompute set: regrouping or any member demand
-    // change (set_demand marks the hosting core).  Decided serially
-    // so the counters stay off the workers.
+    // change (set_demand marks the hosting core).
     const std::size_t ncores = cores_.size();
     long cores_recomputed = 0;
     for (std::size_t c = 0; c < ncores; ++c) {
@@ -1234,11 +1042,8 @@ Market::round()
         // savings, so this round's bid pass runs over the full range.
         taxed = true;
         const double keep = 1.0 - cfg_.emergency_savings_tax;
-        for_task_chunks([this, keep](std::size_t begin,
-                                     std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i)
-                soa_.savings[i] *= keep;
-        });
+        for (TaskState& t : tasks_)
+            t.savings *= keep;
     }
     distribute_allowance(chip_power, skip_clean, global);
 
@@ -1258,17 +1063,18 @@ Market::round()
         tasks_recomputed = static_cast<long>(ntasks);
     } else {
         const bool any_dirt = !ext_list_.empty() || any_carry_ ||
-            flag_any_alloc_.load(std::memory_order_relaxed) ||
-            any_price_changed_last_ || any_freeze_changed_;
+            flag_any_alloc_ || any_price_changed_last_ ||
+            any_freeze_changed_;
         if (any_dirt) {
             for (std::size_t i = 0; i < ntasks; ++i) {
+                const TaskState& t = tasks_[i];
                 const bool dirty = task_ext_[i] != 0 ||
                     task_carry_[i] != 0 ||
                     alloc_stamp_[i] == round_tag_ ||
                     price_changed_last_[static_cast<std::size_t>(
-                        soa_.core[i])] != 0 ||
+                        t.core)] != 0 ||
                     freeze_changed_[static_cast<std::size_t>(
-                        soa_.cluster[i])] != 0;
+                        cluster_of(t))] != 0;
                 if (dirty) {
                     dirty_tasks_.push_back(static_cast<TaskId>(i));
                     processed_stamp_[i] = round_tag_;
@@ -1280,13 +1086,12 @@ Market::round()
     place_bids(skip_clean && !book_all ? &dirty_tasks_ : nullptr);
 
     // ----- Bid-fold recompute set ---------------------------------
-    const bool any_bid_moved =
-        flag_any_bid_.load(std::memory_order_relaxed);
+    const bool any_bid_moved = flag_any_bid_;
     for (std::size_t c = 0; c < ncores; ++c) {
-        const unsigned char dirty =
-            core_fold_dirty_[c].exchange(0, std::memory_order_relaxed);
         const unsigned char r =
-            (global || groups_rebuilt || dirty != 0) ? 1 : 0;
+            (global || groups_rebuilt || core_fold_dirty_[c] != 0) ? 1
+                                                                   : 0;
+        core_fold_dirty_[c] = 0;
         core_bid_recompute_[c] = r;
         if (r != 0 && core_recompute_[c] == 0)
             ++cores_recomputed;
@@ -1300,7 +1105,7 @@ Market::round()
         for (std::size_t i = 0; i < ntasks; ++i) {
             const bool dirty = bid_stamp_[i] == round_tag_ ||
                 price_changed_now_[static_cast<std::size_t>(
-                    soa_.core[i])] != 0 ||
+                    tasks_[i].core)] != 0 ||
                 task_ext_[i] != 0;
             if (dirty) {
                 purchase_tasks_.push_back(static_cast<TaskId>(i));
@@ -1314,9 +1119,7 @@ Market::round()
     run_purchases(skip_clean && !book_all ? &purchase_tasks_
                                           : nullptr);
 
-    // ----- Write-back ---------------------------------------------
-    // The recomputed union (ascending) doubles as the store set and
-    // the test-visible introspection list.
+    // ----- Recomputed union (ascending, test-visible) --------------
     recomputed_tasks_.clear();
     if (book_all) {
         for (std::size_t i = 0; i < ntasks; ++i)
@@ -1326,12 +1129,6 @@ Market::round()
             if (processed_stamp_[i] == round_tag_)
                 recomputed_tasks_.push_back(static_cast<TaskId>(i));
         }
-    }
-    if (skip_clean) {
-        if (tasks_recomputed > 0)
-            store_soa(false);
-    } else {
-        store_soa(true);
     }
 
     RoundReport report;
@@ -1355,7 +1152,7 @@ Market::round()
     // (bids read the previous round's prices; purchases this one's).
     std::swap(price_changed_last_, price_changed_now_);
     any_price_changed_last_ = any_price_moved;
-    any_carry_ = flag_any_carry_.load(std::memory_order_relaxed);
+    any_carry_ = flag_any_carry_;
     if (any_bid_moved)
         circ_valid_ = false;
     for (const TaskId t : ext_list_)

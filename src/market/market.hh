@@ -17,20 +17,14 @@
 #ifndef PPM_MARKET_MARKET_HH
 #define PPM_MARKET_MARKET_HH
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/types.hh"
 #include "fault/fault.hh"
 #include "hw/platform.hh"
 #include "market/config.hh"
-
-namespace ppm {
-class ThreadPool;
-} // namespace ppm
 
 namespace ppm::snap {
 class Writer;
@@ -188,17 +182,6 @@ class Market
     void set_cluster_power_raw(ClusterId v, Watts w);
 
     /**
-     * Attach (or detach, with nullptr) a worker pool for the clearing
-     * passes of round().  The pool is not owned and may be shared;
-     * rounds fan the per-task and per-core passes out in fixed-size
-     * chunks (PpmConfig::clearing_grain) whose boundaries are
-     * independent of the worker count, so the cleared round is
-     * bit-identical for every pool size -- including none.  Markets
-     * below PpmConfig::clearing_min_tasks keep clearing inline.
-     */
-    void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
-
-    /**
      * Execute one market round: chip-agent allowance update and
      * hierarchical distribution, task-agent bidding, core-agent price
      * discovery and purchases, then cluster-agent inflation/deflation
@@ -299,9 +282,6 @@ class Market
     /** The platform the market drives. */
     const hw::Chip& chip() const { return *chip_; }
 
-    /** Tasks mapped to core `c` (by market bookkeeping). */
-    std::vector<TaskId> tasks_on(CoreId c) const;
-
     /**
      * Route cluster V-F steps through `port` instead of acting on the
      * chip directly (fault injection: a request may land late, fail
@@ -337,7 +317,7 @@ class Market
      * -- they decide the observable skip counters and recompute sets,
      * which a restored run must continue bit-exactly rather than
      * restart from a force-full round.  Non-owned attachments (chip,
-     * pool, DVFS port, telemetry) and round-local scratch are skipped.
+     * DVFS port, telemetry) and round-local scratch are skipped.
      */
     void save(snap::Writer& w) const;
     void load(snap::Reader& r);
@@ -354,69 +334,32 @@ class Market
                                          ///< triggered V-F step.
     };
 
-    /**
-     * Struct-of-arrays mirror of the task ledger for the clearing hot
-     * path.  tasks_ stays the authoritative copy between rounds (the
-     * mutators and the watchdog write it); round() loads the mirror
-     * once, runs every per-task pass over the flat vectors -- which
-     * chunk cleanly across the pool and vectorize without the
-     * AoS stride -- and stores the written-to columns back at the end.
-     */
-    struct TaskSoa {
-        std::vector<Pu> demand;
-        std::vector<Pu> supply;
-        std::vector<Money> bid;
-        std::vector<Money> allowance;
-        std::vector<Money> savings;
-        std::vector<double> priority;
-        std::vector<CoreId> core;
-        std::vector<ClusterId> cluster;
-        std::vector<unsigned char> active;
+    /** Cluster hosting task `t`'s current core. */
+    ClusterId cluster_of(const TaskState& t) const
+    {
+        return core_cluster_[static_cast<std::size_t>(t.core)];
+    }
 
-        void resize(std::size_t n);
-    };
-
-    /** True when round() should fan out to the attached pool. */
-    bool parallel_active() const;
-
-    /** Run `fn(begin, end)` over chunks of the task index range. */
-    template <typename Fn>
-    void for_task_chunks(Fn&& fn) const;
-
-    /** Run `fn(begin, end)` over chunks of the core index range. */
-    template <typename Fn>
-    void for_core_chunks(Fn&& fn) const;
-
-    /**
-     * Mirror tasks_ into the SoA hot vectors.  `full` copies every
-     * task (the reference path); otherwise only the externally-dirtied
-     * tasks (ext_list_) reload -- every other entry is bit-identical
-     * already, because store_soa() wrote back everything a round
-     * changed and the mutators mark everything they touch.
-     */
-    void load_soa(bool full);
-
-    /**
-     * Write the columns the round mutated back into tasks_.  `full`
-     * stores every task; otherwise only recomputed_tasks_ (entries the
-     * round never touched hold their previous bits on both sides).
-     */
-    void store_soa(bool full);
+    /** The `k`-th entry of the per-core grouping (see rebuild_groups). */
+    const TaskState& grouped_task(int k) const
+    {
+        return tasks_[static_cast<std::size_t>(
+            group_task_[static_cast<std::size_t>(k)])];
+    }
 
     /**
      * Rebuild the per-core grouping of active task ids (counting
      * sort, id order preserved within each core) if a mutator dirtied
      * it.  The grouping turns the per-core reductions into
-     * independent contiguous folds, which is what lets them run on
-     * pool workers without changing floating-point association: each
-     * core's sum is still accumulated in task-id order.
+     * independent contiguous folds, so an incremental round re-folds
+     * only the dirty cores -- and each core's sum still accumulates
+     * in task-id order, the association of a full walk.
      */
     void rebuild_groups();
 
-    /** Per-core demand reduction over the groups (replaces the old
-     *  sequential refresh_core_demands walk).  Folds only the cores
-     *  flagged in core_recompute_ when `skip_clean`; the rest keep
-     *  their memoized sums. */
+    /** Per-core demand reduction over the groups.  Folds only the
+     *  cores flagged in core_recompute_ when `skip_clean`; the rest
+     *  keep their memoized sums. */
     void refresh_core_demands(bool skip_clean);
 
     /**
@@ -521,7 +464,7 @@ class Market
     bool allowance_clamped_ = false;  ///< Set by update_allowance().
     MarketTelemetry* telemetry_ = nullptr;  ///< Not owned; may be null.
     fault::DvfsPort* dvfs_port_ = nullptr;  ///< Not owned; may be null.
-    ThreadPool* pool_ = nullptr;            ///< Not owned; may be null.
+    std::vector<ClusterId> core_cluster_;   ///< Chip topology, by core.
 
     // Reusable per-round scratch (capacity kept across rounds) so a
     // steady-state round allocates nothing.
@@ -534,18 +477,16 @@ class Market
     // the vector is a cross-round memo and is serialized in snapshots.
     std::vector<Money> scratch_bid_sum_;        ///< discover_prices.
 
-    // SoA mirror and the cached per-core task grouping (see TaskSoa /
-    // rebuild_groups).  groups_dirty_ is set by every mutator that
-    // changes a task's core or activity.
-    TaskSoa soa_;
+    // The cached per-core task grouping (see rebuild_groups).
+    // groups_dirty_ is set by every mutator that changes a task's core
+    // or activity.
     std::vector<int> group_offset_;   ///< cores+1 prefix offsets.
     std::vector<int> group_cursor_;   ///< Counting-sort scratch.
     std::vector<TaskId> group_task_;  ///< Active ids grouped by core.
     bool groups_dirty_ = true;
 
     // Per-core bid-floor flags for control_supply(), produced by the
-    // discover_prices() reduction pass (order-independent booleans,
-    // so the parallel fold matches the old inline scan exactly).
+    // discover_prices() per-core bid fold.
     std::vector<unsigned char> core_any_task_;
     std::vector<unsigned char> core_all_floor_;
 
@@ -578,17 +519,15 @@ class Market
     std::vector<long> processed_stamp_;  ///< In this round's active set.
 
     // Last cleared values, for the bit-compares that decide the change
-    // flags (soa_ itself is overwritten in place by the passes).
+    // flags (tasks_ itself is overwritten in place by the passes).
     std::vector<Money> prev_bid_;
     std::vector<Money> prev_savings_;
     std::vector<Pu> prev_supply_;
 
-    // Per-core dirt.  core_fold_dirty_ is written by pool workers as
-    // bid changes are discovered (monotone relaxed stores; the pool
-    // join orders them before the control thread's read), everything
-    // else stays on the control thread.
+    // Per-core dirt.  core_fold_dirty_ collects the cores whose member
+    // bids moved during the bid pass.
     std::vector<unsigned char> core_demand_dirty_;
-    std::unique_ptr<std::atomic<unsigned char>[]> core_fold_dirty_;
+    std::vector<unsigned char> core_fold_dirty_;
     std::vector<unsigned char> core_recompute_;      ///< Demand-fold set.
     std::vector<unsigned char> core_bid_recompute_;  ///< Bid-fold set.
     std::vector<unsigned char> price_changed_last_;  ///< Prev round.
@@ -600,31 +539,11 @@ class Market
     std::vector<unsigned char> freeze_seen_;
     bool any_freeze_changed_ = false;
 
-    /**
-     * std::atomic<bool> that copies its value on move so Market keeps
-     * its move constructor (the pool is always joined before a Market
-     * object is moved, so a plain value copy is race-free).
-     */
-    struct MovableFlag {
-        std::atomic<bool> v{false};
-        MovableFlag() = default;
-        MovableFlag(MovableFlag&& o) noexcept
-            : v(o.v.load(std::memory_order_relaxed)) {}
-        MovableFlag& operator=(MovableFlag&& o) noexcept
-        {
-            v.store(o.v.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-            return *this;
-        }
-        void store(bool b, std::memory_order mo) { v.store(b, mo); }
-        bool load(std::memory_order mo) const { return v.load(mo); }
-    };
-
-    // Round-local "anything changed" flags; workers set them with
-    // relaxed stores (monotone, order-free), round() resets them.
-    MovableFlag flag_any_alloc_;
-    MovableFlag flag_any_bid_;
-    MovableFlag flag_any_carry_;
+    // Round-local "anything changed" flags; the passes set them,
+    // round() resets them.
+    bool flag_any_alloc_ = false;
+    bool flag_any_bid_ = false;
+    bool flag_any_carry_ = false;
 
     // distribute_allowance memo: parameters of the last distributing
     // round.  A cluster is clean iff the epoch, global allowance and
@@ -656,7 +575,6 @@ class Market
     // Compacted per-round work lists (scratch, capacity kept).
     std::vector<TaskId> dirty_tasks_;      ///< Bid-pass active set.
     std::vector<TaskId> purchase_tasks_;   ///< Purchase-pass active set.
-    std::vector<TaskId> alloc_tasks_;      ///< Dirty-cluster member scan.
     std::vector<TaskId> recomputed_tasks_; ///< Union, ascending.
 
     ClearingStats clearing_;   ///< Cumulative counters.

@@ -100,17 +100,6 @@ Market::save(snap::Writer& w) const
     w.b(allowance_clamped_);
     w.f64(prev_objective_);
 
-    // SoA mirror: authoritative for untouched columns between rounds.
-    w.f64v(soa_.demand);
-    w.f64v(soa_.supply);
-    w.f64v(soa_.bid);
-    w.f64v(soa_.allowance);
-    w.f64v(soa_.savings);
-    w.f64v(soa_.priority);
-    w.i32v(soa_.core);
-    w.i32v(soa_.cluster);
-    w.u8v(soa_.active);
-
     // Group index.
     w.i32v(group_offset_);
     w.i32v(group_cursor_);
@@ -134,9 +123,7 @@ Market::save(snap::Writer& w) const
     w.f64v(prev_savings_);
     w.f64v(prev_supply_);
     w.u8v(core_demand_dirty_);
-    w.u64(cores_.size());
-    for (std::size_t c = 0; c < cores_.size(); ++c)
-        w.u8(core_fold_dirty_[c].load(std::memory_order_relaxed));
+    w.u8v(core_fold_dirty_);
     w.u8v(core_recompute_);
     w.u8v(core_bid_recompute_);
     // Cross-round per-core bid folds: cores outside the bid recompute
@@ -148,9 +135,9 @@ Market::save(snap::Writer& w) const
     w.u8v(freeze_changed_);
     w.u8v(freeze_seen_);
     w.b(any_freeze_changed_);
-    w.b(flag_any_alloc_.load(std::memory_order_relaxed));
-    w.b(flag_any_bid_.load(std::memory_order_relaxed));
-    w.b(flag_any_carry_.load(std::memory_order_relaxed));
+    w.b(flag_any_alloc_);
+    w.b(flag_any_bid_);
+    w.b(flag_any_carry_);
 
     // Distribution / priority / circulating-bid memos.
     w.b(dist_valid_);
@@ -228,16 +215,6 @@ Market::load(snap::Reader& r)
     allowance_clamped_ = r.b();
     prev_objective_ = r.f64();
 
-    r.f64v(&soa_.demand);
-    r.f64v(&soa_.supply);
-    r.f64v(&soa_.bid);
-    r.f64v(&soa_.allowance);
-    r.f64v(&soa_.savings);
-    r.f64v(&soa_.priority);
-    r.i32v(&soa_.core);
-    r.i32v(&soa_.cluster);
-    r.u8v(&soa_.active);
-
     r.i32v(&group_offset_);
     r.i32v(&group_cursor_);
     r.i32v(&group_task_);
@@ -259,11 +236,7 @@ Market::load(snap::Reader& r)
     r.f64v(&prev_savings_);
     r.f64v(&prev_supply_);
     r.u8v(&core_demand_dirty_);
-    const std::size_t n_fold = static_cast<std::size_t>(r.u64());
-    PPM_ASSERT(n_fold == cores_.size(),
-               "snapshot mismatch: core fold-dirty count differs");
-    for (std::size_t c = 0; c < n_fold; ++c)
-        core_fold_dirty_[c].store(r.u8(), std::memory_order_relaxed);
+    r.u8v(&core_fold_dirty_);
     r.u8v(&core_recompute_);
     r.u8v(&core_bid_recompute_);
     r.f64v(&scratch_bid_sum_);
@@ -273,9 +246,9 @@ Market::load(snap::Reader& r)
     r.u8v(&freeze_changed_);
     r.u8v(&freeze_seen_);
     any_freeze_changed_ = r.b();
-    flag_any_alloc_.store(r.b(), std::memory_order_relaxed);
-    flag_any_bid_.store(r.b(), std::memory_order_relaxed);
-    flag_any_carry_.store(r.b(), std::memory_order_relaxed);
+    flag_any_alloc_ = r.b();
+    flag_any_bid_ = r.b();
+    flag_any_carry_ = r.b();
 
     dist_valid_ = r.b();
     dist_epoch_ = static_cast<long>(r.i64());

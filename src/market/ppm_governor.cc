@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 #include "hw/power_model.hh"
 #include "metrics/telemetry.hh"
 #include "sched/nice.hh"
@@ -19,8 +18,6 @@ PpmGovernor::PpmGovernor(PpmGovernorConfig cfg) : cfg_(std::move(cfg))
     PPM_ASSERT(cfg_.lb_every_bids >= 1 && cfg_.mig_every_lbs >= 1,
                "LBT period multipliers must be >= 1");
 }
-
-PpmGovernor::~PpmGovernor() = default;
 
 Pu
 PpmGovernor::estimate_demand_on(TaskId t, ClusterId v) const
@@ -50,15 +47,6 @@ PpmGovernor::init(sim::Simulation& sim)
     sim_ = &sim;
     market_ = std::make_unique<Market>(&sim.chip(), cfg_.market);
     market_->set_dvfs_port(sim.dvfs_port());
-    if (cfg_.clearing_pool != nullptr) {
-        // Externally shared pool (fleet shards / sweep cells): no
-        // per-governor pool, no oversubscription.
-        market_->set_thread_pool(cfg_.clearing_pool);
-    } else if (cfg_.clearing_jobs != 1) {
-        clearing_pool_ =
-            std::make_unique<ThreadPool>(cfg_.clearing_jobs);
-        market_->set_thread_pool(clearing_pool_.get());
-    }
     guard_.init(sim.chip().num_clusters(), sim.fault_injector());
     for (workload::Task* t : sim.tasks()) {
         market_->add_task(t->id(), t->priority(),

@@ -74,29 +74,6 @@ struct PpmGovernorConfig {
 
     /** Tuning of the online estimator (used when enabled). */
     OnlineSpeedupEstimator::Params online_params;
-
-    /**
-     * Worker threads for the market's parallel clearing engine.  The
-     * default 1 clears inline on the simulation thread; > 1 spins up
-     * a dedicated pool at init and attaches it to the market; <= 0
-     * means one worker per hardware thread.  The cleared rounds are
-     * bit-identical for every value (see Market::set_thread_pool), so
-     * this is purely a wall-clock knob for large task counts.
-     */
-    int clearing_jobs = 1;
-
-    /**
-     * External shared worker pool (not owned; must outlive the
-     * governor).  When set, it is attached to the market instead of
-     * spawning a dedicated pool, overriding `clearing_jobs` -- this
-     * is how an N-chip fleet (or an N-cell sweep) on an M-core host
-     * keeps exactly one pool instead of N.  Rounds clearing on a
-     * shared pool are still bit-identical to inline clearing; a
-     * round invoked *from* one of the pool's own workers (a fleet
-     * shard being stepped by the pool) runs its chunks inline via
-     * ThreadPool::on_worker_thread().
-     */
-    ThreadPool* clearing_pool = nullptr;
 };
 
 /** The price-theory power manager. */
@@ -104,7 +81,6 @@ class PpmGovernor : public sim::Governor
 {
   public:
     explicit PpmGovernor(PpmGovernorConfig cfg);
-    ~PpmGovernor() override;
 
     std::string name() const override { return "PPM"; }
     void init(sim::Simulation& sim) override;
@@ -225,7 +201,6 @@ class PpmGovernor : public sim::Governor
     Pu estimate_demand_on(TaskId t, ClusterId v) const;
 
     PpmGovernorConfig cfg_;
-    std::unique_ptr<ThreadPool> clearing_pool_;  ///< When clearing_jobs != 1.
     std::unique_ptr<Market> market_;
     std::unique_ptr<LbtModule> lbt_;
     std::unique_ptr<OnlineSpeedupEstimator> online_;

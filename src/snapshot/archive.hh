@@ -37,8 +37,12 @@
 
 namespace ppm::snap {
 
-/** Current snapshot format version. */
-inline constexpr std::uint32_t kFormatVersion = 1;
+/**
+ * Current snapshot format version.  Bump it whenever the payload
+ * layout changes, so a file written under another layout is rejected
+ * with kBadVersion rather than misread.
+ */
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /** Outcome of opening a snapshot payload. */
 enum class LoadStatus {

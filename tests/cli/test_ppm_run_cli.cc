@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -100,6 +101,28 @@ TEST(PpmRunCli, BadNumericFlagsAreRejected)
     EXPECT_EQ(run_cli("--set l1 --seconds 1 --priority 0"), 2);
     EXPECT_EQ(run_cli("--set l1 --seconds 1 --avg-seeds 0"), 2);
     EXPECT_EQ(run_cli("--set l1 --seconds 1 --jobs -2"), 2);
+}
+
+TEST(PpmRunCli, JobsIsRejectedWhereItCanDoNothing)
+{
+    // A single run -- snapshot runs included -- clears its market
+    // inline on one thread, so any --jobs value is an error there,
+    // reported on one stderr line.
+    std::string err;
+    EXPECT_EQ(run_cli_capture("--set l1 --seconds 1 --jobs 4", nullptr,
+                              &err),
+              2);
+    EXPECT_NE(err.find("--jobs"), std::string::npos) << err;
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+    EXPECT_EQ(run_cli("--set l1 --seconds 1 --jobs 1"), 2);
+    const std::string snap = tmp_path("jobs.snap");
+    EXPECT_EQ(run_cli("--set l1 --seconds 2 --jobs 2 --snapshot-out " +
+                      snap + " --snapshot-at 1000"),
+              2);
+    std::remove(snap.c_str());
+    // Fleet and multi-seed runs have workers for it to size.
+    EXPECT_EQ(run_cli("--set l1 --seconds 1 --avg-seeds 2 --jobs 2"), 0);
+    EXPECT_EQ(run_cli("--set l1 --seconds 1 --fleet 2 --jobs 2"), 0);
 }
 
 TEST(PpmRunCli, NumericParsingIsStrict)

@@ -127,7 +127,7 @@ TEST(ThreadPool, ForChunksCoversRangeExactlyOnce)
 
 TEST(ThreadPool, ForChunksBoundariesIndependentOfWorkerCount)
 {
-    // The determinism contract of the clearing engine: the chunk
+    // The determinism contract of for_chunks: the chunk
     // decomposition is a pure function of (n, grain), so the inline
     // path and pools of any size hand out identical ranges.
     const auto inline_chunks = collect_chunks(nullptr, 100, 7);

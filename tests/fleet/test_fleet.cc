@@ -19,7 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/thread_pool.hh"
 #include "fault/fault.hh"
 #include "fleet/fleet.hh"
 #include "hw/platform.hh"
@@ -658,33 +657,6 @@ TEST(FleetFaults, CompiledPlanIsDeterministicAndOnTheGrid)
         EXPECT_LT(ea.chip, 4);
         EXPECT_LE(ea.time, duration);
     }
-}
-
-TEST(Fleet, SharedClearingPoolMatchesOwnedPool)
-{
-    const auto run_with = [](ThreadPool* shared, int jobs) {
-        market::PpmGovernorConfig cfg = golden_ppm_config();
-        // Engage the clearing engine on this small market.
-        cfg.market.clearing_min_tasks = 2;
-        cfg.market.clearing_grain = 1;
-        cfg.clearing_jobs = jobs;
-        cfg.clearing_pool = shared;
-        std::ostringstream os;
-        metrics::JsonlSink sink(os);
-        sim::Simulation sim(
-            hw::tc2_chip(), golden_specs(),
-            std::make_unique<market::PpmGovernor>(cfg),
-            golden_sim_config());
-        sim.bus().add_sink(&sink);
-        const sim::RunSummary s = sim.run();
-        return fingerprint(s) + "\n" + os.str();
-    };
-    ThreadPool pool(3);
-    const std::string shared = run_with(&pool, 1);
-    const std::string owned = run_with(nullptr, 3);
-    const std::string inline_run = run_with(nullptr, 1);
-    EXPECT_EQ(shared, owned);
-    EXPECT_EQ(shared, inline_run);
 }
 
 } // namespace

@@ -57,7 +57,7 @@ TEST(ScenarioGenerator, DistributionCoversEveryDimension)
 {
     int tc2 = 0, octa = 0, synthetic = 0;
     int faulted = 0, capped = 0, staggered = 0, pinned = 0;
-    int traced = 0, parallel_clearing = 0, multi_phase = 0;
+    int traced = 0, multi_phase = 0;
     for (std::uint64_t i = 0; i < 300; ++i) {
         const Scenario sc = generate_scenario(scenario_seed(1, i));
         switch (sc.shape) {
@@ -68,7 +68,6 @@ TEST(ScenarioGenerator, DistributionCoversEveryDimension)
         faulted += sc.has_faults ? 1 : 0;
         capped += sc.tdp > 0.0 ? 1 : 0;
         traced += sc.trace ? 1 : 0;
-        parallel_clearing += sc.clearing_jobs > 1 ? 1 : 0;
         staggered += lifetimes(sc).empty() ? 0 : 1;
         pinned += placement(sc).empty() ? 0 : 1;
         for (const TaskGene& g : sc.tasks)
@@ -80,7 +79,6 @@ TEST(ScenarioGenerator, DistributionCoversEveryDimension)
     EXPECT_GT(faulted, 0);
     EXPECT_GT(capped, 0);
     EXPECT_GT(traced, 0);
-    EXPECT_GT(parallel_clearing, 0);
     EXPECT_GT(staggered, 0);
     EXPECT_GT(pinned, 0);
     EXPECT_GT(multi_phase, 0);
@@ -94,8 +92,6 @@ TEST(ScenarioGenerator, EveryDrawStaysInRange)
         EXPECT_GT(sc.warmup, 0);
         EXPECT_GE(sc.tasks.size(), 1u);
         EXPECT_LE(sc.tasks.size(), 10u);
-        EXPECT_GE(sc.clearing_jobs, 1);
-        EXPECT_GE(sc.clearing_grain, 1);
         const hw::Chip chip = make_chip(sc);
         EXPECT_GE(chip.num_clusters(), 1);
         for (const TaskGene& g : sc.tasks) {

@@ -88,7 +88,6 @@ TEST(Shrink, NeverGrowsAnyDimension)
     EXPECT_LE(r.scenario.warmup, sc.warmup);
     EXPECT_LE(r.scenario.trace, sc.trace);
     EXPECT_LE(r.scenario.has_faults, sc.has_faults);
-    EXPECT_LE(r.scenario.clearing_jobs, sc.clearing_jobs);
     // An always-reproducing oracle shrinks to the floor: one task, no
     // faults, no tracing.
     EXPECT_EQ(r.scenario.tasks.size(), 1u);

@@ -73,7 +73,7 @@ TEST(DynamicTasks, MarketExcludesDepartedAgent)
     EXPECT_DOUBLE_EQ(market.task(1).supply, 0.0);
     EXPECT_DOUBLE_EQ(market.task(1).savings, 0.0);
     EXPECT_NEAR(market.task(0).supply, chip.cluster(0).supply(), 1e-6);
-    EXPECT_EQ(market.tasks_on(0).size(), 1u);
+    EXPECT_EQ(market::test::tasks_on(market, 0).size(), 1u);
 }
 
 TEST(DynamicTasks, ArrivalRejoinsBidding)

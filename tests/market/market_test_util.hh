@@ -10,8 +10,10 @@
 #ifndef PPM_TESTS_MARKET_TEST_UTIL_HH
 #define PPM_TESTS_MARKET_TEST_UTIL_HH
 
+#include <vector>
+
 #include "hw/platform.hh"
-#include "market/config.hh"
+#include "market/market.hh"
 
 namespace ppm::market::test {
 
@@ -47,6 +49,18 @@ paper_config()
     cfg.allowance_growth_cap = 1.0;// uncapped allowance growth.
     cfg.emergency_savings_tax = 0.0;  // Allowance contraction only.
     return cfg;
+}
+
+/** Active tasks the market maps to core `c`, in id order. */
+inline std::vector<TaskId>
+tasks_on(const Market& market, CoreId c)
+{
+    std::vector<TaskId> out;
+    for (const TaskState& t : market.tasks()) {
+        if (t.core == c && t.active)
+            out.push_back(t.id);
+    }
+    return out;
 }
 
 /** Table 3's synthetic power curve as a function of supply. */

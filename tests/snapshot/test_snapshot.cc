@@ -7,7 +7,7 @@
  * to completion is byte-identical to the uninterrupted run: summary
  * fingerprints, streamed telemetry (concatenated across the kill)
  * and traced time series, for every policy, both stepping engines,
- * clearing pools, and chip-fault-injected fleets.
+ * and chip-fault-injected fleets.
  */
 
 #include <cmath>
@@ -148,6 +148,11 @@ TEST(Archive, CorruptionTaxonomy)
     std::string bad_version = good;
     bad_version[8] = static_cast<char>(snap::kFormatVersion + 1);
     EXPECT_EQ(r.open(bad_version), snap::LoadStatus::kBadVersion);
+    // A version-1 archive has another market layout: it must be
+    // refused, not misread.
+    std::string v1 = good;
+    v1[8] = 1;
+    EXPECT_EQ(r.open(v1), snap::LoadStatus::kBadVersion);
 
     // Flipped payload bit: right shape, wrong checksum.
     std::string bad_payload = good;

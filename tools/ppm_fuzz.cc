@@ -2,8 +2,9 @@
  * @file
  * Differential fuzz driver: generate seeded random scenarios, execute
  * each one every way the engine is supposed to be equivalent (every
- * policy, macro-step vs per-tick, market clearing on one worker vs a
- * pool) and check the global invariants (byte-identical summaries and
+ * policy, macro-step vs per-tick, incremental vs full-recompute
+ * clearing, fleet shards on one worker vs a pool) and check the
+ * global invariants (byte-identical summaries and
  * telemetry, market budget conservation, summary sanity, fault
  * counters).  On a violation the scenario is auto-shrunk and the
  * minimized reproducer written as a fixture file with a one-line
@@ -59,8 +60,8 @@ usage(const char* argv0)
         "          [--print-scenario N]\n"
         "\n"
         "Generates N seeded scenarios and checks every equivalence\n"
-        "the engine promises (macro==tick, jobs=1==jobs=N, budget\n"
-        "conservation, fault counters).  Violations are shrunk to\n"
+        "the engine promises (macro==tick, incremental==full, fleet\n"
+        "jobs=1==jobs=N, budget conservation, fault counters).  Violations are shrunk to\n"
         "minimal reproducers; --replay FILE re-checks one fixture.\n"
         "Exit: 0 clean, 1 violations, 2 usage error.\n",
         argv0);

@@ -26,7 +26,7 @@
  * supervisor market reallocates the fleet power budget across chips
  * (--fleet-budget, default: --tdp x N when --tdp is set, uncapped
  * otherwise; --fleet-epoch sets the barrier period in milliseconds).
- * --jobs sets the shared shard-stepping/clearing pool's worker count.
+ * --jobs sets the shard-stepping pool's worker count.
  * The summary table aggregates the fleet (a 1-chip fleet prints
  * exactly the single-chip table); fleet output is byte-identical for
  * every --jobs value.  --trace/--trace-out/--avg-seeds are
@@ -70,11 +70,10 @@
  * --avg-seeds N runs N seeds (seed, +100, +200, ...) and prints the
  * cross-seed aggregate (see experiment::aggregate_summaries); --jobs
  * caps the worker threads the seeds run on (0 = all hardware
- * threads).  On a single run (--avg-seeds 1, the default), --jobs
- * instead sets the worker count of PPM's parallel market-clearing
- * engine.  Either way the output is identical for every --jobs
- * value -- clearing fans out in fixed chunks with deterministic
- * reductions, so the flag is purely a wall-clock knob.
+ * threads), and the output is identical for every --jobs value.
+ * --jobs only applies to --fleet and --avg-seeds N > 1 runs: a single
+ * run (snapshot runs included) clears its market inline on one
+ * thread, so it rejects --jobs with exit 2.
  *
  * Tracing comes in two flavours:
  *  - --trace FILE.csv buffers the sampled time series in memory and
@@ -106,7 +105,6 @@
 #include "cli_util.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
-#include "common/thread_pool.hh"
 #include "experiment/experiment.hh"
 #include "fault/fault.hh"
 #include "fleet/fleet.hh"
@@ -139,7 +137,10 @@ usage(const char* argv0)
         "--fleet N federates N chips under a supervisor power market\n"
         "(--fleet-budget watts across the fleet, default --tdp x N;\n"
         "--fleet-epoch barrier period in ms; --jobs workers step the\n"
-        "shards and clear the markets off one shared pool).\n"
+        "shards).\n"
+        "--jobs N sets the worker count of --fleet and --avg-seeds runs\n"
+        "(0 = all hardware threads; output is identical for any N); a\n"
+        "single run has nothing to parallelize and rejects it.\n"
         "--per-tick disables the event-horizon macro-stepping engine\n"
         "and runs the historical tick-by-tick loop (results are\n"
         "bit-identical either way; use it to cross-check).\n"
@@ -359,6 +360,12 @@ main(int argc, char** argv)
         }
     }
 
+    if (jobs_given && !fleet_mode && avg_seeds <= 1) {
+        std::fprintf(stderr, "ppm_run: --jobs needs --fleet N or "
+                             "--avg-seeds N > 1 (a single run has "
+                             "nothing to parallelize)\n");
+        return 2;
+    }
     const auto& set = workload::workload_set(set_name);
     if (avg_seeds > 1 && !trace_path.empty())
         fatal("--trace records one run; drop it or --avg-seeds");
@@ -546,21 +553,15 @@ main(int argc, char** argv)
                 params.duration + 100 * kSecond);
             fc.workloads.push_back(std::move(wl));
         }
-        // One pool for shard stepping AND market clearing; absent
-        // --jobs (or --jobs 1) everything runs inline, which produces
-        // the same bytes.
-        std::unique_ptr<ThreadPool> pool;
-        if (jobs_given && jobs != 1)
-            pool = std::make_unique<ThreadPool>(jobs);
-        ThreadPool* shared = pool.get();
-        fc.pool = shared;
+        // Absent --jobs (or --jobs 1) the shards step inline, which
+        // produces the same bytes.
+        fc.jobs = jobs_given ? jobs : 1;
         fc.make_chip = [](int) { return hw::tc2_chip(); };
-        fc.make_governor = [&params, &speedups, shared](int,
-                                                        Watts budget) {
+        fc.make_governor = [&params, &speedups](int, Watts budget) {
             return experiment::make_governor(params.policy, budget,
                                              speedups,
                                              params.online_speedup, 1,
-                                             shared, params.incremental);
+                                             nullptr, params.incremental);
         };
         const auto start = std::chrono::steady_clock::now();
         fleet::Fleet fleet(std::move(fc));
@@ -601,8 +602,6 @@ main(int argc, char** argv)
         // build it here exactly as experiment::run_specs() does; the
         // restore path rebuilds this identical object from the same
         // flags and then overwrites its dynamic state from the file.
-        if (jobs_given)
-            params.clearing_jobs = jobs;
         const auto specs = workload::instantiate(
             set, params.seed, params.priority,
             params.duration + 100 * kSecond);
@@ -627,8 +626,7 @@ main(int argc, char** argv)
             std::move(chip), specs,
             experiment::make_governor(
                 params.policy, params.tdp, speedups,
-                params.online_speedup, params.clearing_jobs,
-                params.clearing_pool, params.incremental),
+                params.online_speedup, 1, nullptr, params.incremental),
             sim_cfg);
         if (params.extra_sink != nullptr)
             simulation.bus().add_sink(params.extra_sink);
@@ -656,10 +654,6 @@ main(int argc, char** argv)
         if (!trace_path.empty())
             simulation.recorder().write_csv(trace_out);
     } else {
-        // Single run: --jobs drives the market's parallel clearing
-        // engine (0 = all hardware threads, resolved by the pool).
-        if (jobs_given)
-            params.clearing_jobs = jobs;
         const experiment::RunResult result =
             experiment::run_set(set, params);
         s = result.summary;
