@@ -11,7 +11,9 @@
  * 10,240 tasks per epoch.  Every jobs value produces byte-identical
  * fleet state (shards are disjoint between barriers and the
  * settlement runs in chip-id order on the control thread), so the
- * jobs sweep is a pure wall-clock scaling measurement.
+ * jobs sweep is a pure wall-clock scaling measurement.  Every epoch
+ * row times the same window -- the first kEpochs epochs of a freshly
+ * built fleet -- so rows differ only in shape and worker count.
  *
  * Tracked as BENCH_fleet.json via scripts/bench_fleet.sh.
  */
@@ -30,6 +32,9 @@
 namespace {
 
 using namespace ppm;
+
+/** Epochs each BM_FleetEpoch / BM_ChipFailureEvacuation row times. */
+constexpr int kEpochs = 32;
 
 /** A ready-to-step fleet for one (chips, tasks_per_chip, jobs). */
 std::unique_ptr<fleet::Fleet>
@@ -103,17 +108,18 @@ fleet_args(benchmark::internal::Benchmark* b)
     // worker count (jobs=1 inlines on the control thread and is the
     // speedup baseline).
     for (const auto& shape : {std::pair{16, 40}, std::pair{64, 160}}) {
-        for (int jobs : {1, 2, 4, 8})
+        for (int jobs : {1, 2, 4})
             b->Args({shape.first, shape.second, jobs});
     }
+    b->Iterations(kEpochs);
     b->Unit(benchmark::kMillisecond);
 }
 
 BENCHMARK(BM_FleetEpoch)->Apply(fleet_args);
 
-/** make_fleet() plus an endless alternating fail/recover schedule:
- *  each epoch applies one chip transition, so the steady state is
- *  perpetual evacuation/re-admission churn. */
+/** make_fleet() plus `transitions` alternating fail/recover events:
+ *  each epoch applies one chip transition, so the whole timed window
+ *  is evacuation/re-admission churn. */
 std::unique_ptr<fleet::Fleet>
 make_failing_fleet(int chips, int tasks_per_chip, int jobs,
                    long transitions)
@@ -178,9 +184,7 @@ BM_ChipFailureEvacuation(benchmark::State& state)
     const int chips = static_cast<int>(state.range(0));
     const int tasks_per_chip = static_cast<int>(state.range(1));
     const int jobs = static_cast<int>(state.range(2));
-    // 2M transitions outlast any benchmark repetition budget.
-    auto fleet =
-        make_failing_fleet(chips, tasks_per_chip, jobs, 2000000);
+    auto fleet = make_failing_fleet(chips, tasks_per_chip, jobs, kEpochs);
     for (auto _ : state)
         benchmark::DoNotOptimize(fleet->run_epoch());
     state.SetItemsProcessed(state.iterations() * chips *
@@ -196,9 +200,10 @@ void
 failure_args(benchmark::internal::Benchmark* b)
 {
     for (const auto& shape : {std::pair{16, 40}, std::pair{64, 160}}) {
-        for (int jobs : {1, 4})
+        for (int jobs : {1, 2, 4})
             b->Args({shape.first, shape.second, jobs});
     }
+    b->Iterations(kEpochs);
     b->Unit(benchmark::kMillisecond);
 }
 

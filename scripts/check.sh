@@ -102,19 +102,34 @@ rm -f /tmp/ppm_plain.csv /tmp/ppm_fleet1.csv \
 # in a fresh process must print byte-identical summaries to the
 # uninterrupted run -- single-chip, federated, and federated under
 # chip failure/recovery (health, rosters and the pending-evacuation
-# queue all travel through the snapshot).
+# queue all travel through the snapshot).  A snapshot binds only the
+# flags that define the run, so a macro-stepped save resumed per tick
+# with full clearing must match too, and a resume under another --set
+# must be refused with exit 2.
 ./build/tools/ppm_run --set l1 --seconds 8 --csv > /tmp/ppm_whole.csv
 ./build/tools/ppm_run --set l1 --seconds 8 \
     --snapshot-out /tmp/ppm_check.snap --snapshot-at 3500 > /dev/null
 ./build/tools/ppm_run --set l1 --seconds 8 --csv \
     --snapshot-in /tmp/ppm_check.snap > /tmp/ppm_resumed.csv
 cmp /tmp/ppm_whole.csv /tmp/ppm_resumed.csv
+./build/tools/ppm_run --set l1 --seconds 8 --csv --per-tick \
+    --no-incremental --snapshot-in /tmp/ppm_check.snap \
+    > /tmp/ppm_resumed.csv
+cmp /tmp/ppm_whole.csv /tmp/ppm_resumed.csv
+status=0
+./build/tools/ppm_run --set m1 --seconds 8 \
+    --snapshot-in /tmp/ppm_check.snap > /dev/null 2>&1 || status=$?
+[[ "$status" -eq 2 ]]
 ./build/tools/ppm_run --set l1 --seconds 8 --csv --fleet 4 \
     > /tmp/ppm_whole.csv
 ./build/tools/ppm_run --set l1 --seconds 8 --fleet 4 \
     --snapshot-out /tmp/ppm_check.snap --snapshot-at 3500 > /dev/null
 ./build/tools/ppm_run --set l1 --seconds 8 --csv --fleet 4 \
     --snapshot-in /tmp/ppm_check.snap > /tmp/ppm_resumed.csv
+cmp /tmp/ppm_whole.csv /tmp/ppm_resumed.csv
+./build/tools/ppm_run --set l1 --seconds 8 --csv --fleet 4 --per-tick \
+    --no-incremental --snapshot-in /tmp/ppm_check.snap \
+    > /tmp/ppm_resumed.csv
 cmp /tmp/ppm_whole.csv /tmp/ppm_resumed.csv
 ./build/tools/ppm_run --set l1 --seconds 8 --csv --fleet 4 \
     --faults chip-fail,chip-recover,seed=7,chip_rate=30 \

@@ -4,6 +4,7 @@
 
 #include "common/logging.hh"
 #include "metrics/telemetry.hh"
+#include "snapshot/archive.hh"
 
 namespace ppm::baselines {
 
@@ -234,6 +235,18 @@ HlGovernor::tick(sim::Simulation& sim, SimTime now, SimTime dt)
         next_dvfs_ = now + cfg_.dvfs_period;
         run_ondemand(sim);
     }
+}
+
+void
+HlGovernor::save(snap::Writer& w) const
+{
+    w(*this);
+}
+
+void
+HlGovernor::load(snap::Reader& r)
+{
+    r(*this);
 }
 
 } // namespace ppm::baselines

@@ -120,12 +120,19 @@ class HlGovernor : public sim::Governor
      */
     void set_power_budget(Watts w_tdp) override { cfg_.tdp = w_tdp; }
 
-    /**
-     * Serialize the retargeted budget, timers, the big-kill latch and
-     * the sensor guard.
-     */
     void save(snap::Writer& w) const override;
     void load(snap::Reader& r) override;
+
+    /**
+     * Snapshot field list: the retargeted budget, timers, the
+     * big-kill latch and the sensor guard.
+     */
+    template <class A>
+    void visit(A& a)
+    {
+        a(cfg_.tdp);  // set_power_budget() retargets it mid-run.
+        a(next_sched_, next_dvfs_, big_killed_, guard_);
+    }
 
   private:
     /** Activeness-threshold migrations plus intra-cluster balancing. */

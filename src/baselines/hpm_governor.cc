@@ -5,6 +5,7 @@
 
 #include "common/logging.hh"
 #include "metrics/telemetry.hh"
+#include "snapshot/archive.hh"
 #include "sched/nice.hh"
 
 namespace ppm::baselines {
@@ -299,6 +300,18 @@ HpmGovernor::tick(sim::Simulation& sim, SimTime now, SimTime dt)
         if (!guard_.safe_mode())
             run_lbt(sim, now);
     }
+}
+
+void
+HpmGovernor::save(snap::Writer& w) const
+{
+    w(*this);
+}
+
+void
+HpmGovernor::load(snap::Reader& r)
+{
+    r(*this);
 }
 
 } // namespace ppm::baselines

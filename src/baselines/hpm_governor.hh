@@ -53,9 +53,12 @@ class Pid
     /** Clear the integrator and derivative memory. */
     void reset();
 
-    /** Serialize the integrator and derivative memory. */
-    void save(snap::Writer& w) const;
-    void load(snap::Reader& r);
+    /** Snapshot field list: the integrator and derivative memory. */
+    template <class A>
+    void visit(A& a)
+    {
+        a(integral_, prev_error_, has_prev_);
+    }
 
   private:
     Params params_;
@@ -111,13 +114,22 @@ class HpmGovernor : public sim::Governor
         sat_count_.push_back(0);
     }
 
+    void save(snap::Writer& w) const override;
+    void load(snap::Reader& r) override;
+
     /**
-     * Serialize the control state: retargeted budget, PI integrators,
+     * Snapshot field list: retargeted budget, PI integrators,
      * continuous levels, TDP caps, migration streaks, loop timers and
      * sensor guard.
      */
-    void save(snap::Writer& w) const override;
-    void load(snap::Reader& r) override;
+    template <class A>
+    void visit(A& a)
+    {
+        a(cfg_.tdp);  // set_power_budget() retargets it mid-run.
+        a.fixed(cluster_pid_, "HPM cluster count");
+        a(level_f_, level_cap_, unsat_count_, sat_count_, next_dvfs_,
+          next_lbt_, next_tdp_, guard_);
+    }
 
   private:
     /** Inner loop: per-cluster PI on the constrained-core demand. */

@@ -47,11 +47,6 @@ namespace ppm::metrics {
 class TraceBus;
 } // namespace ppm::metrics
 
-namespace ppm::snap {
-class Writer;
-class Reader;
-} // namespace ppm::snap
-
 namespace ppm::fault {
 
 /**
@@ -259,6 +254,14 @@ struct FaultStats {
     long safe_mode_entries = 0;  ///< Governor safe-mode transitions.
     long watchdog_trips = 0;     ///< Market watchdog interventions.
     SimTime safe_mode_time = 0;  ///< Total time spent in safe mode.
+
+    template <class A>
+    void visit(A& a)
+    {
+        a(injected, sensor_fallbacks, dvfs_deferred, dvfs_retries,
+          migration_retries, dropped_actions, offline_events,
+          safe_mode_entries, watchdog_trips, safe_mode_time);
+    }
 };
 
 /**
@@ -340,8 +343,13 @@ public:
     void count_watchdog_trip();
 
     /** Cursors and pending actions; the plan itself is recompiled. */
-    void save(snap::Writer& w) const;
-    void load(snap::Reader& r);
+    template <class A>
+    void visit(A& a)
+    {
+        a(stats_, now_, next_start_);
+        a.fixed(pending_level_, "fault injector cluster count");
+        a(pending_mig_, offline_until_);
+    }
 
 private:
     using SeriesIdOpaque = std::int32_t;
@@ -353,6 +361,12 @@ private:
         SimTime backoff = 0;
         bool from_fail = false;
         bool active = false;
+
+        template <class A>
+        void visit(A& a)
+        {
+            a(level, due, retries_left, backoff, from_fail, active);
+        }
     };
     struct PendingMigration {
         TaskId task = kInvalidId;
@@ -360,6 +374,12 @@ private:
         SimTime due = 0;
         int retries_left = 0;
         SimTime backoff = 0;
+
+        template <class A>
+        void visit(A& a)
+        {
+            a(task, core, due, retries_left, backoff);
+        }
     };
 
     const FaultEvent* active_dvfs_event(ClusterId cluster,
@@ -441,8 +461,11 @@ public:
 
     bool safe_mode() const { return safe_; }
 
-    void save(snap::Writer& w) const;
-    void load(snap::Reader& r);
+    template <class A>
+    void visit(A& a)
+    {
+        a(last_good_, bound_, worst_age_, last_eval_, safe_);
+    }
 
 private:
     Watts filter(Watts raw, ClusterId cluster, SimTime now);

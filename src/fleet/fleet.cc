@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/logging.hh"
+#include "snapshot/archive.hh"
 
 namespace ppm::fleet {
 
@@ -488,6 +489,18 @@ Fleet::run()
         bus_.flush();
     }
     return r;
+}
+
+void
+Fleet::save(snap::Writer& w) const
+{
+    w(*this);
+}
+
+void
+Fleet::load(snap::Reader& r)
+{
+    r(*this);
 }
 
 } // namespace ppm::fleet

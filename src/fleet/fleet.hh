@@ -260,6 +260,22 @@ class Fleet
     void save(snap::Writer& w) const;
     void load(snap::Reader& r);
 
+    /** The snapshot field list behind save() and load(). */
+    template <class A>
+    void visit(A& a)
+    {
+        a(supervisor_, budgets_, placements_, now_, next_barrier_,
+          admitted_, done_);
+        // Fault-tolerance runtime.  The fleet fault plan is recompiled
+        // from the same spec/seed/epoch, so only its cursor travels.
+        a(next_fleet_event_, health_, clamp_, deficit_streak_);
+        a.fixed(roster_, "fleet chip count differs");
+        a(pending_evac_, evac_seq_, chip_failures_, chip_recoveries_,
+          evacuations_, evac_landed_, rejections_, fleet_watchdog_trips_,
+          all_failed_seen_, bus_);
+        a.fixed(shards_, "shard count differs");
+    }
+
   private:
     /** One evacuated (or retrying) task awaiting placement. */
     struct PendingEvac {
@@ -270,6 +286,13 @@ class Fleet
         int retries_left = 0;
         SimTime next_try = 0;   ///< Barrier time of the next attempt.
         SimTime backoff = 0;    ///< Doubles per failed attempt.
+
+        template <class A>
+        void visit(A& a)
+        {
+            a(seq, spec, big_speedup, departure, retries_left, next_try,
+              backoff);
+        }
     };
 
     /** What the fleet knows about a task it placed on a chip (enough
@@ -277,6 +300,12 @@ class Fleet
     struct RosterEntry {
         workload::TaskSpec spec;
         double big_speedup = 0.0;
+
+        template <class A>
+        void visit(A& a)
+        {
+            a(spec, big_speedup);
+        }
     };
 
     /** Gather signals, settle, retarget budgets (chip-id order). */

@@ -21,11 +21,6 @@
 
 #include "common/types.hh"
 
-namespace ppm::snap {
-class Writer;
-class Reader;
-} // namespace ppm::snap
-
 namespace ppm::fleet {
 
 /** Parameters of the supervisor market. */
@@ -143,9 +138,12 @@ class SupervisorMarket
 
     const SupervisorConfig& config() const { return cfg_; }
 
-    /** Serialize budgets, prices, lambda and the epoch counter. */
-    void save(snap::Writer& w) const;
-    void load(snap::Reader& r);
+    /** Snapshot field list: budgets, prices, lambda, epoch count. */
+    template <class A>
+    void visit(A& a)
+    {
+        a(budgets_, prices_, lambda_, epochs_);
+    }
 
   private:
     SupervisorConfig cfg_;

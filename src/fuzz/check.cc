@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <memory>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -637,8 +639,12 @@ check_scenario(const Scenario& sc)
             chip_peak += hw::PowerModel::cluster_max_power(chip, v);
     }
 
+    // The macro-stepped PPM run at the scenario's clearing mode is the
+    // reference the differentials below compare against: computed
+    // once here, reused by each of them.
+    RunOutput ppm;
     for (const char* policy : {"PPM", "HPM", "HL"}) {
-        const RunOutput macro = run_once(sc, policy, true, sc.incremental);
+        RunOutput macro = run_once(sc, policy, true, sc.incremental);
         const RunOutput tick = run_once(sc, policy, false, sc.incremental);
 
         if (summary_fingerprint(macro.summary) !=
@@ -669,6 +675,8 @@ check_scenario(const Scenario& sc)
         check_summary_sanity(sc, policy, macro, violations);
         check_fault_counters(sc, policy, macro, violations);
         check_tdp_duty(sc, policy, macro, chip_peak, violations);
+        if (std::string_view(policy) == "PPM")
+            ppm = std::move(macro);
     }
 
     // Incremental differential: the active-set engine must replay the
@@ -679,8 +687,9 @@ check_scenario(const Scenario& sc)
     // A divergence here is a dirty-set bug: some entry skipped a
     // recompute whose inputs had actually changed.
     {
-        const RunOutput inc = run_once(sc, "PPM", true, true);
-        const RunOutput full = run_once(sc, "PPM", true, false);
+        const RunOutput other = run_once(sc, "PPM", true, !sc.incremental);
+        const RunOutput& inc = sc.incremental ? ppm : other;
+        const RunOutput& full = sc.incremental ? other : ppm;
         if (summary_fingerprint(inc.summary) !=
             summary_fingerprint(full.summary)) {
             violations.push_back(
@@ -708,8 +717,7 @@ check_scenario(const Scenario& sc)
     // (run_until slicing at the epoch barriers provably changes
     // nothing, and a 1-chip settlement never moves the budget).
     {
-        const RunOutput plain =
-            run_once(sc, "PPM", true, sc.incremental);
+        const RunOutput& plain = ppm;
         const FleetOutput single = run_fleet(sc, 1, 1, sc.incremental);
         if (summary_fingerprint(single.combined) !=
             summary_fingerprint(plain.summary)) {
@@ -730,10 +738,12 @@ check_scenario(const Scenario& sc)
 
     // Federated invariants: jobs-count byte-determinism, repeat-run
     // byte-determinism, and fleet budget conservation at every
-    // supervisor barrier.
+    // supervisor barrier.  The serial run (faulted, under chip-level
+    // faults) is the reference of the fleet snapshot differential.
+    FleetOutput serial;
+    FleetOutput faulted;
     if (sc.fleet_chips > 1) {
-        const FleetOutput serial =
-            run_fleet(sc, sc.fleet_chips, 1, sc.incremental);
+        serial = run_fleet(sc, sc.fleet_chips, 1, sc.incremental);
         const FleetOutput pooled =
             run_fleet(sc, sc.fleet_chips, 3, sc.incremental);
         if (summary_fingerprint(serial.combined) !=
@@ -783,8 +793,7 @@ check_scenario(const Scenario& sc)
     // is silently dropped by a chip failure), counter sanity, and
     // jobs-count byte-determinism of the faulted fleet.
     if (sc.fleet_chips > 1 && sc.has_fleet_faults) {
-        const FleetOutput faulted =
-            run_fleet(sc, sc.fleet_chips, 1, sc.incremental, true);
+        faulted = run_fleet(sc, sc.fleet_chips, 1, sc.incremental, true);
         const fleet::FleetResult& fr = faulted.result;
         if (fr.evacuations != fr.evac_landed + fr.evac_pending_end) {
             violations.push_back(
@@ -826,8 +835,7 @@ check_scenario(const Scenario& sc)
     // trajectory -- summaries, telemetry streams (concatenated
     // across the kill) and traced series byte for byte.
     if (sc.snapshot_at > 0) {
-        const RunOutput full =
-            run_once(sc, "PPM", true, sc.incremental);
+        const RunOutput& full = ppm;
         const RunOutput split =
             run_split(sc, sc.incremental, sc.snapshot_at);
         if (summary_fingerprint(full.summary) !=
@@ -848,9 +856,8 @@ check_scenario(const Scenario& sc)
                  "traced time series differ across the snapshot"});
         }
         if (sc.fleet_chips > 1) {
-            const FleetOutput ffull =
-                run_fleet(sc, sc.fleet_chips, 1, sc.incremental,
-                          sc.has_fleet_faults);
+            const FleetOutput& ffull =
+                sc.has_fleet_faults ? faulted : serial;
             const FleetOutput fsplit = run_fleet_split(
                 sc, sc.fleet_chips, sc.incremental,
                 sc.has_fleet_faults, sc.snapshot_at);

@@ -15,11 +15,6 @@
 #include "common/types.hh"
 #include "hw/vf_table.hh"
 
-namespace ppm::snap {
-class Writer;
-class Reader;
-} // namespace ppm::snap
-
 namespace ppm::hw {
 
 /**
@@ -90,8 +85,11 @@ class Cluster
     Pu supply() const { return mhz(); }
 
     /** Dynamic state only (level, gating); topology is rebuilt. */
-    void save(snap::Writer& w) const;
-    void load(snap::Reader& r);
+    template <class A>
+    void visit(A& a)
+    {
+        a(level_, powered_);
+    }
 
   private:
     ClusterId id_;
@@ -160,8 +158,12 @@ class Chip
     void set_core_online(CoreId c, bool on);
 
     /** Dynamic state only (per-cluster V-F, gating, hot-plug). */
-    void save(snap::Writer& w) const;
-    void load(snap::Reader& r);
+    template <class A>
+    void visit(A& a)
+    {
+        a.fixed(clusters_, "chip cluster count differs");
+        a.fixed(core_online_, "chip core count differs");
+    }
 
   private:
     std::vector<Cluster> clusters_;

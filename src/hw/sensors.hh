@@ -13,11 +13,6 @@
 
 #include "common/types.hh"
 
-namespace ppm::snap {
-class Writer;
-class Reader;
-} // namespace ppm::snap
-
 namespace ppm::hw {
 
 /** Per-cluster power and energy meters. */
@@ -77,8 +72,12 @@ class SensorBank
         return static_cast<int>(instantaneous_.size());
     }
 
-    void save(snap::Writer& w) const;
-    void load(snap::Reader& r);
+    template <class A>
+    void visit(A& a)
+    {
+        a(instantaneous_, energy_, energy_at_mark_, elapsed_,
+          elapsed_at_mark_);
+    }
 
   private:
     std::vector<Watts> instantaneous_;

@@ -18,11 +18,6 @@
 
 #include "common/types.hh"
 
-namespace ppm::snap {
-class Writer;
-class Reader;
-} // namespace ppm::snap
-
 namespace ppm::hw {
 
 /** Thermal parameters of the chip. */
@@ -90,8 +85,11 @@ class ThermalModel
     static ThermalParams tc2_defaults();
 
     /** Dynamic state only (temperatures, peak/cycle detector). */
-    void save(snap::Writer& w) const;
-    void load(snap::Reader& r);
+    template <class A>
+    void visit(A& a)
+    {
+        a(temp_, peak_, cycle_ref_, rising_, cycle_threshold_, cycles_);
+    }
 
   private:
     /** Fold one step's hottest reading into peak/cycle tracking. */

@@ -26,11 +26,6 @@
 #include "hw/platform.hh"
 #include "market/config.hh"
 
-namespace ppm::snap {
-class Writer;
-class Reader;
-} // namespace ppm::snap
-
 namespace ppm::market {
 
 /** Market-visible state of one task agent. */
@@ -44,6 +39,13 @@ struct TaskState {
     Money bid = 0.0;           ///< b_t.
     Money allowance = 0.0;     ///< a_t.
     Money savings = 0.0;       ///< m_t.
+
+    template <class A>
+    void visit(A& a)
+    {
+        a(id, priority, core, active, demand, supply, bid, allowance,
+          savings);
+    }
 };
 
 /** Market-visible state of one core agent. */
@@ -54,6 +56,13 @@ struct CoreState {
     bool has_base = false;   ///< Base price established?
     Pu demand = 0.0;         ///< D_c: sum of task demands on the core.
     Pu supply = 0.0;         ///< S_c used in the last price discovery.
+
+    /** Mutable state only; the id is the ledger index. */
+    template <class A>
+    void visit(A& a)
+    {
+        a(price, base_price, has_base, demand, supply);
+    }
 };
 
 /** Per-round outcome reported by Market::round(). */
@@ -100,6 +109,15 @@ struct RoundReport {
      *  needed recomputation, so the round collapsed to the O(cores +
      *  clusters) chip/cluster-agent work. */
     bool early_exit = false;
+
+    template <class A>
+    void visit(A& a)
+    {
+        a(state, allowance, total_demand, total_supply, chip_power,
+          vf_changes, deficit, raw_deficit, allowance_clamped, excess_l2,
+          excess_l8, tasks_recomputed, tasks_skipped, cores_recomputed,
+          cores_skipped, early_exit);
+    }
 };
 
 /**
@@ -115,6 +133,13 @@ struct ClearingStats {
     long core_slots = 0;
     long cores_skipped = 0;
     long rounds_early_exit = 0;
+
+    template <class A>
+    void visit(A& a)
+    {
+        a(rounds, task_slots, tasks_skipped, core_slots, cores_skipped,
+          rounds_early_exit);
+    }
 };
 
 /** Market-visible state of one cluster agent, for telemetry. */
@@ -310,17 +335,56 @@ class Market
     int sanitize(const std::vector<Pu>& fallback_supplies);
 
     /**
-     * Serialize the complete economy between rounds: agent ledgers,
-     * cluster controls, the allowance, AND every incremental-clearing
-     * memo (stamps, prev_* bit-compare baselines, distribution and
-     * circulating-bid folds, group index).  The memos must ride along
-     * -- they decide the observable skip counters and recompute sets,
-     * which a restored run must continue bit-exactly rather than
-     * restart from a force-full round.  Non-owned attachments (chip,
-     * DVFS port, telemetry) and round-local scratch are skipped.
+     * Snapshot field list: the complete economy between rounds --
+     * agent ledgers, cluster controls, the allowance, AND every
+     * incremental-clearing memo (stamps, prev_* bit-compare
+     * baselines, distribution and circulating-bid folds, group
+     * index).  The memos must ride along -- they decide the
+     * observable skip counters and recompute sets, which a restored
+     * run must continue bit-exactly rather than restart from a
+     * force-full round.  Non-owned attachments (chip, DVFS port,
+     * telemetry) and round-local scratch are skipped.
      */
-    void save(snap::Writer& w) const;
-    void load(snap::Reader& r);
+    template <class A>
+    void visit(A& a)
+    {
+        // TDP retargets land in cfg_ (set_tdp); everything else in the
+        // config is construction-time.
+        a(cfg_.w_tdp, cfg_.w_th);
+        a.fixed(tasks_, "market task count differs "
+                        "(admission replay incomplete?)");
+        a.fixed(cores_, "market core count differs");
+        a.fixed(clusters_, "market cluster count differs");
+        a(allowance_, state_, rounds_, last_report_, allowance_clamped_,
+          prev_objective_);
+
+        // Group index.
+        a(group_offset_, group_cursor_, group_task_, groups_dirty_,
+          groups_epoch_, core_any_task_, core_all_floor_);
+
+        // Incremental active-set bookkeeping.  scratch_bid_sum_ holds
+        // the cross-round per-core bid folds: cores outside the bid
+        // recompute set reuse last round's fold, so the memo must
+        // survive a restore.
+        a(force_full_, round_tag_, task_ext_, ext_list_, task_carry_,
+          any_carry_, alloc_stamp_, bid_stamp_, processed_stamp_,
+          prev_bid_, prev_savings_, prev_supply_, core_demand_dirty_,
+          core_fold_dirty_, core_recompute_, core_bid_recompute_,
+          scratch_bid_sum_, price_changed_last_, price_changed_now_,
+          any_price_changed_last_, freeze_changed_, freeze_seen_,
+          any_freeze_changed_, flag_any_alloc_, flag_any_bid_,
+          flag_any_carry_);
+
+        // Distribution / priority / circulating-bid memos.
+        a(dist_valid_, dist_epoch_, dist_allowance_, dist_weight_sum_,
+          dist_weight_, prio_epoch_, scratch_core_prio_,
+          scratch_cluster_prio_, circ_sum_, circ_valid_);
+
+        // Cluster-membership index, the observable recompute set of
+        // the last round, and the cumulative counters.
+        a(cluster_offset_, cluster_cursor_, cluster_task_,
+          recomputed_tasks_, clearing_);
+    }
 
   private:
     struct ClusterCtl {
@@ -332,6 +396,12 @@ class Market
                                          ///< (fixed point, 0 = unseeded).
         int last_dir = 0;                ///< Direction of the last
                                          ///< triggered V-F step.
+
+        template <class A>
+        void visit(A& a)
+        {
+            a(freeze_bids, pending_base_reset, power, step, last_dir);
+        }
     };
 
     /** Cluster hosting task `t`'s current core. */

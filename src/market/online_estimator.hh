@@ -27,11 +27,6 @@
 #include "common/types.hh"
 #include "hw/platform.hh"
 
-namespace ppm::snap {
-class Writer;
-class Reader;
-} // namespace ppm::snap
-
 namespace ppm::market {
 
 /** Learns per-task big-core speedups from live HRM observations. */
@@ -92,17 +87,32 @@ class OnlineSpeedupEstimator
     /** Learned cost on class `cls` in PU-seconds/hb (0 if unseen). */
     double cost(TaskId t, hw::CoreClass cls) const;
 
-    /** Serialize the learned per-task, per-class EWMA state. */
-    void save(snap::Writer& w) const;
-    void load(snap::Reader& r);
+    /** Snapshot field list: the learned per-task, per-class EWMAs. */
+    template <class A>
+    void visit(A& a)
+    {
+        a.fixed(tasks_, "online estimator task count");
+    }
 
   private:
     struct PerClass {
         double cost_ewma = 0.0;  ///< PU-seconds per heartbeat.
         int samples = 0;
+
+        template <class A>
+        void visit(A& a)
+        {
+            a(cost_ewma, samples);
+        }
     };
     struct PerTask {
         std::array<PerClass, 2> cls;  ///< [kLittle, kBig].
+
+        template <class A>
+        void visit(A& a)
+        {
+            a(cls[0], cls[1]);
+        }
     };
 
     static std::size_t index(hw::CoreClass cls)

@@ -8,6 +8,7 @@
 #include "hw/power_model.hh"
 #include "metrics/telemetry.hh"
 #include "sched/nice.hh"
+#include "snapshot/archive.hh"
 
 namespace ppm::market {
 
@@ -435,6 +436,18 @@ PpmGovernor::tick(sim::Simulation& sim, SimTime now, SimTime dt)
         lbt_round(sim, now, /*migration=*/true);
     else if (bid_count_ % lb_period == 0)
         lbt_round(sim, now, /*migration=*/false);
+}
+
+void
+PpmGovernor::save(snap::Writer& w) const
+{
+    w(*this);
+}
+
+void
+PpmGovernor::load(snap::Reader& r)
+{
+    r(*this);
 }
 
 } // namespace ppm::market

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "fault/fault.hh"
 #include "market/lbt.hh"
 #include "market/market.hh"
@@ -137,20 +138,37 @@ class PpmGovernor : public sim::Governor
     void task_admitted(sim::Simulation& sim, TaskId id,
                        double big_speedup) override;
 
-    /**
-     * Cumulative incremental-clearing skip counters from the market.
-     * Identical with `PpmConfig::incremental` on or off (the dirty
-     * bookkeeping runs in both modes); only the work saved differs.
-     */
-    /**
-     * Serialize the live economy: the market (with every incremental
-     * memo), the online estimator (when enabled), residency windows,
-     * freeze-edge memory, bid timers, sensor guard and watchdog
-     * state.  Requires init() + admission replay first (see
-     * sim::Governor::save).
-     */
     void save(snap::Writer& w) const override;
     void load(snap::Reader& r) override;
+
+    /**
+     * Snapshot field list: the live economy -- the market (with every
+     * incremental memo), the online estimator (when enabled),
+     * residency windows, freeze-edge memory, bid timers, sensor guard
+     * and watchdog state.  Requires init() + admission replay first
+     * (see sim::Governor::save).
+     */
+    template <class A>
+    void visit(A& a)
+    {
+        // set_power_budget() retargets both the governor's config copy
+        // and the market; everything else in cfg_ is construction-time.
+        a(cfg_.market.w_tdp, cfg_.market.w_th);
+        PPM_ASSERT(market_ != nullptr, "PPM snapshot before init()");
+        a(market_);
+        // Written as a flag; a load reads the saved flag back over
+        // `online` and insists it matches this run's mode.
+        bool online = online_ != nullptr;
+        a(online);
+        PPM_ASSERT(online == (online_ != nullptr),
+                   "snapshot mismatch: online-speedup mode differs");
+        if (online_ != nullptr)
+            a(online_);
+        a.fixed(residency_, "PPM residency count "
+                            "(admission replay incomplete?)");
+        a(prev_freeze_, bid_period_, next_bid_, bid_count_, guard_,
+          last_good_supplies_, watchdog_trips_);
+    }
 
     /**
      * Reject admissions while the chip sits in the emergency state:
@@ -166,6 +184,11 @@ class PpmGovernor : public sim::Governor
             : sim::AdmitReject::kNone;
     }
 
+    /**
+     * Cumulative incremental-clearing skip counters from the market.
+     * Identical with `PpmConfig::incremental` on or off (the dirty
+     * bookkeeping runs in both modes); only the work saved differs.
+     */
     sim::ClearingStats clearing_stats() const override
     {
         sim::ClearingStats out;
@@ -210,6 +233,12 @@ class PpmGovernor : public sim::Governor
     struct Residency {
         hw::CoreClass cls = hw::CoreClass::kLittle;
         SimTime since = 0;
+
+        template <class A>
+        void visit(A& a)
+        {
+            a(cls, since);
+        }
     };
     std::vector<Residency> residency_;
 

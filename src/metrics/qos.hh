@@ -13,11 +13,6 @@
 #include "common/types.hh"
 #include "workload/task.hh"
 
-namespace ppm::snap {
-class Writer;
-class Reader;
-} // namespace ppm::snap
-
 namespace ppm::metrics {
 
 /**
@@ -72,8 +67,17 @@ class QosTracker
     /** Fraction of time at least one task was outside its range. */
     double any_outside_fraction() const;
 
-    void save(snap::Writer& w) const;
-    void load(snap::Reader& r);
+    /** below_ and outside_ (one slot per task each) share a count. */
+    template <class A>
+    void visit(A& a)
+    {
+        a(below_);
+        if constexpr (A::kLoading)
+            outside_.resize(below_.size());
+        for (DutyCycle& d : outside_)
+            a(d);
+        a(any_below_, any_outside_);
+    }
 
   private:
     std::vector<DutyCycle> below_;

@@ -14,17 +14,18 @@
 
 #include "common/types.hh"
 
-namespace ppm::snap {
-class Writer;
-class Reader;
-} // namespace ppm::snap
-
 namespace ppm::metrics {
 
 /** One (time, value) sample. */
 struct Sample {
     SimTime time;
     double value;
+
+    template <class A>
+    void visit(A& a)
+    {
+        a(time, value);
+    }
 };
 
 /** Collects named time series and renders them as CSV or summaries. */
@@ -50,8 +51,11 @@ class TraceRecorder
     /** Mean of series `name` over samples with time >= `from`. */
     double mean_after(const std::string& name, SimTime from) const;
 
-    void save(snap::Writer& w) const;
-    void load(snap::Reader& r);
+    template <class A>
+    void visit(A& a)
+    {
+        a(series_);
+    }
 
   private:
     std::map<std::string, std::vector<Sample>> series_;

@@ -48,11 +48,6 @@
 #include "common/types.hh"
 #include "metrics/recorder.hh"
 
-namespace ppm::snap {
-class Writer;
-class Reader;
-} // namespace ppm::snap
-
 namespace ppm::metrics {
 
 /**
@@ -303,19 +298,53 @@ class TraceBus
     void flush();
 
     /**
-     * Serialize every touched counter and histogram as (name, value)
-     * pairs -- except names under the "snapshot." prefix, which
-     * describe snapshot I/O itself and must not leak into the restored
-     * run (its bytes must equal the uninterrupted run's).  load()
-     * re-interns by name, so id assignment order is irrelevant.  Sinks
-     * are not serialized; the restoring caller re-attaches its own.
+     * Snapshot field list: every touched counter, then every touched
+     * histogram, as a count and (name, value) pairs.  Saving skips
+     * names under the "snapshot." prefix, which describe snapshot I/O
+     * itself and must not leak into the restored run (its bytes must
+     * equal the uninterrupted run's).  Loading re-interns by name, so
+     * id assignment order is irrelevant.  Sinks are not serialized;
+     * the restoring caller re-attaches its own.
      */
-    void save(snap::Writer& w) const;
-    void load(snap::Reader& r);
+    template <class A>
+    void visit(A& a)
+    {
+        visit_touched(a, counter_vals_, counter_touched_);
+        visit_touched(a, hist_vals_, hist_touched_);
+    }
 
   private:
     /** Grow the per-id storage to cover `id`. */
     void reserve_id(SeriesId id);
+
+    template <class A, class V>
+    void visit_touched(A& a, std::vector<V>& vals,
+                       std::vector<unsigned char>& touched)
+    {
+        if constexpr (A::kLoading) {
+            std::size_t n = 0;
+            a(n);
+            for (; n > 0; --n) {
+                std::string name;
+                a(name);
+                const SeriesId id = intern(name);
+                reserve_id(id);
+                const auto i = static_cast<std::size_t>(id);
+                a(vals[i]);
+                touched[i] = 1;
+            }
+        } else {
+            std::vector<std::size_t> saved;
+            for (std::size_t i = 0;
+                 i < names_.size() && i < touched.size(); ++i) {
+                if (touched[i] && names_[i].compare(0, 9, "snapshot.") != 0)
+                    saved.push_back(i);
+            }
+            a(saved.size());
+            for (const std::size_t i : saved)
+                a(names_[i], vals[i]);
+        }
+    }
 
     std::vector<TraceSink*> sinks_;  ///< Fan-out list (owned + external).
     std::vector<std::unique_ptr<TraceSink>> owned_;

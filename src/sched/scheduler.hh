@@ -23,11 +23,6 @@
 #include "hw/platform.hh"
 #include "workload/task.hh"
 
-namespace ppm::snap {
-class Writer;
-class Reader;
-} // namespace ppm::snap
-
 namespace ppm::sched {
 
 /** Default Linux scheduling epoch used by the paper (10 ms). */
@@ -175,13 +170,23 @@ class Scheduler
 
     /**
      * Per-entry dynamic state plus core utilizations.  The replay
-     * cache is deliberately not serialized: load() invalidates it, and
-     * the hit and miss paths are bit-identical by contract, so a
+     * cache is deliberately not serialized: a load invalidates it,
+     * and the hit and miss paths are bit-identical by contract, so a
      * restored run's first begin_replay() miss recomputes the same
      * grants the uninterrupted run would have reused.
      */
-    void save(snap::Writer& w) const;
-    void load(snap::Reader& r);
+    template <class A>
+    void visit(A& a)
+    {
+        a.fixed(entries_, "scheduler entry count differs "
+                          "(admission replay incomplete?)");
+        a(core_util_, migrations_);
+        if constexpr (A::kLoading) {
+            replay_cache_valid_ = false;
+            replay_steady_hold_ = false;
+            replay_cache_hit_ = false;
+        }
+    }
 
   private:
     struct Entry {
@@ -194,6 +199,13 @@ class Scheduler
         double load_ewma = 0.0;
         double share_ewma = 0.0;
         Pu supply_last = 0.0;
+
+        template <class A>
+        void visit(A& a)
+        {
+            a(core, nice, weight, active, blocked_until, load_ewma,
+              share_ewma, supply_last);
+        }
     };
 
     /** Cached per-task values of one tick of a quiescent interval. */

@@ -204,7 +204,9 @@ class Governor
      * governor was constructed from the same config and has had
      * init() plus all mid-run task_admitted() calls replayed (so
      * every container already has its final size).  The default is a
-     * no-op for stateless governors and test mocks.
+     * no-op for stateless governors and test mocks; the shipped
+     * governors forward both directions to one visit() field list
+     * (see snapshot/archive.hh).
      */
     virtual void save(snap::Writer& w) const { (void)w; }
 

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/logging.hh"
+#include "snapshot/archive.hh"
 
 namespace ppm::sim {
 
@@ -641,6 +642,18 @@ Simulation::request_migration(TaskId t, CoreId core, SimTime now)
         return injector_->request_migration(t, core, now);
     scheduler_->migrate(t, core, now);
     return true;
+}
+
+void
+Simulation::save(snap::Writer& w) const
+{
+    w(*this);
+}
+
+void
+Simulation::load(snap::Reader& r)
+{
+    r(*this);
 }
 
 } // namespace ppm::sim

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "fault/fault.hh"
 #include "hw/migration.hh"
@@ -61,6 +62,12 @@ struct SimConfig {
         static constexpr SimTime kForever = 1LL << 60;
         SimTime arrival = 0;                  ///< Activation time.
         SimTime departure = kForever;         ///< Deactivation time.
+
+        template <class A>
+        void visit(A& a)
+        {
+            a(arrival, departure);
+        }
     };
 
     /**
@@ -296,6 +303,55 @@ class Simulation
     void save(snap::Writer& w) const;
     void load(snap::Reader& r);
 
+    /** The snapshot field list behind save() and load(). */
+    template <class A>
+    void visit(A& a)
+    {
+        // 1. Admission replay.  init() runs first because the restored
+        // initialized_ flag would keep step() from running it; then
+        // admit_task() re-records each entry, so the log is rebuilt
+        // identically for a later re-save.
+        a(admit_log_);
+        if constexpr (A::kLoading) {
+            const std::vector<AdmittedTask> log = std::move(admit_log_);
+            admit_log_.clear();
+            if (!initialized_) {
+                governor_->init(*this);
+                initialized_ = true;
+            }
+            for (const AdmittedTask& t : log)
+                admit_task(t.spec, t.life, t.big_speedup, t.core);
+        }
+
+        // 2. Dynamic state, leaf subsystems first; the governor goes
+        // through its save()/load() virtuals.  The fault-plan flag is
+        // written, and on load read back and checked against this run.
+        a(chip_);
+        a.fixed(owned_tasks_, "task count (same workload?)");
+        a(scheduler_, sensors_, thermal_, qos_, recorder_, bus_);
+        bool faulted = injector_ != nullptr;
+        a(faulted);
+        PPM_ASSERT(faulted == (injector_ != nullptr),
+                   "snapshot mismatch: fault plan presence differs "
+                   "(same --faults spec?)");
+        if (injector_ != nullptr)
+            a(injector_);
+        a(governor_);
+
+        // 3. Harness state.  A load may materialize the lifetime
+        // windows: an admission or an evacuation gives a run that
+        // started with implicit whole-run windows explicit ones.
+        const std::size_t lives = config_.lifetimes.size();
+        a(config_.lifetimes);
+        PPM_ASSERT(config_.lifetimes.size() == lives ||
+                       (lives == 0 &&
+                        config_.lifetimes.size() == owned_tasks_.size()),
+                   "snapshot mismatch: lifetime window count");
+        a(last_levels_, over_tdp_, over_tdp_post_, over_tdp_fault_, now_,
+          next_trace_, vf_transitions_, last_migrations_, warmup_energy_,
+          warmup_end_, warmup_snapshotted_);
+    }
+
   private:
     /** One mid-run admission, recorded for snapshot replay. */
     struct AdmittedTask {
@@ -303,6 +359,12 @@ class Simulation
         SimConfig::Lifetime life;
         double big_speedup = 0.0;
         CoreId core = kInvalidId;
+
+        template <class A>
+        void visit(A& a)
+        {
+            a(spec, life, big_speedup, core);
+        }
     };
 
     /** Record per-cluster power for the elapsed tick. */

@@ -90,62 +90,6 @@ Writer::str(const std::string& s)
     buf_.append(s);
 }
 
-void
-Writer::f64v(const std::vector<double>& v)
-{
-    u64(v.size());
-    for (double x : v)
-        f64(x);
-}
-
-void
-Writer::i64v(const std::vector<std::int64_t>& v)
-{
-    u64(v.size());
-    for (std::int64_t x : v)
-        i64(x);
-}
-
-void
-Writer::longv(const std::vector<long>& v)
-{
-    u64(v.size());
-    for (long x : v)
-        i64(static_cast<std::int64_t>(x));
-}
-
-void
-Writer::i32v(const std::vector<int>& v)
-{
-    u64(v.size());
-    for (int x : v)
-        i32(x);
-}
-
-void
-Writer::u8v(const std::vector<unsigned char>& v)
-{
-    u64(v.size());
-    for (unsigned char x : v)
-        u8(x);
-}
-
-void
-Writer::charv(const std::vector<char>& v)
-{
-    u64(v.size());
-    for (char x : v)
-        u8(static_cast<std::uint8_t>(x));
-}
-
-void
-Writer::boolv(const std::vector<bool>& v)
-{
-    u64(v.size());
-    for (bool x : v)
-        b(x);
-}
-
 std::string
 Writer::finalize() const
 {
@@ -184,7 +128,7 @@ Reader::open(const std::string& file_bytes)
 const char*
 Reader::take(std::size_t n)
 {
-    PPM_ASSERT(pos_ + n <= data_.size(),
+    PPM_ASSERT(n <= remaining(),
                "snapshot payload underrun: field extends past the "
                "checksummed payload");
     const char* p = data_.data() + pos_;
@@ -218,60 +162,24 @@ Reader::str()
     return std::string(p, n);
 }
 
-void
-Reader::f64v(std::vector<double>* v)
+std::size_t
+Reader::count()
 {
-    v->resize(u64());
-    for (double& x : *v)
-        x = f64();
+    const std::uint64_t n = u64();
+    PPM_ASSERT(n <= remaining(),
+               "snapshot payload underrun: element count exceeds the "
+               "bytes left in the checksummed payload");
+    return static_cast<std::size_t>(n);
 }
 
 void
-Reader::i64v(std::vector<std::int64_t>* v)
+Reader::expect_count(std::size_t live, const char* what)
 {
-    v->resize(u64());
-    for (std::int64_t& x : *v)
-        x = i64();
-}
-
-void
-Reader::longv(std::vector<long>* v)
-{
-    v->resize(u64());
-    for (long& x : *v)
-        x = static_cast<long>(i64());
-}
-
-void
-Reader::i32v(std::vector<int>* v)
-{
-    v->resize(u64());
-    for (int& x : *v)
-        x = i32();
-}
-
-void
-Reader::u8v(std::vector<unsigned char>* v)
-{
-    v->resize(u64());
-    for (unsigned char& x : *v)
-        x = u8();
-}
-
-void
-Reader::charv(std::vector<char>* v)
-{
-    v->resize(u64());
-    for (char& x : *v)
-        x = static_cast<char>(u8());
-}
-
-void
-Reader::boolv(std::vector<bool>* v)
-{
-    v->resize(u64());
-    for (std::size_t i = 0; i < v->size(); ++i)
-        (*v)[i] = b();
+    const std::uint64_t n = u64();
+    if (n != live) {
+        panic("snapshot mismatch: %s (snapshot has %llu, this run %zu)",
+              what, static_cast<unsigned long long>(n), live);
+    }
 }
 
 bool

@@ -12,11 +12,37 @@
  *       20     8  FNV-1a 64 checksum of the payload
  *       28     N  payload
  *
- * The payload is a flat, field-by-field dump written by the save()
- * members of every stateful class.  Doubles are serialized as their
- * raw 8 bytes (bit-exact round trip -- the whole point: a restored
- * run must replay the exact floating-point trajectory of the
- * uninterrupted one).  Integers are fixed-width little-endian.
+ * The payload is a flat, field-by-field dump.  Each stateful class
+ * names its serialized fields once, in a member
+ *
+ *   template <class A> void visit(A& a) { a(x, y, ...); }
+ *
+ * and that one list drives both directions: a Writer encodes the
+ * fields, a Reader overwrites them in the same order.  A field is
+ * encoded by its C++ type:
+ *
+ *   bool, char, unsigned char   1 byte
+ *   int, enums                  i32
+ *   long (= int64_t, SimTime)   i64
+ *   unsigned long (= size_t)    u64
+ *   double                      raw 8 bytes (-0.0 and NaN payloads
+ *                               round-trip bit-exactly: a restored run
+ *                               must replay the uninterrupted one's
+ *                               floating-point trajectory)
+ *   std::string                 u64 length + bytes
+ *   std::vector<T>              u64 count + elements
+ *   std::map<K, V>              u64 count + (key, value) pairs
+ *   std::unique_ptr<T>          the pointee (never null)
+ *   a type with visit()         its fields
+ *   a type with save()/load()   those (sim::Governor's virtuals)
+ *
+ * Integers are fixed-width little-endian.  a.fixed(c, "what") is for
+ * containers whose size comes from construction or admission replay:
+ * it writes the count, and the Reader aborts with "snapshot
+ * mismatch: what" unless the count equals the live size.  The few
+ * direction-specific steps test `A::kLoading` under `if constexpr`.
+ * A new field goes into its class's visit() once; a layout change
+ * bumps kFormatVersion and re-pins Archive.PayloadLayoutPinned.
  *
  * Failure taxonomy (ppm_run maps each to a distinct one-line
  * diagnostic and exit code 2):
@@ -32,7 +58,11 @@
 
 #include <cstdint>
 #include <cstring>
+#include <map>
+#include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace ppm::snap {
@@ -42,7 +72,11 @@ namespace ppm::snap {
  * layout changes, so a file written under another layout is rejected
  * with kBadVersion rather than misread.
  */
-inline constexpr std::uint32_t kFormatVersion = 2;
+inline constexpr std::uint32_t kFormatVersion = 3;
+
+static_assert(std::is_same_v<std::int64_t, long> &&
+                  std::is_same_v<std::uint64_t, std::size_t>,
+              "the field encoding assumes an LP64 toolchain");
 
 /** Outcome of opening a snapshot payload. */
 enum class LoadStatus {
@@ -56,10 +90,56 @@ enum class LoadStatus {
 /** One-word name of a LoadStatus ("ok", "truncated", ...). */
 const char* load_status_name(LoadStatus s);
 
-/** Serializer: primitives append to an in-memory payload buffer. */
+namespace detail {
+
+template <class T>
+inline constexpr bool kIsVector = false;
+template <class T, class Alloc>
+inline constexpr bool kIsVector<std::vector<T, Alloc>> = true;
+
+template <class T>
+inline constexpr bool kIsMap = false;
+template <class K, class V, class Cmp, class Alloc>
+inline constexpr bool kIsMap<std::map<K, V, Cmp, Alloc>> = true;
+
+template <class T>
+inline constexpr bool kIsUniquePtr = false;
+template <class T, class Del>
+inline constexpr bool kIsUniquePtr<std::unique_ptr<T, Del>> = true;
+
+template <class T>
+inline constexpr bool kIsByte = std::is_same_v<T, bool> ||
+                                std::is_same_v<T, char> ||
+                                std::is_same_v<T, unsigned char>;
+
+template <class T>
+inline constexpr bool kNoEncoding = false;
+
+} // namespace detail
+
+/** Serializer: fields append to an in-memory payload buffer. */
 class Writer
 {
   public:
+    static constexpr bool kLoading = false;
+
+    /** Encode each field by its type (see the file comment). */
+    template <class... T>
+    void operator()(const T&... x)
+    {
+        (field(x), ...);
+    }
+
+    /** Write a construction-sized container: count, then elements. */
+    template <class C>
+    void fixed(const C& c, const char* what)
+    {
+        (void)what;
+        u64(c.size());
+        for (const auto& e : c)
+            field(e);
+    }
+
     void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
     void b(bool v) { u8(v ? 1 : 0); }
     void u32(std::uint32_t v);
@@ -77,15 +157,6 @@ class Writer
 
     void str(const std::string& s);
 
-    // Vector helpers for the common column types.
-    void f64v(const std::vector<double>& v);
-    void i64v(const std::vector<std::int64_t>& v);
-    void longv(const std::vector<long>& v);
-    void i32v(const std::vector<int>& v);
-    void u8v(const std::vector<unsigned char>& v);
-    void charv(const std::vector<char>& v);
-    void boolv(const std::vector<bool>& v);
-
     /** Size written so far (payload bytes). */
     std::size_t size() const { return buf_.size(); }
 
@@ -96,6 +167,45 @@ class Writer
     std::string finalize() const;
 
   private:
+    template <class T>
+    void field(const T& x)
+    {
+        if constexpr (requires(T& t) { t.visit(*this); }) {
+            // visit() is one non-const list for both directions; the
+            // Writer only reads the fields it is handed.
+            const_cast<T&>(x).visit(*this);
+        } else if constexpr (requires { x.save(*this); }) {
+            x.save(*this);
+        } else if constexpr (detail::kIsByte<T>) {
+            u8(static_cast<std::uint8_t>(x));
+        } else if constexpr (std::is_same_v<T, int> || std::is_enum_v<T>) {
+            i32(static_cast<std::int32_t>(x));
+        } else if constexpr (std::is_same_v<T, long>) {
+            i64(x);
+        } else if constexpr (std::is_same_v<T, unsigned long>) {
+            u64(x);
+        } else if constexpr (std::is_same_v<T, double>) {
+            f64(x);
+        } else if constexpr (std::is_same_v<T, std::string>) {
+            str(x);
+        } else if constexpr (detail::kIsVector<T>) {
+            u64(x.size());
+            for (const auto& e : x)
+                field(e);
+        } else if constexpr (detail::kIsMap<T>) {
+            u64(x.size());
+            for (const auto& [k, v] : x) {
+                field(k);
+                field(v);
+            }
+        } else if constexpr (detail::kIsUniquePtr<T>) {
+            field(*x);
+        } else {
+            static_assert(detail::kNoEncoding<T>,
+                          "no snapshot encoding for this field type");
+        }
+    }
+
     std::string buf_;
 };
 
@@ -103,12 +213,31 @@ class Writer
 class Reader
 {
   public:
+    static constexpr bool kLoading = true;
+
     /**
      * Validate `file_bytes` (header + payload).  On kOk the reader is
      * positioned at the start of the payload; any other status leaves
      * it unusable.
      */
     LoadStatus open(const std::string& file_bytes);
+
+    /** Overwrite each field from the payload (see the file comment). */
+    template <class... T>
+    void operator()(T&... x)
+    {
+        (field(x), ...);
+    }
+
+    /** Read a construction-sized container in place; the saved count
+     *  must equal its live size ("snapshot mismatch: what"). */
+    template <class C>
+    void fixed(C& c, const char* what)
+    {
+        expect_count(c.size(), what);
+        for (auto& e : c)
+            field(e);
+    }
 
     std::uint8_t u8();
     bool b() { return u8() != 0; }
@@ -127,19 +256,62 @@ class Reader
 
     std::string str();
 
-    void f64v(std::vector<double>* v);
-    void i64v(std::vector<std::int64_t>* v);
-    void longv(std::vector<long>* v);
-    void i32v(std::vector<int>* v);
-    void u8v(std::vector<unsigned char>* v);
-    void charv(std::vector<char>* v);
-    void boolv(std::vector<bool>* v);
-
     /** Bytes left unread (0 after a complete load). */
     std::size_t remaining() const { return data_.size() - pos_; }
 
   private:
     const char* take(std::size_t n);
+
+    /** An element count, bounded by the bytes left: every element
+     *  encodes at least one, so a misread count fails here rather
+     *  than sizing a container from garbage. */
+    std::size_t count();
+
+    /** Read a count and abort unless it equals `live`. */
+    void expect_count(std::size_t live, const char* what);
+
+    template <class T>
+    void field(T& x)
+    {
+        if constexpr (requires { x.visit(*this); }) {
+            x.visit(*this);
+        } else if constexpr (requires { x.load(*this); }) {
+            x.load(*this);
+        } else if constexpr (detail::kIsByte<T>) {
+            x = static_cast<T>(u8());
+        } else if constexpr (std::is_same_v<T, int> || std::is_enum_v<T>) {
+            x = static_cast<T>(i32());
+        } else if constexpr (std::is_same_v<T, long>) {
+            x = i64();
+        } else if constexpr (std::is_same_v<T, unsigned long>) {
+            x = u64();
+        } else if constexpr (std::is_same_v<T, double>) {
+            x = f64();
+        } else if constexpr (std::is_same_v<T, std::string>) {
+            x = str();
+        } else if constexpr (detail::kIsVector<T>) {
+            x.resize(count());
+            if constexpr (std::is_same_v<typename T::value_type, bool>) {
+                for (std::size_t i = 0; i < x.size(); ++i)
+                    x[i] = b();
+            } else {
+                for (auto& e : x)
+                    field(e);
+            }
+        } else if constexpr (detail::kIsMap<T>) {
+            x.clear();
+            for (std::size_t n = count(); n > 0; --n) {
+                typename T::key_type k;
+                field(k);
+                field(x[std::move(k)]);
+            }
+        } else if constexpr (detail::kIsUniquePtr<T>) {
+            field(*x);
+        } else {
+            static_assert(detail::kNoEncoding<T>,
+                          "no snapshot encoding for this field type");
+        }
+    }
 
     std::string data_;  ///< Payload copy (owned; the file buffer dies).
     std::size_t pos_ = 0;

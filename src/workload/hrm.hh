@@ -21,11 +21,6 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 
-namespace ppm::snap {
-class Writer;
-class Reader;
-} // namespace ppm::snap
-
 namespace ppm::workload {
 
 /** Per-task heart-rate monitor and demand estimator. */
@@ -93,8 +88,11 @@ class HeartRateMonitor
      */
     void advance_steady(SimTime shift);
 
-    void save(snap::Writer& w) const;
-    void load(snap::Reader& r);
+    template <class A>
+    void visit(A& a)
+    {
+        a(beats_, supply_);
+    }
 
   private:
     double min_hr_;

@@ -27,6 +27,12 @@ struct Phase {
     SimTime duration;        ///< Phase length in simulated time.
     Cycles work_per_hb_little; ///< Cycles per heartbeat on a LITTLE core.
     Cycles work_per_hb_big;    ///< Cycles per heartbeat on a big core.
+
+    template <class A>
+    void visit(A& a)
+    {
+        a(duration, work_per_hb_little, work_per_hb_big);
+    }
 };
 
 /** Static description used to instantiate a Task. */
@@ -37,6 +43,13 @@ struct TaskSpec {
     double max_hr = 0.0;     ///< Reference range upper edge (hb/s).
     std::vector<Phase> phases; ///< Phase sequence (looped when exhausted).
     double self_pace_hr = 0.0; ///< If > 0, task sleeps above this rate.
+
+    /** Full spec (the mid-run admission log and fleet rosters). */
+    template <class A>
+    void visit(A& a)
+    {
+        a(name, priority, min_hr, max_hr, phases, self_pace_hr);
+    }
 };
 
 /**
@@ -51,10 +64,6 @@ struct TaskSpec {
  * @param target_hr    Target heart rate in hb/s.
  * @param self_pace_hr Optional self-pacing rate (0 = greedy).
  */
-/** Serialize a full TaskSpec (used by the mid-run admission log). */
-void save_task_spec(snap::Writer& w, const TaskSpec& spec);
-TaskSpec load_task_spec(snap::Reader& r);
-
 TaskSpec steady_task_spec(const std::string& name, int priority,
                           Pu demand_little, double big_speedup = 1.6,
                           double target_hr = 20.0,
@@ -167,8 +176,11 @@ class Task
     int phase_index() const { return phase_idx_; }
 
     /** Dynamic state only (phase clock, totals, HRM windows). */
-    void save(snap::Writer& w) const;
-    void load(snap::Reader& r);
+    template <class A>
+    void visit(A& a)
+    {
+        a(hrm_, phase_idx_, time_in_phase_, total_hb_, total_cycles_);
+    }
 
   private:
     /** Advance phase-relative time, looping over the phase list. */

@@ -274,6 +274,66 @@ TEST(PpmRunCli, CorruptSnapshotsGetDistinctOneLineDiagnostics)
     EXPECT_NE(err.find("cannot restore snapshot"), std::string::npos);
 }
 
+/**
+ * Restore `snap` under `args` and expect the one-line refusal naming
+ * `flag`: a snapshot binds the flags that define the run.
+ */
+void
+expect_binding_refused(const std::string& snap, const std::string& args,
+                       const std::string& flag)
+{
+    std::string err;
+    EXPECT_EQ(run_cli_capture(args + " --snapshot-in " + snap, nullptr,
+                              &err),
+              2)
+        << args;
+    EXPECT_NE(err.find("cannot restore snapshot"), std::string::npos)
+        << err;
+    EXPECT_NE(err.find("saved with --" + flag + " "), std::string::npos)
+        << err;
+    EXPECT_EQ(err.find('\n'), err.size() - 1) << err;
+}
+
+TEST(PpmRunCli, SnapshotRefusesOtherRunFlags)
+{
+    const std::string snap = tmp_path("bound.ppmsnap");
+    const std::string base = "--set l1 --seconds 2 --tdp 3.5";
+    ASSERT_EQ(run_cli(base + " --snapshot-out " + snap +
+                      " --snapshot-at 700"),
+              0);
+    for (const char* set : {"m1", "m2", "h1", "h2", "h3"}) {
+        expect_binding_refused(
+            snap, std::string("--set ") + set + " --seconds 2 --tdp 3.5",
+            "set");
+    }
+    expect_binding_refused(snap, base + " --policy HL", "policy");
+    expect_binding_refused(snap, base + " --fleet 2", "fleet");
+    expect_binding_refused(snap, "--set l1 --seconds 3 --tdp 3.5",
+                           "seconds");
+    // The stepping engine and the clearing mode change no byte of the
+    // continued run, so they stay free.
+    EXPECT_EQ(run_cli(base + " --per-tick --no-incremental "
+                             "--snapshot-in " + snap),
+              0);
+    std::remove(snap.c_str());
+}
+
+TEST(PpmRunCli, FleetSnapshotRefusesOtherFleetShape)
+{
+    const std::string snap = tmp_path("fleet.ppmsnap");
+    const std::string base = "--set l1 --seconds 2 --tdp 3.5";
+    ASSERT_EQ(run_cli(base + " --fleet 4 --snapshot-out " + snap +
+                      " --snapshot-at 700"),
+              0);
+    expect_binding_refused(snap, base + " --fleet 4 --fleet-epoch 200",
+                           "fleet-epoch");
+    expect_binding_refused(snap, base + " --fleet 8", "fleet");
+    EXPECT_EQ(run_cli(base + " --fleet 4 --jobs 4 --per-tick "
+                             "--snapshot-in " + snap),
+              0);
+    std::remove(snap.c_str());
+}
+
 TEST(PpmRunCli, FleetChipFaultFlagsAreValidated)
 {
     EXPECT_EQ(run_cli("--set l1 --seconds 1 --tdp 3.5 --fleet 2 "
