@@ -126,6 +126,7 @@ void
 WindowRate::grow()
 {
     const std::size_t cap = ring_.size();
+    PPM_ASSERT(cap < kMaxRingRuns, "window ring exceeds kMaxRingRuns");
     std::vector<Run> next(std::max<std::size_t>(8, cap * 2));
     for (std::size_t i = 0; i < runs_; ++i)
         next[i] = ring_[(head_ + i) & (cap - 1)];
