@@ -1,17 +1,13 @@
 /**
  * @file
- * Hot-path microbenchmarks with an allocation counter: the per-tick
- * cost of `Simulation::step()` end-to-end, `Scheduler::tick()`, the
- * `TraceBus` record paths, and one `Market::round()` at the paper's
- * Table-7 chip shapes.  Every future PR compares against the JSON this
- * driver emits (scripts/bench_hotpath.sh -> BENCH_hotpath.json); the
- * acceptance bar for hot-path work is tracked on the
- * BM_SimulationStep end-to-end numbers.
- *
- * Besides wall-clock, each step/tick benchmark reports
- * `allocs_per_iter`: global heap allocations per measured iteration,
- * counted by overriding the global operator new in this binary.  A
- * steady-state tick (no bid round due) must stay at 0.
+ * Hot-path microbenchmarks: the per-tick cost of `Simulation::step()`
+ * end-to-end, `Scheduler::tick()`, the `TraceBus` record paths, and
+ * one `Market::round()` at the paper's Table-7 chip shapes.  Every
+ * later change compares against the JSON this benchmark emits
+ * (scripts/bench_hotpath.sh -> BENCH_hotpath.json); the acceptance
+ * bar for hot-path work is tracked on the BM_SimulationStep
+ * end-to-end numbers.  That these paths allocate nothing in steady
+ * state is asserted by tests/sim/test_alloc_free.cc.
  *
  * Like bench_table7_scalability, this driver intentionally stays off
  * the experiment::Sweep runner: co-running cells would corrupt the
@@ -20,10 +16,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -35,94 +28,6 @@
 #include "sched/scheduler.hh"
 #include "sim/simulation.hh"
 #include "workload/task.hh"
-
-// ---------------------------------------------------------------------------
-// Global allocation counter.  Counts every operator-new in the process,
-// so benchmarks bracket their measured loop with alloc_count() reads.
-// Both new and delete forward to malloc/free, so the pairing GCC's
-// -Wmismatched-new-delete flags after inlining is actually consistent.
-// ---------------------------------------------------------------------------
-#if defined(__GNUC__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-namespace {
-std::atomic<long> g_allocs{0};
-
-long
-alloc_count()
-{
-    return g_allocs.load(std::memory_order_relaxed);
-}
-} // namespace
-
-void*
-operator new(std::size_t n)
-{
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void* p = std::malloc(n ? n : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void*
-operator new[](std::size_t n)
-{
-    return ::operator new(n);
-}
-
-void*
-operator new(std::size_t n, std::align_val_t align)
-{
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    const std::size_t a = static_cast<std::size_t>(align);
-    const std::size_t rounded = (n + a - 1) / a * a;
-    if (void* p = std::aligned_alloc(a, rounded ? rounded : a))
-        return p;
-    throw std::bad_alloc();
-}
-
-void*
-operator new[](std::size_t n, std::align_val_t align)
-{
-    return ::operator new(n, align);
-}
-
-void
-operator delete(void* p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void* p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void* p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void* p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void* p, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void* p, std::align_val_t) noexcept
-{
-    std::free(p);
-}
 
 namespace {
 
@@ -179,14 +84,6 @@ struct SimScenario {
     std::unique_ptr<sim::Simulation> sim;
 };
 
-void
-set_alloc_counter(benchmark::State& state, long allocs)
-{
-    state.counters["allocs_per_iter"] = benchmark::Counter(
-        static_cast<double>(allocs) /
-        static_cast<double>(state.iterations()));
-}
-
 /**
  * One full Simulation::step() -- scheduler tick, power/thermal/QoS
  * accounting, trace sampling, and the governor's bid rounds at their
@@ -201,10 +98,8 @@ BM_SimulationStep(benchmark::State& state)
     SimScenario s(static_cast<int>(state.range(0)),
                   static_cast<int>(state.range(1)), tasks,
                   state.range(3) != 0);
-    const long before = alloc_count();
     for (auto _ : state)
         s.sim->step();
-    set_alloc_counter(state, alloc_count() - before);
     state.SetItemsProcessed(state.iterations() * tasks);
     state.SetLabel("V=" + std::to_string(state.range(0)) +
                    " C=" + std::to_string(state.range(1)) +
@@ -226,10 +121,8 @@ BM_SimulationStepSteady(benchmark::State& state)
     SimScenario s(static_cast<int>(state.range(0)),
                   static_cast<int>(state.range(1)), tasks,
                   state.range(3) != 0, /*bid_period=*/3600 * kSecond);
-    const long before = alloc_count();
     for (auto _ : state)
         s.sim->step();
-    set_alloc_counter(state, alloc_count() - before);
     state.SetItemsProcessed(state.iterations() * tasks);
     state.SetLabel("V=" + std::to_string(state.range(0)) +
                    " C=" + std::to_string(state.range(1)) +
@@ -259,12 +152,10 @@ BM_SchedulerTick(benchmark::State& state)
     SimTime now = 0;
     for (int i = 0; i < 100; ++i, now += kMillisecond)
         sched.tick(now, kMillisecond);  // Warm scratch state.
-    const long before = alloc_count();
     for (auto _ : state) {
         sched.tick(now, kMillisecond);
         now += kMillisecond;
     }
-    set_alloc_counter(state, alloc_count() - before);
     state.SetItemsProcessed(state.iterations() * tasks);
     state.SetLabel("V=" + std::to_string(clusters) +
                    " C=" + std::to_string(cores) +
@@ -279,12 +170,10 @@ BM_TraceBusSampleString(benchmark::State& state)
     bus.add_sink(std::make_unique<NullSink>());
     const std::string series = "cluster0_mhz";
     SimTime t = 0;
-    const long before = alloc_count();
     for (auto _ : state) {
         bus.sample(series, t, 1.5);
         t += kMillisecond;
     }
-    set_alloc_counter(state, alloc_count() - before);
 }
 
 /** String-keyed counter bump: map lookup per record. */
@@ -294,10 +183,8 @@ BM_TraceBusCountString(benchmark::State& state)
     metrics::TraceBus bus;
     bus.add_sink(std::make_unique<NullSink>());
     const std::string name = "vf_steps_cluster0";
-    const long before = alloc_count();
     for (auto _ : state)
         bus.count(name);
-    set_alloc_counter(state, alloc_count() - before);
     benchmark::DoNotOptimize(bus.counter(name));
 }
 
@@ -327,55 +214,9 @@ BM_MarketRound(benchmark::State& state)
         market.set_cluster_power(v, rng.uniform(0.1, 2.0));
     market.round();
     market.round();
-    const long before = alloc_count();
     for (auto _ : state)
         benchmark::DoNotOptimize(market.round());
-    set_alloc_counter(state, alloc_count() - before);
     state.SetLabel("tasks=" + std::to_string(id));
-}
-
-/**
- * A complete run (construction + Simulation::run + summary) with the
- * macro-stepping engine on or off.  Unlike the step() benchmarks,
- * this exercises the event-horizon time advance: with `macro` set the
- * engine coalesces every quiescent inter-epoch gap, so the per-tick
- * equivalent cost (items are simulated ticks) is the number that must
- * beat BM_SimulationStep by the PR's 5x bar.  The traced variant
- * shows the horizon being capped at the trace sampling period.
- */
-void
-BM_EndToEndRun(benchmark::State& state)
-{
-    const int clusters = static_cast<int>(state.range(0));
-    const int cores = static_cast<int>(state.range(1));
-    const int tasks =
-        clusters * cores * static_cast<int>(state.range(2));
-    const bool macro = state.range(3) != 0;
-    const bool traced = state.range(4) != 0;
-    const SimTime duration = 30 * kSecond;
-    const long ticks = duration / kMillisecond;
-    for (auto _ : state) {
-        market::PpmGovernorConfig cfg;
-        cfg.market.w_tdp = 1e9;
-        cfg.market.w_th = 1e9 - 0.5;
-        sim::SimConfig sim_cfg;
-        sim_cfg.duration = duration;
-        sim_cfg.macro_step = macro;
-        sim::Simulation sim(
-            hw::synthetic_chip(clusters, cores), table7_specs(tasks),
-            std::make_unique<market::PpmGovernor>(cfg), sim_cfg);
-        if (traced)
-            sim.bus().add_sink(std::make_unique<NullSink>());
-        benchmark::DoNotOptimize(sim.run());
-    }
-    // items/s = simulated ticks per wall second, comparable across
-    // the macro/per-tick variants and against BM_SimulationStep.
-    state.SetItemsProcessed(state.iterations() * ticks);
-    state.SetLabel("V=" + std::to_string(clusters) +
-                   " C=" + std::to_string(cores) +
-                   " tasks=" + std::to_string(tasks) +
-                   (macro ? " macro" : " per-tick") +
-                   (traced ? " traced" : " untraced"));
 }
 
 void
@@ -404,13 +245,6 @@ BENCHMARK(BM_MarketRound)
     ->Args({2, 4, 2})
     ->Args({16, 8, 8})
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_EndToEndRun)
-    ->ArgNames({"v", "c", "t", "macro", "traced"})
-    ->Args({2, 4, 2, 0, 0})   // per-tick baseline, 16 tasks
-    ->Args({2, 4, 2, 1, 0})   // macro-stepping, 16 tasks
-    ->Args({2, 4, 2, 1, 1})   // macro + trace sink (horizon capped)
-    ->Args({4, 8, 2, 1, 0})   // macro, 64 tasks
-    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -26,8 +26,9 @@ done
 
 NCPU=$(nproc 2>/dev/null || echo 1)
 
-cmake -B build -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
-cmake --build build --target bench_table7_scalability > /dev/null
+cmake -B build -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
+cmake --build build --parallel "$(nproc)" --target bench_table7_scalability \
+    > /dev/null
 
 ./build/bench/bench_table7_scalability \
     --benchmark_filter='BM_SupplyDemandRound|BM_IncrementalClearingRound' \

@@ -42,8 +42,9 @@ if [[ "$NCPU" -lt 4 ]]; then
          "rows oversubscribe the machine and understate the speedup." >&2
 fi
 
-cmake -B build -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
-cmake --build build --target bench_fleet_federation > /dev/null
+cmake -B build -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
+cmake --build build --parallel "$(nproc)" --target bench_fleet_federation \
+    > /dev/null
 
 ./build/bench/bench_fleet_federation \
     --benchmark_filter='BM_FleetEpoch|BM_ChipFailureEvacuation|BM_SnapshotRoundTrip' \

@@ -4,8 +4,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo -DPPM_WERROR=ON
-cmake --build build
+cmake -B build -DCMAKE_BUILD_TYPE=RelWithDebInfo -DPPM_WERROR=ON
+cmake --build build --parallel "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
 # Fast smoke pass over the benches (full runs are minutes; see
@@ -18,11 +18,9 @@ ctest --test-dir build --output-on-failure -j "$(nproc)"
 
 # Perf smoke: one quick repetition of the hot-path benchmark, with the
 # JSON output validated (the full run regenerates BENCH_hotpath.json).
-# Both outputs go to /tmp: without --macro-out the quick pass would
-# overwrite the tracked BENCH_macrostep.json with noisy numbers.
 ./scripts/bench_hotpath.sh --quick --out /tmp/ppm_bench_hotpath.json \
-    --macro-out /tmp/ppm_bench_macrostep.json > /dev/null
-rm -f /tmp/ppm_bench_hotpath.json /tmp/ppm_bench_macrostep.json
+    > /dev/null
+rm -f /tmp/ppm_bench_hotpath.json
 
 ./build/examples/quickstart l1 5 > /dev/null
 ./build/examples/mixed_criticality 5 > /dev/null
@@ -169,10 +167,9 @@ rm -f /tmp/ppm_bench_clearing.json /tmp/ppm_bench_fleet.json
 # no mutable state, so run the threaded tests under ThreadSanitizer.
 # The trace/telemetry tests ride along: each cell must own its bus
 # and sinks, so traced parallel runs are the racy case to sanitize.
-cmake -B build-tsan -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DPPM_TSAN=ON
-cmake --build build-tsan --target test_common test_integration \
-    test_metrics test_fleet test_snapshot
+cmake -B build-tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DPPM_TSAN=ON
+cmake --build build-tsan --parallel "$(nproc)" --target test_common \
+    test_integration test_metrics test_fleet test_snapshot
 ./build-tsan/tests/test_common \
     --gtest_filter='ThreadPool.*' > /dev/null
 # The fleet macro-steps shards on pool workers between settlement
@@ -191,16 +188,15 @@ cmake --build build-tsan --target test_common test_integration \
     --gtest_filter='Sweep.*:RunCells.*:Macrostep.*' > /dev/null
 # The fuzz driver fans scenarios out over the same pool; a short
 # sweep under TSAN sanitizes the differential checker itself.
-cmake --build build-tsan --target ppm_fuzz
+cmake --build build-tsan --parallel "$(nproc)" --target ppm_fuzz
 ./build-tsan/tools/ppm_fuzz --count 20 --seed 1 > /dev/null
 
 # Memory/UB check: the fault layer mutates hardware state (offlining
 # cores, deferring DVFS) on irregular schedules, so run its tests and
 # the hardened-market tests under ASan+UBSan.
-cmake -B build-asan -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DPPM_ASAN=ON
-cmake --build build-asan --target test_fault test_market test_hw \
-    test_fleet test_snapshot
+cmake -B build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DPPM_ASAN=ON
+cmake --build build-asan --parallel "$(nproc)" --target test_fault \
+    test_market test_hw test_fleet test_snapshot
 ./build-asan/tests/test_fault > /dev/null
 # Incremental rides along here too: the memo arrays are the newest
 # indexed state, so overruns would surface under ASan first.  The

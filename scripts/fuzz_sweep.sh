@@ -35,8 +35,9 @@ while [[ $# -gt 0 ]]; do
     esac
 done
 
-cmake -B build -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
-cmake --build build --target ppm_fuzz > /dev/null
+cmake -B build -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
+cmake --build build --parallel "$(nproc)" --target ppm_fuzz \
+    > /dev/null
 
 STATUS=0
 ./build/tools/ppm_fuzz --count "$COUNT" --jobs "$JOBS" --seed "$SEED" \

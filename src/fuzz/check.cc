@@ -138,7 +138,6 @@ make_policy(const Scenario& sc, const std::string& policy,
         market::PpmGovernorConfig cfg;
         cfg.market.w_tdp = tdp;
         cfg.market.w_th = market::derive_w_th(tdp);
-        cfg.market.adaptive_step = sc.adaptive_step;
         cfg.market.incremental = incremental;
         cfg.big_speedup = big_speedups(sc);
         cfg.online_speedup = sc.online_speedup;
@@ -327,7 +326,6 @@ make_fleet_config(const Scenario& sc, int chips, int jobs,
         market::PpmGovernorConfig cfg;
         cfg.market.w_tdp = budget;
         cfg.market.w_th = market::derive_w_th(budget);
-        cfg.market.adaptive_step = sc.adaptive_step;
         cfg.market.incremental = incremental;
         cfg.big_speedup = big_speedups(sc);
         cfg.online_speedup = sc.online_speedup;

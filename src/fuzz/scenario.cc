@@ -319,7 +319,8 @@ generate_scenario(std::uint64_t seed)
     }
 
     sc.online_speedup = rng.chance(0.2);
-    sc.adaptive_step = rng.chance(0.2);
+    // Retired adaptive-step gene: consumed so later genes keep their draws.
+    (void)rng.chance(0.2);
 
     if (rng.chance(0.4)) {
         sc.has_faults = true;
@@ -478,7 +479,6 @@ serialize(const Scenario& sc)
     os << "trace=" << (sc.trace ? 1 : 0) << "\n";
     os << "trace_period_ms=" << to_ms(sc.trace_period) << "\n";
     os << "online_speedup=" << (sc.online_speedup ? 1 : 0) << "\n";
-    os << "adaptive_step=" << (sc.adaptive_step ? 1 : 0) << "\n";
     os << "fleet_chips=" << sc.fleet_chips << "\n";
     os << "incremental=" << (sc.incremental ? 1 : 0) << "\n";
     os << "snapshot_at_ms=" << to_ms(sc.snapshot_at) << "\n";
@@ -590,12 +590,11 @@ parse_scenario(const std::string& text, Scenario* out,
         } else if (key == "trace_period_ms") {
             ok = parse_long(value, &l) && l >= 1;
             sc.trace_period = l * kMillisecond;
-        } else if (key == "clearing_jobs" || key == "clearing_grain") {
+        } else if (key == "clearing_jobs" || key == "clearing_grain" ||
+                   key == "adaptive_step") {
             // Retired genes: older fixtures still carry them.
         } else if (key == "online_speedup") {
             ok = parse_bool(value, &sc.online_speedup);
-        } else if (key == "adaptive_step") {
-            ok = parse_bool(value, &sc.adaptive_step);
         } else if (key == "fleet_chips") {
             // Missing key (pre-federation fixtures) defaults to 1.
             ok = parse_long(value, &l) && l >= 1 && l <= 8;

@@ -75,7 +75,6 @@ struct Scenario {
      */
     int clearing_jobs = 1;
     bool online_speedup = false; ///< PPM: learn speedups online.
-    bool adaptive_step = false;  ///< PPM: adaptive V-F stepping.
     bool has_faults = false;     ///< Fault plan enabled?
     fault::FaultSpec faults;     ///< Compiled against the chip at run.
     /**

@@ -229,11 +229,6 @@ shrink_structure(Search& s)
         cand.online_speedup = false;
         s.accept(cand);
     }
-    if (s.best.adaptive_step) {
-        Scenario cand = s.best;
-        cand.adaptive_step = false;
-        s.accept(cand);
-    }
     // Snapshot differential off (sticks unless the violation is the
     // restore-equivalence itself).
     if (s.best.snapshot_at > 0) {

@@ -157,38 +157,6 @@ struct PpmConfig {
      * execution trace when hunting dirty-set bugs.
      */
     bool incremental = true;
-
-    // --- Adaptive V-F stepping (SpeedEx-style tatonnement control) ---
-
-    /**
-     * Let a cluster agent step more than one V-F level per round when
-     * the price stays out of its tolerance band round after round and
-     * the chip-wide excess-demand objective (RoundReport::excess_l2)
-     * is not improving.  Off by default: the paper's cluster agent is
-     * strictly single-step, and the Table 1-3 reproductions depend on
-     * that cadence.
-     */
-    bool adaptive_step = false;
-
-    /**
-     * Fixed-point radix of the adaptive step accumulator.  A cluster's
-     * accumulator starts at 1 << step_radix (one level per round) and
-     * is rescaled by step_up/2^step_adjust_radix after a round that
-     * re-triggers in the same direction without improving the
-     * objective, and by step_down/2^step_adjust_radix after the
-     * pressure subsides; the level delta applied is the accumulator
-     * shifted back down by step_radix.
-     */
-    int step_radix = 7;
-
-    /** Radix of the step_up/step_down rescale factors. */
-    int step_adjust_radix = 5;
-
-    /** Accumulator growth factor numerator (45/32 = 1.4x per round). */
-    int step_up = 45;
-
-    /** Accumulator decay factor numerator (10/32 = 0.3x per round). */
-    int step_down = 10;
 };
 
 } // namespace ppm::market

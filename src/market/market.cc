@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <cstring>
 
 #include "common/logging.hh"
@@ -50,14 +49,6 @@ Market::Market(hw::Chip* chip, PpmConfig cfg)
     PPM_ASSERT(cfg_.w_th < cfg_.w_tdp, "W_th must be below W_tdp");
     PPM_ASSERT(cfg_.tolerance > 0.0, "tolerance factor must be positive");
     PPM_ASSERT(cfg_.min_bid > 0.0, "minimum bid must be positive");
-    PPM_ASSERT(cfg_.step_radix >= 0 && cfg_.step_radix <= 20 &&
-                   cfg_.step_adjust_radix >= 0 &&
-                   cfg_.step_adjust_radix <= 20,
-               "step radixes out of range");
-    PPM_ASSERT(cfg_.step_up >= (1 << cfg_.step_adjust_radix) &&
-                   cfg_.step_down >= 0 &&
-                   cfg_.step_down <= (1 << cfg_.step_adjust_radix),
-               "step factors must grow on step_up and shrink on step_down");
     for (CoreId c = 0; c < chip_->num_cores(); ++c) {
         cores_[static_cast<std::size_t>(c)].id = c;
         core_cluster_.push_back(chip_->cluster_of(c));
@@ -628,10 +619,10 @@ Market::discover_prices(bool skip_clean)
 
     // Price loop: always O(cores), never skipped.  Reading the live
     // core supply and bit-comparing the resulting price is what makes
-    // every supply-side channel (cluster V-F steps, adaptive-step
-    // jumps, power gating, safe-mode clamps, deferred faulted DVFS)
-    // an automatic invalidation: any change surfaces here and dirties
-    // exactly the tasks that price their purchases off this core.
+    // every supply-side channel (cluster V-F steps, power gating,
+    // safe-mode clamps, deferred faulted DVFS) an automatic
+    // invalidation: any change surfaces here and dirties exactly the
+    // tasks that price their purchases off this core.
     bool any_price_moved = false;
     for (CoreState& c : cores_) {
         const auto ci = static_cast<std::size_t>(c.id);
@@ -679,71 +670,8 @@ Market::run_purchases(const std::vector<TaskId>* list)
 }
 
 int
-Market::step_levels(ClusterCtl& ctl, int dir, bool improving)
+Market::control_supply()
 {
-    if (!cfg_.adaptive_step)
-        return 1;
-    const auto one = std::uint64_t{1} << cfg_.step_radix;
-    if (ctl.step == 0 || dir != ctl.last_dir) {
-        // Fresh pressure (or a direction flip): start over at one
-        // level per round, the paper's cadence.
-        ctl.step = one;
-    } else if (!improving) {
-        // The same band trigger fired again and the chip-wide excess
-        // objective stalled: single-level steps are too slow for this
-        // imbalance, so grow the accumulator geometrically
-        // (SpeedEx-style radix stepping).
-        ctl.step = (ctl.step * static_cast<std::uint64_t>(cfg_.step_up))
-            >> cfg_.step_adjust_radix;
-    }
-    ctl.last_dir = dir;
-    // The level delta is the accumulator's integer part, bounded for
-    // arithmetic health; Cluster::step_level clamps to the V-F table.
-    return static_cast<int>(
-        std::min<std::uint64_t>(ctl.step >> cfg_.step_radix, 64));
-}
-
-void
-Market::decay_step(ClusterCtl& ctl)
-{
-    if (!cfg_.adaptive_step || ctl.step == 0)
-        return;
-    const auto one = std::uint64_t{1} << cfg_.step_radix;
-    ctl.step = std::max(
-        one, (ctl.step * static_cast<std::uint64_t>(cfg_.step_down))
-            >> cfg_.step_adjust_radix);
-}
-
-void
-Market::compute_excess_objective(RoundReport& report) const
-{
-    double l2 = 0.0;
-    double l8 = 0.0;
-    for (ClusterId v = 0; v < chip_->num_clusters(); ++v) {
-        const CoreId cc = constrained_core(v);
-        if (cc == kInvalidId)
-            continue;
-        const hw::Cluster& cl = chip_->cluster(v);
-        const CoreState& c = cores_[static_cast<std::size_t>(cc)];
-        const double diff = (c.demand - cl.supply()) * c.price;
-        const double d2 = diff * diff;
-        l2 += d2;
-        const double d4 = d2 * d2;
-        l8 += d4 * d4;
-    }
-    report.excess_l2 = std::sqrt(l2);
-    report.excess_l8 = std::pow(l8, 0.125);
-}
-
-int
-Market::control_supply(double objective)
-{
-    // Convergence signal for the adaptive stepper: the tatonnement is
-    // improving when this round's excess norm undercuts the previous
-    // round's by a margin.  Compared before prev_objective_ rolls
-    // forward (round() updates it after we return).
-    const bool improving = prev_objective_ >= 0.0 &&
-        objective < prev_objective_ * 0.95;
     if (!cfg_.dvfs_enabled) {
         // Keep the base prices tracking so the market stays
         // well-conditioned even though levels never move.
@@ -795,37 +723,30 @@ Market::control_supply(double objective)
         bool changed = false;
         if (cc.price >= cc.base_price * (1.0 + delta)) {
             // Inflation: raise supply.
-            changed = step_cluster(cl, +step_levels(ctl, +1, improving));
+            changed = step_cluster(cl, +1);
         } else if (cc.price <= cc.base_price * (1.0 - delta)) {
             if (may_deflate) {
                 // Deflation: lower supply.
-                changed =
-                    step_cluster(cl, -step_levels(ctl, -1, improving));
+                changed = step_cluster(cl, -1);
             } else {
                 // Deflation blocked by demand rounding: accept the
                 // lower price as the new base so the inflation trigger
                 // stays responsive.
                 cc.base_price = cc.price;
-                decay_step(ctl);
             }
-        } else {
-            decay_step(ctl);
-            if (cl.level() > 0) {
-                // Bid-floor deflation: once every bid on the
-                // constrained core has fallen to b_min, the price is
-                // pinned and can no longer signal over-supply.  The
-                // paper expects such a cluster to settle at the
-                // minimum frequency that covers its demand, so walk
-                // down (always one level: the coverage check below
-                // only clears the next level) while a lower level
-                // suffices.  The flags come from discover_prices()'s
-                // reduction pass, replacing the old O(tasks) scan per
-                // cluster per round.
-                const auto ci = static_cast<std::size_t>(constrained);
-                if (core_any_task_[ci] != 0 && core_all_floor_[ci] != 0 &&
-                    cl.vf().supply(cl.level() - 1) >= cc.demand) {
-                    changed = step_cluster(cl, -1);
-                }
+        } else if (cl.level() > 0) {
+            // Bid-floor deflation: once every bid on the constrained
+            // core has fallen to b_min, the price is pinned and can no
+            // longer signal over-supply.  The paper expects such a
+            // cluster to settle at the minimum frequency that covers
+            // its demand, so walk down one level while a lower level
+            // suffices.  The flags come from discover_prices()'s
+            // reduction pass, replacing the old O(tasks) scan per
+            // cluster per round.
+            const auto ci = static_cast<std::size_t>(constrained);
+            if (core_any_task_[ci] != 0 && core_all_floor_[ci] != 0 &&
+                cl.vf().supply(cl.level() - 1) >= cc.demand) {
+                changed = step_cluster(cl, -1);
             }
         }
         if (changed) {
@@ -1132,9 +1053,7 @@ Market::round()
     }
 
     RoundReport report;
-    compute_excess_objective(report);
-    const int vf_changes = control_supply(report.excess_l2);
-    prev_objective_ = report.excess_l2;
+    const int vf_changes = control_supply();
     ++rounds_;
 
     // ----- Post-round flag rollover -------------------------------

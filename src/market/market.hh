@@ -18,7 +18,6 @@
 #define PPM_MARKET_MARKET_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "common/types.hh"
@@ -78,22 +77,6 @@ struct RoundReport {
     bool allowance_clamped = false;  ///< Allowance hit its floor/cap.
 
     /**
-     * Convergence objective of the tatonnement round: the L2 norm of
-     * the per-cluster price-weighted excess demand
-     * (D_v - S_v) * P_constrained, taken after price discovery but
-     * before the cluster agents act.  Zero at a clearing equilibrium;
-     * the adaptive stepper accelerates only while this stalls.
-     */
-    double excess_l2 = 0.0;
-
-    /**
-     * L8 norm of the same excess vector: close to the max-norm, so it
-     * isolates the worst cluster where the L2 view can dilute one bad
-     * cluster across many converged ones.
-     */
-    double excess_l8 = 0.0;
-
-    /**
      * Incremental-clearing activity of this round.  A task counts as
      * recomputed when the round's dirty tracking put it in the bidding
      * or purchase pass; a core counts when its demand or bid fold was
@@ -114,9 +97,9 @@ struct RoundReport {
     void visit(A& a)
     {
         a(state, allowance, total_demand, total_supply, chip_power,
-          vf_changes, deficit, raw_deficit, allowance_clamped, excess_l2,
-          excess_l8, tasks_recomputed, tasks_skipped, cores_recomputed,
-          cores_skipped, early_exit);
+          vf_changes, deficit, raw_deficit, allowance_clamped,
+          tasks_recomputed, tasks_skipped, cores_recomputed, cores_skipped,
+          early_exit);
     }
 };
 
@@ -355,8 +338,7 @@ class Market
                         "(admission replay incomplete?)");
         a.fixed(cores_, "market core count differs");
         a.fixed(clusters_, "market cluster count differs");
-        a(allowance_, state_, rounds_, last_report_, allowance_clamped_,
-          prev_objective_);
+        a(allowance_, state_, rounds_, last_report_, allowance_clamped_);
 
         // Group index.
         a(group_offset_, group_cursor_, group_task_, groups_dirty_,
@@ -392,15 +374,11 @@ class Market
         bool pending_base_reset = false; ///< Base price resets after
                                          ///< the next price discovery.
         Watts power = 0.0;               ///< Latest sensor reading.
-        std::uint64_t step = 0;          ///< Adaptive step accumulator
-                                         ///< (fixed point, 0 = unseeded).
-        int last_dir = 0;                ///< Direction of the last
-                                         ///< triggered V-F step.
 
         template <class A>
         void visit(A& a)
         {
-            a(freeze_bids, pending_base_reset, power, step, last_dir);
+            a(freeze_bids, pending_base_reset, power);
         }
     };
 
@@ -431,25 +409,6 @@ class Market
      *  cores flagged in core_recompute_ when `skip_clean`; the rest
      *  keep their memoized sums. */
     void refresh_core_demands(bool skip_clean);
-
-    /**
-     * Per-cluster price-weighted excess demand and its L2/L8 norms
-     * (RoundReport::excess_l2/excess_l8), taken after price
-     * discovery, before the cluster agents act.
-     */
-    void compute_excess_objective(RoundReport& report) const;
-
-    /**
-     * Adaptive level magnitude for cluster `ctl` triggering in
-     * direction `dir` (+1 inflation / -1 deflation): reseeds the
-     * accumulator on a direction change, grows it while the chip-wide
-     * objective stalls, and returns the level count to step.  Always
-     * 1 when adaptive stepping is disabled.
-     */
-    int step_levels(ClusterCtl& ctl, int dir, bool improving);
-
-    /** Decay `ctl`'s adaptive accumulator after a quiet round. */
-    void decay_step(ClusterCtl& ctl);
 
     /**
      * Chip-agent allowance update; returns the new chip state.
@@ -496,13 +455,8 @@ class Market
      *  change flags against the prev_supply_ memo. */
     void run_purchases(const std::vector<TaskId>* list);
 
-    /**
-     * Cluster-agent DVFS decisions; returns number of level changes.
-     * `objective` is the round's excess_l2 norm -- the adaptive
-     * stepper compares it against the previous round's to decide
-     * whether the market is converging.
-     */
-    int control_supply(double objective);
+    /** Cluster-agent DVFS decisions; returns number of level changes. */
+    int control_supply();
 
     /**
      * Step `cl` by `delta` levels through the DVFS port when one is
@@ -559,9 +513,6 @@ class Market
     // discover_prices() per-core bid fold.
     std::vector<unsigned char> core_any_task_;
     std::vector<unsigned char> core_all_floor_;
-
-    /** Chip-wide excess objective of the previous round (<0 = none). */
-    double prev_objective_ = -1.0;
 
     // ---- Incremental active-set clearing ----------------------------
     // Dirty tracking for cross-round result reuse.  The bookkeeping

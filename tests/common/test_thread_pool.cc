@@ -167,11 +167,12 @@ TEST(ThreadPool, OnWorkerThreadOnlyInsideOwnWorkers)
 
 TEST(ThreadPool, NestedForChunksOnSamePoolRunsInline)
 {
-    // The fleet shards a run over the pool and each shard's market
-    // may itself call for_chunks() on the SAME pool for clearing.
-    // The nested call must run inline on the worker (never re-queue
-    // into the pool it is already draining), or two shards could
-    // deadlock waiting on each other's queued chunks.
+    // A chunk running on a worker may itself call for_chunks() on
+    // the SAME pool (code inside a fleet shard or sweep cell reaching
+    // the pool that steps it).  The nested call must run inline on
+    // the worker (never re-queue into the pool it is already
+    // draining), or two chunks could deadlock waiting on each other's
+    // queued chunks.
     ThreadPool pool(2);
     std::atomic<int> inner_calls{0};
     ThreadPool::for_chunks(

@@ -149,15 +149,13 @@ TEST(Archive, CorruptionTaxonomy)
     std::string bad_version = good;
     bad_version[8] = static_cast<char>(snap::kFormatVersion + 1);
     EXPECT_EQ(r.open(bad_version), snap::LoadStatus::kBadVersion);
-    // A version-1 archive has another market layout: it must be
-    // refused, not misread.
-    std::string v1 = good;
-    v1[8] = 1;
-    EXPECT_EQ(r.open(v1), snap::LoadStatus::kBadVersion);
-    // A version-2 archive predates ppm_run's flag binding.
-    std::string v2 = good;
-    v2[8] = 2;
-    EXPECT_EQ(r.open(v2), snap::LoadStatus::kBadVersion);
+    // Every older version has another layout: it must be refused,
+    // not misread.
+    for (std::uint32_t v = 1; v < snap::kFormatVersion; ++v) {
+        std::string old = good;
+        old[8] = static_cast<char>(v);
+        EXPECT_EQ(r.open(old), snap::LoadStatus::kBadVersion) << "v" << v;
+    }
 
     // Flipped payload bit: right shape, wrong checksum.
     std::string bad_payload = good;
@@ -534,7 +532,7 @@ TEST(Archive, PayloadLayoutPinned)
     // sensor guards; tracing's recorder series and bus histograms;
     // and the fleet's supervisor, rosters, evacuation queue and
     // mid-run admission logs.
-    EXPECT_EQ(single_chip_layout("PPM"), "59868:a9161c960b9f2825");
+    EXPECT_EQ(single_chip_layout("PPM"), "59820:871caa464c9be4a3");
     EXPECT_EQ(single_chip_layout("HPM"), "13748:0c050d007b455e9e");
     EXPECT_EQ(single_chip_layout("HL"), "3948:e11255300855a5a6");
 
@@ -547,7 +545,7 @@ TEST(Archive, PayloadLayoutPinned)
     ASSERT_GT(f.bus().counter("fleet.evacuations"), 0);
     snap::Writer w;
     f.save(w);
-    EXPECT_EQ(layout_of(w), "13803:97760ea73e8da997");
+    EXPECT_EQ(layout_of(w), "13611:60b09fd43f07a5f3");
 }
 
 TEST(SnapshotRestore, SimulationLoadRejectsWrongShape)
