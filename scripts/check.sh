@@ -54,7 +54,31 @@ for policy in PPM HPM HL; do
         --faults all,seed=7,rate=30 --csv --per-tick > /tmp/ppm_tick.csv
     cmp /tmp/ppm_macro.csv /tmp/ppm_tick.csv
 done
-rm -f /tmp/ppm_macro.csv /tmp/ppm_tick.csv
+# Span-path smoke: HPM and HL replay almost every interval with the
+# span kernel (their heart-rate windows rarely reach the bulk fixed
+# point), so each policy also runs clean on m2 under a 4 W TDP,
+# macro-stepped and per tick; the summaries and the archives saved at
+# 15 s (every HRM window's runs, ring capacity and sums) must match.
+for policy in PPM HPM HL; do
+    ./build/tools/ppm_run --policy "$policy" --set m2 --seconds 20 \
+        --tdp 4 --csv > /tmp/ppm_macro.csv
+    ./build/tools/ppm_run --policy "$policy" --set m2 --seconds 20 \
+        --tdp 4 --csv --per-tick > /tmp/ppm_tick.csv
+    cmp /tmp/ppm_macro.csv /tmp/ppm_tick.csv
+    ./build/tools/ppm_run --policy "$policy" --set m2 --seconds 20 \
+        --tdp 4 --snapshot-out /tmp/ppm_macro.snap --snapshot-at 15000 \
+        > /dev/null
+    ./build/tools/ppm_run --policy "$policy" --set m2 --seconds 20 \
+        --tdp 4 --per-tick --snapshot-out /tmp/ppm_tick.snap \
+        --snapshot-at 15000 > /dev/null
+    cmp /tmp/ppm_macro.snap /tmp/ppm_tick.snap
+done
+# The engine counters go to stderr only, and name the span path.
+./build/tools/ppm_run --policy HPM --set m2 --seconds 20 --tdp 4 \
+    --engine-stats > /dev/null 2> /tmp/ppm_engine.txt
+grep -q " span_ticks=[1-9]" /tmp/ppm_engine.txt
+rm -f /tmp/ppm_macro.csv /tmp/ppm_tick.csv /tmp/ppm_macro.snap \
+    /tmp/ppm_tick.snap /tmp/ppm_engine.txt
 
 # Incremental-clearing equivalence smoke: the active-set engine skips
 # only entries whose every fold input is bit-unchanged, so a full

@@ -108,7 +108,9 @@ HlGovernor::schedule(sim::Simulation& sim, SimTime now)
         }
         if (max_core == kInvalidId)
             continue;
-        const auto heavy = sched.tasks_on(max_core);
+        // A reference into the live list: front() is read before
+        // the migration changes it.
+        const auto& heavy = sched.tasks_on(max_core);
         if (heavy.size() >= sched.tasks_on(min_core).size() + 2)
             sim.request_migration(heavy.front(), min_core, now);
     }

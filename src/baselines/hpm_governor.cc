@@ -59,6 +59,7 @@ HpmGovernor::init(sim::Simulation& sim)
     guard_.init(sim.chip().num_clusters(), sim.fault_injector());
     unsat_count_.assign(sim.tasks().size(), 0);
     sat_count_.assign(sim.tasks().size(), 0);
+    demand_scratch_.reserve(sim.tasks().size());
     next_dvfs_ = cfg_.dvfs_period;
     next_lbt_ = cfg_.lbt_period;
     next_tdp_ = cfg_.tdp_period;
@@ -200,7 +201,9 @@ HpmGovernor::run_lbt(sim::Simulation& sim, SimTime now)
         }
         if (max_core == kInvalidId)
             continue;
-        const auto heavy = sched.tasks_on(max_core);
+        // A reference into the live list: front() is read before
+        // the migration changes it.
+        const auto& heavy = sched.tasks_on(max_core);
         if (heavy.size() >= sched.tasks_on(min_core).size() + 2)
             sim.request_migration(heavy.front(), min_core, now);
     }
@@ -255,11 +258,13 @@ HpmGovernor::assign_nice(sim::Simulation& sim, SimTime now)
 {
     // Demand-proportional shares within each core.
     for (CoreId c = 0; c < sim.chip().num_cores(); ++c) {
-        const auto on_core = sim.scheduler().tasks_on(c);
+        // set_nice() leaves placements alone, so the live list holds.
+        const auto& on_core = sim.scheduler().tasks_on(c);
         if (on_core.empty())
             continue;
         Pu max_demand = 0.0;
-        std::vector<Pu> demand(on_core.size());
+        auto& demand = demand_scratch_;
+        demand.resize(on_core.size());
         for (std::size_t i = 0; i < on_core.size(); ++i) {
             demand[i] = sim.scheduler().task(on_core[i]).hrm()
                 .estimate_demand(now, cfg_.demand_clamp);

@@ -110,6 +110,7 @@ class HpmGovernor : public sim::Governor
         (void)sim;
         (void)id;
         (void)big_speedup;
+        demand_scratch_.reserve(unsat_count_.size() + 1);
         unsat_count_.push_back(0);
         sat_count_.push_back(0);
     }
@@ -161,6 +162,9 @@ class HpmGovernor : public sim::Governor
 
     /** Sensor fallback + safe-mode tracking (inert on clean runs). */
     fault::SensorGuard guard_;
+
+    /** assign_nice(): one core's demands, with room for every task. */
+    std::vector<Pu> demand_scratch_;
 
     // Reusable epoch event + cached "clusterN_*" keys (built at init;
     // stable c_str() pointers) so tracing adds no per-epoch allocation.

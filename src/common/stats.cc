@@ -182,6 +182,79 @@ WindowRate::add(SimTime now, double count)
     window_sum_ += count;
 }
 
+void
+WindowRate::add_span(SimTime t0, SimTime dt, long n, double count,
+                     double* rates)
+{
+    PPM_ASSERT(dt > 0 && n >= 0, "span needs dt > 0 and n >= 0");
+    const SimTime window = window_;
+    const double width = to_seconds(window);
+    // The general path places the span's first samples: the first add
+    // coalesces into the newest run or appends one (growing the ring
+    // if full), and a coalesce at a stride other than dt makes the
+    // next add append again.  Once the newest run ends at the last
+    // sample with stride dt (or holds it alone), every later sample
+    // coalesces into it: with dt < window that run never ages out, so
+    // no later add appends a run or grows the ring, and the window
+    // never empties (no residue reset applies).
+    long k = 0;
+    for (; k < n; ++k) {
+        if (k > 0 && dt < window) {
+            const Run& back =
+                ring_[(head_ + runs_ - 1) & (ring_.size() - 1)];
+            if (back.n == 1 || back.stride == dt)
+                break;
+        }
+        add(t0 + k * dt, count);
+        if (rates != nullptr)
+            rates[k] = window_sum_ / width;
+    }
+    if (k == n)
+        return;
+    // evict()'s walk, with the sum, the live count and the cursor in
+    // locals: the loop stores only into runs, so the sum's dependent
+    // chain never round-trips through memory.
+    Run* const ring = ring_.data();
+    const std::size_t mask = ring_.size() - 1;
+    std::size_t head = head_;
+    std::size_t runs = runs_;
+    long live = count_;
+    double sum = window_sum_;
+    Run& back = ring[(head + runs - 1) & mask];
+    back.stride = dt;  // What the next coalesce sets on a 1-sample run.
+    for (; k < n; ++k) {
+        const SimTime start = t0 + k * dt - window;
+        for (;;) {
+            Run& r = ring[head];
+            if (r.first > start)
+                break;
+            long aged = 1;
+            if (r.n >= 2 && r.first + r.stride <= start)
+                aged = std::min<long>(r.n, (start - r.first) / r.stride + 1);
+            // One subtraction per evicted sample, oldest first.
+            for (long i = 0; i < aged; ++i)
+                sum -= r.count;
+            live -= aged;
+            if (aged < r.n) {
+                r.first += aged * r.stride;
+                r.n -= aged;
+                break;
+            }
+            head = (head + 1) & mask;
+            --runs;
+        }
+        ++back.n;
+        ++live;
+        sum += count;
+        if (rates != nullptr)
+            rates[k] = sum / width;
+    }
+    head_ = head;
+    runs_ = runs;
+    count_ = live;
+    window_sum_ = sum;
+}
+
 double
 WindowRate::rate(SimTime now) const
 {

@@ -126,6 +126,18 @@ class WindowRate
     /** Record `count` events (possibly fractional) at time `now`. */
     void add(SimTime now, double count);
 
+    /**
+     * Record `n` samples of `count` at t0, t0 + dt, ..., t0 + (n-1)*dt,
+     * bit for bit as n add() calls would: each sample first evicts
+     * the aged-out samples oldest first, then clears the residue of an
+     * emptied window, then adds its count, and the runs and ring
+     * capacity end up exactly as the per-sample path leaves them.
+     * When `rates` is not null, rates[k] receives the rate right after
+     * the k-th sample, i.e. rate(t0 + k*dt).
+     */
+    void add_span(SimTime t0, SimTime dt, long n, double count,
+                  double* rates);
+
     /** Events per second over [now - window, now]. */
     double rate(SimTime now) const;
 

@@ -73,6 +73,7 @@ run_specs(const std::vector<workload::TaskSpec>& specs,
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
             .count();
+    result.engine = simulation.engine_stats();
     if (params.trace)
         result.traces = simulation.recorder();
     return result;

@@ -76,6 +76,9 @@ struct RunResult {
      * their comparable output.
      */
     double wall_seconds = 0.0;
+    /** The engine counters of this run (a side channel, like
+     *  wall_seconds: macro-stepped and per-tick runs differ). */
+    sim::EngineStats engine;
 };
 
 /**

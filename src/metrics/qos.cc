@@ -1,5 +1,8 @@
 #include "metrics/qos.hh"
 
+#include <bit>
+#include <cstdint>
+
 #include "common/logging.hh"
 
 namespace ppm::metrics {
@@ -47,6 +50,54 @@ QosTracker::sample(const std::vector<workload::Task*>& tasks, SimTime now,
     if (any_alive) {
         any_below_.add(any_b, dt);
         any_outside_.add(any_o, dt);
+    }
+}
+
+void
+QosTracker::sample_span(const std::vector<workload::Task*>& tasks, long n,
+                        SimTime dt, const double* heart_rates,
+                        std::size_t stride, const std::vector<bool>* alive)
+{
+    PPM_ASSERT(tasks.size() == below_.size(), "task count mismatch");
+    PPM_ASSERT(alive == nullptr || alive->size() == tasks.size(),
+               "alive mask size mismatch");
+    PPM_ASSERT(n >= 0 && n <= kMaxSpan, "span longer than kMaxSpan");
+    // Bit k of a mask = the condition held at the k-th tick's end;
+    // the any-task channels OR the per-task masks tick by tick.
+    const auto add_counts = [n, dt](DutyCycle& d, std::uint64_t hits) {
+        const long k = std::popcount(hits);
+        d.add(true, k * dt);
+        d.add(false, (n - k) * dt);
+    };
+    std::uint64_t any_b = 0;
+    std::uint64_t any_o = 0;
+    bool any_alive = false;
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+        if (alive != nullptr && !(*alive)[i])
+            continue;
+        any_alive = true;
+        const workload::HeartRateMonitor& h = tasks[i]->hrm();
+        const double lo = h.min_hr();
+        const double hi = h.max_hr();
+        const bool ranged = h.has_range();
+        const double* hr = heart_rates + i * stride;
+        std::uint64_t b = 0;
+        std::uint64_t o = 0;
+        for (long k = 0; k < n; ++k) {
+            // sample()'s two predicates, evaluated without branches.
+            const bool below = hr[k] < lo;
+            const bool outside = ranged & (below | (hr[k] > hi));
+            b |= std::uint64_t{below} << k;
+            o |= std::uint64_t{outside} << k;
+        }
+        add_counts(below_[i], b);
+        add_counts(outside_[i], o);
+        any_b |= b;
+        any_o |= o;
+    }
+    if (any_alive) {
+        add_counts(any_below_, any_b);
+        add_counts(any_outside_, any_o);
     }
 }
 

@@ -55,6 +55,23 @@ class QosTracker
                 SimTime dt, SimTime warmup = 0,
                 const std::vector<bool>* alive = nullptr);
 
+    /**
+     * Account `n` consecutive ticks of length `dt` at once, all past
+     * the warmup, bit for bit as n sample() calls would: row i of
+     * `heart_rates` (heart_rates + i * stride, n values) holds task
+     * i's heart rate at each tick's end, and `alive` masks as in
+     * sample().  Each counter gets k*dt of true time and (n-k)*dt of
+     * false time for its k hits; durations are integers, so the sums
+     * equal the n per-tick additions.  n <= kMaxSpan.
+     */
+    void sample_span(const std::vector<workload::Task*>& tasks, long n,
+                     SimTime dt, const double* heart_rates,
+                     std::size_t stride,
+                     const std::vector<bool>* alive = nullptr);
+
+    /** Longest span sample_span() accepts (one bit per tick). */
+    static constexpr long kMaxSpan = 64;
+
     /** Fraction of time task `t` was below its reference range. */
     double task_below_fraction(TaskId t) const;
 

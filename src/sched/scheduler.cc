@@ -25,7 +25,7 @@ bit_equal(double a, double b)
 Scheduler::Scheduler(hw::Chip* chip, hw::MigrationModel migration)
     : chip_(chip), migration_(migration),
       core_util_(static_cast<std::size_t>(chip->num_cores()), 0.0),
-      by_core_(static_cast<std::size_t>(chip->num_cores()))
+      core_tasks_(static_cast<std::size_t>(chip->num_cores()))
 {
     PPM_ASSERT(chip_ != nullptr, "scheduler needs a chip");
 }
@@ -44,7 +44,45 @@ Scheduler::add_task(workload::Task* task, CoreId core)
     e.nice = 0;
     e.weight = weight_for_nice(0);
     entries_.push_back(e);
+    // Room for every task on every core, so migrations and activity
+    // changes never allocate (grown geometrically: construction adds
+    // the tasks one at a time).  The new id is the largest, so
+    // appending keeps the list sorted.
+    for (auto& ids : core_tasks_) {
+        if (ids.capacity() < entries_.size())
+            ids.reserve(std::max<std::size_t>(8, 2 * entries_.size()));
+    }
+    core_tasks_[static_cast<std::size_t>(core)].push_back(task->id());
     replay_cache_valid_ = false;
+}
+
+void
+Scheduler::list_insert(CoreId core, TaskId t)
+{
+    auto& ids = core_tasks_[static_cast<std::size_t>(core)];
+    ids.insert(std::lower_bound(ids.begin(), ids.end(), t), t);
+}
+
+void
+Scheduler::list_erase(CoreId core, TaskId t)
+{
+    auto& ids = core_tasks_[static_cast<std::size_t>(core)];
+    const auto it = std::lower_bound(ids.begin(), ids.end(), t);
+    PPM_ASSERT(it != ids.end() && *it == t,
+               "active task missing from its core's list");
+    ids.erase(it);
+}
+
+void
+Scheduler::rebuild_core_lists()
+{
+    for (auto& ids : core_tasks_)
+        ids.clear();
+    for (const Entry& e : entries_) {
+        if (e.active)
+            core_tasks_[static_cast<std::size_t>(e.core)].push_back(
+                e.task->id());
+    }
 }
 
 Scheduler::Entry&
@@ -79,15 +117,12 @@ Scheduler::core_of(TaskId t) const
     return entry(t).core;
 }
 
-std::vector<TaskId>
+const std::vector<TaskId>&
 Scheduler::tasks_on(CoreId core) const
 {
-    std::vector<TaskId> out;
-    for (const Entry& e : entries_) {
-        if (e.core == core && e.active)
-            out.push_back(e.task->id());
-    }
-    return out;
+    PPM_ASSERT(core >= 0 && core < chip_->num_cores(),
+               "core id out of range");
+    return core_tasks_[static_cast<std::size_t>(core)];
 }
 
 void
@@ -97,6 +132,10 @@ Scheduler::set_active(TaskId t, bool active)
     if (e.active == active)
         return;
     e.active = active;
+    if (active)
+        list_insert(e.core, t);
+    else
+        list_erase(e.core, t);
     replay_cache_valid_ = false;
 }
 
@@ -117,6 +156,10 @@ Scheduler::migrate(TaskId t, CoreId core, SimTime now,
         return 0;
     const SimTime cost =
         migration_.cost(*chip_, e.core, core, cost_scale);
+    if (e.active) {
+        list_erase(e.core, t);
+        list_insert(core, t);
+    }
     e.core = core;
     e.blocked_until = std::max(e.blocked_until, now + cost);
     ++migrations_;
@@ -238,7 +281,7 @@ Scheduler::distribute(CoreId core, const std::vector<TaskId>& ids,
         capacity > 0.0 ? std::min(1.0, used_total / capacity) : 0.0;
 }
 
-void
+bool
 Scheduler::tick(SimTime now, SimTime dt)
 {
     PPM_ASSERT(dt > 0, "tick must be positive");
@@ -249,7 +292,7 @@ Scheduler::tick(SimTime now, SimTime dt)
     if (replay_cache_reusable(dt)) {
         restore_replay_observables();
         replay_tick(now, dt);
-        return;
+        return true;
     }
     // This tick's samples may differ from the cached slots (that is
     // why the cache was not reusable), so any latched steady verdict
@@ -261,18 +304,9 @@ Scheduler::tick(SimTime now, SimTime dt)
     // cache rebuild, or replay_bulk_ready() would skip verification
     // and bulk-advance non-steady windows.
     replay_steady_hold_ = false;
-    // Group active tasks by core in one pass.  The per-core vectors
-    // are members that keep their capacity, so steady-state ticks
-    // allocate nothing.
-    for (auto& ids : by_core_)
-        ids.clear();
-    for (const Entry& e : entries_) {
-        if (e.active)
-            by_core_[static_cast<std::size_t>(e.core)].push_back(
-                e.task->id());
-    }
     for (CoreId c = 0; c < chip_->num_cores(); ++c)
-        distribute(c, by_core_[static_cast<std::size_t>(c)], now, dt);
+        distribute(c, core_tasks_[static_cast<std::size_t>(c)], now, dt);
+    return false;
 }
 
 bool
@@ -292,27 +326,20 @@ Scheduler::replay_cache_reusable(SimTime dt) const
     return true;
 }
 
-void
+bool
 Scheduler::begin_replay(SimTime now, SimTime dt)
 {
     PPM_ASSERT(dt > 0, "tick must be positive");
     if (replay_cache_reusable(dt)) {
         replay_cache_hit_ = true;  // The cached slots are still exact.
         restore_replay_observables();
-        return;
+        return true;
     }
     replay_cache_hit_ = false;
     replay_alpha_ = 1.0 - std::exp(-to_seconds(dt) / kLoadTauSeconds);
     replay_slots_.clear();
-    for (auto& ids : by_core_)
-        ids.clear();
-    for (const Entry& e : entries_) {
-        if (e.active)
-            by_core_[static_cast<std::size_t>(e.core)].push_back(
-                e.task->id());
-    }
     for (CoreId c = 0; c < chip_->num_cores(); ++c) {
-        const auto& ids = by_core_[static_cast<std::size_t>(c)];
+        const auto& ids = core_tasks_[static_cast<std::size_t>(c)];
         const hw::Cluster& cl = chip_->cluster(chip_->cluster_of(c));
         const hw::CoreClass cls = cl.type().core_class;
         const Cycles capacity = fill_granted(c, ids, now, dt);
@@ -357,7 +384,12 @@ Scheduler::begin_replay(SimTime now, SimTime dt)
     for (ReplaySlot& s : replay_slots_)
         s.phase_idx = s.task->phase_index();
     replay_core_util_ = core_util_;
+    // replay_bulk()'s columns match the slot set, sized here so a
+    // replay never grows them.
+    bulk_hb_.resize(replay_slots_.size());
+    bulk_cycles_.resize(replay_slots_.size());
     replay_cache_valid_ = true;
+    return false;
 }
 
 void
@@ -414,16 +446,6 @@ Scheduler::replay_bulk_ready(SimTime now, SimTime dt) const
     return true;
 }
 
-bool
-Scheduler::replay_windows_steady(SimTime now, SimTime dt) const
-{
-    for (const ReplaySlot& s : replay_slots_) {
-        if (!s.task->replay_steady(now, dt, s.beats, s.supplied))
-            return false;
-    }
-    return true;
-}
-
 void
 Scheduler::replay_bulk(long n, SimTime now, SimTime dt)
 {
@@ -434,8 +456,6 @@ Scheduler::replay_bulk(long n, SimTime now, SimTime dt)
     // running them in lockstep lets the CPU overlap the add latencies
     // instead of serialising one task's whole chain after another's.
     const std::size_t m = replay_slots_.size();
-    bulk_hb_.resize(m);
-    bulk_cycles_.resize(m);
     for (std::size_t i = 0; i < m; ++i) {
         bulk_hb_[i] = replay_slots_[i].task->total_heartbeats();
         bulk_cycles_[i] = replay_slots_[i].task->total_cycles();
@@ -449,6 +469,22 @@ Scheduler::replay_bulk(long n, SimTime now, SimTime dt)
     for (std::size_t i = 0; i < m; ++i)
         replay_slots_[i].task->bulk_finish(n, dt, bulk_hb_[i],
                                            bulk_cycles_[i]);
+}
+
+void
+Scheduler::replay_span(long n, SimTime now, SimTime dt,
+                       double* heart_rates, std::size_t stride)
+{
+    // Slots are independent objects, so each runs its whole span
+    // before the next; only each object's own sequence must keep the
+    // per-tick order.
+    for (const ReplaySlot& s : replay_slots_) {
+        s.task->replay_span(n, now, dt, s.granted, s.beats, s.supplied,
+                            heart_rates != nullptr
+                                ? heart_rates + s.entry * stride
+                                : nullptr);
+    }
+    replay_ewma_bulk(n);
 }
 
 void

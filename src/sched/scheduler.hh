@@ -51,8 +51,13 @@ class Scheduler
     /** Core the task currently runs on. */
     CoreId core_of(TaskId t) const;
 
-    /** Tasks currently mapped to `core`. */
-    std::vector<TaskId> tasks_on(CoreId core) const;
+    /**
+     * Active tasks currently mapped to `core`, in ascending id order.
+     * The list is kept current by add_task(), migrate() and
+     * set_active(), so a caller that migrates must read what it needs
+     * before the move (or copy the list first).
+     */
+    const std::vector<TaskId>& tasks_on(CoreId core) const;
 
     /**
      * Move task `t` to `core` (sched_setaffinity).  Charges the
@@ -83,8 +88,10 @@ class Scheduler
     /**
      * Run one scheduling tick over [now, now+dt): distribute each
      * core's cycles, advance all tasks, update load signals.
+     * @return true when the cached replay plan served the tick (a
+     *         slot-cache hit), false when the water-fill ran.
      */
-    void tick(SimTime now, SimTime dt);
+    bool tick(SimTime now, SimTime dt);
 
     /**
      * Prepare replay of a quiescent interval starting at `now`: run
@@ -93,8 +100,10 @@ class Scheduler
      * blocked states, phases and cluster supplies stay unchanged --
      * under those conditions tick() would recompute exactly these
      * values every tick, so replay_tick() can reuse them bit-for-bit.
+     * @return true when the previous plan was still exact (a
+     *         slot-cache hit), false when the water-fill ran.
      */
-    void begin_replay(SimTime now, SimTime dt);
+    bool begin_replay(SimTime now, SimTime dt);
 
     /**
      * One tick of the prepared replay: advances tasks and load EWMAs
@@ -114,24 +123,19 @@ class Scheduler
      */
     bool replay_bulk_ready(SimTime now, SimTime dt) const;
 
-    /**
-     * True when every task's HRM windows are steady (heart rates
-     * pinned bit-for-bit) even though some load EWMA may still be
-     * converging.  Then replay_bulk() plus replay_ewma_bulk() equal n
-     * per-tick replays: only the EWMAs need the tick-by-tick
-     * trajectory, everything else advances in closed form.
-     */
-    bool replay_windows_steady(SimTime now, SimTime dt) const;
-
     /** Apply `n` replay ticks at once (after replay_bulk_ready()). */
     void replay_bulk(long n, SimTime now, SimTime dt);
 
     /**
-     * The load/share EWMA updates of `n` replay ticks, nothing else.
-     * Each entry's update sequence is exactly the per-tick one; the
-     * independent per-entry chains run in lockstep for throughput.
+     * `n` replay_tick() calls from `now` at once, bit for bit: each
+     * slot's task runs Task::replay_span, then the load EWMAs take
+     * their n updates (replay_ewma_bulk).  When `heart_rates` is not
+     * null, the row of task t -- heart_rates + t * stride, n values --
+     * receives its heart rate at each tick's end; rows of tasks
+     * without a slot (inactive ones) are left untouched.
      */
-    void replay_ewma_bulk(long n);
+    void replay_span(long n, SimTime now, SimTime dt, double* heart_rates,
+                     std::size_t stride);
 
     /** Time before which the task receives no cycles (migration). */
     SimTime blocked_until(TaskId t) const { return entry(t).blocked_until; }
@@ -182,6 +186,7 @@ class Scheduler
                           "(admission replay incomplete?)");
         a(core_util_, migrations_);
         if constexpr (A::kLoading) {
+            rebuild_core_lists();
             replay_cache_valid_ = false;
             replay_steady_hold_ = false;
             replay_cache_hit_ = false;
@@ -249,6 +254,21 @@ class Scheduler
     Entry& entry(TaskId t);
     const Entry& entry(TaskId t) const;
 
+    /** Insert `t` into / erase it from core_tasks_[core], keeping
+     *  the list sorted. */
+    void list_insert(CoreId core, TaskId t);
+    void list_erase(CoreId core, TaskId t);
+
+    /** Derive every core's task list from the entries (after a load). */
+    void rebuild_core_lists();
+
+    /**
+     * The load/share EWMA updates of `n` replay ticks, nothing else.
+     * Each entry's update sequence is exactly the per-tick one; the
+     * independent per-entry chains run in lockstep for throughput.
+     */
+    void replay_ewma_bulk(long n);
+
     /** Water-filling split of `capacity` cycles among `ids` on `core`. */
     void distribute(CoreId core, const std::vector<TaskId>& ids,
                     SimTime now, SimTime dt);
@@ -267,12 +287,16 @@ class Scheduler
     std::vector<double> core_util_;
     long migrations_ = 0;
 
+    /** Active task ids per core, ascending (see tasks_on()); each list
+     *  has room for every task, so keeping them current never
+     *  allocates. */
+    std::vector<std::vector<TaskId>> core_tasks_;
+
     // Reusable per-tick scratch (sized once, cleared per use) so the
-    // steady-state tick allocates nothing.  by_core_ groups task ids
-    // per core; the index vectors drive the water-filling loop with
-    // positions into the current core's id list, replacing the
-    // O(n^2) std::find of the id-keyed formulation.
-    std::vector<std::vector<TaskId>> by_core_;
+    // steady-state tick allocates nothing.  The index vectors drive
+    // the water-filling loop with positions into the current core's
+    // id list, replacing the O(n^2) std::find of the id-keyed
+    // formulation.
     std::vector<Cycles> granted_;
     std::vector<std::size_t> active_idx_;
     std::vector<std::size_t> hungry_idx_;

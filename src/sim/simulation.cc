@@ -26,6 +26,34 @@ admit_reject_name(AdmitReject r)
     return "?";
 }
 
+const char*
+horizon_cap_name(EngineStats::Cap cap)
+{
+    switch (cap) {
+    case EngineStats::kWake:
+        return "wake";
+    case EngineStats::kLifetime:
+        return "lifetime";
+    case EngineStats::kUnblock:
+        return "unblock";
+    case EngineStats::kPhase:
+        return "phase";
+    case EngineStats::kTrace:
+        return "trace";
+    case EngineStats::kFault:
+        return "fault";
+    case EngineStats::kWarmup:
+        return "warmup";
+    case EngineStats::kRunUntil:
+        return "run_until";
+    case EngineStats::kDuration:
+        return "duration";
+    case EngineStats::kNumCaps:
+        break;
+    }
+    return "?";
+}
+
 Simulation::Simulation(hw::Chip chip,
                        const std::vector<workload::TaskSpec>& specs,
                        std::unique_ptr<Governor> governor, SimConfig config)
@@ -95,6 +123,7 @@ Simulation::Simulation(hw::Chip chip,
     task_views_.reserve(owned_tasks_.size());
     for (auto& t : owned_tasks_)
         task_views_.push_back(t.get());
+    span_rates_.resize(owned_tasks_.size() * kSpanBlock);
 
     // Intern every series/counter name this simulation can emit.
     // Interning is independent of attached sinks, so handles resolved
@@ -209,7 +238,11 @@ Simulation::step()
     if (injector_ != nullptr)
         injector_->tick(now_);
     governor_->tick(*this, now_, dt);
-    scheduler_->tick(now_, dt);
+    if (scheduler_->tick(now_, dt))
+        ++stats_.cache_hits;
+    else
+        ++stats_.cache_misses;
+    ++stats_.step_ticks;
     record_power(dt);
     const bool over_tdp =
         sensors_.instantaneous_chip() > config_.tdp_for_metrics;
@@ -252,19 +285,27 @@ Simulation::step()
     sample_traces();
 }
 
-long
+Simulation::Horizon
 Simulation::quiescent_ticks() const
 {
     if (!initialized_ || now_ >= config_.duration)
-        return 0;
+        return {};
     if (!governor_->quiescent(*this))
-        return 0;
+        return {};
     const SimTime dt = config_.tick;
     const SimTime wake = governor_->next_wake(now_);
     if (wake <= now_)
-        return 0;  // Governor may act on the very next tick.
+        return {};  // Governor may act on the very next tick.
     const auto ceil_div = [](SimTime a, SimTime b) {
         return static_cast<long>((a + b - 1) / b);
+    };
+    // The interval is the tightest cap; on a tie the cap listed first
+    // in EngineStats::Cap is the one reported.
+    Horizon h{ceil_div(config_.duration - now_, dt),
+              EngineStats::kDuration};
+    const auto cap = [&h](long ticks, EngineStats::Cap why) {
+        if (ticks < h.ticks || (ticks == h.ticks && why < h.cap))
+            h = {ticks, why};
     };
     // Replayed ticks start at now_, now_ + dt, ..., now_ + (n-1)*dt
     // and the interval closes at now_ + n*dt.  Each cap below keeps
@@ -284,34 +325,42 @@ Simulation::quiescent_ticks() const
     //    cost is unchanged and the phase clock is pure integer
     //    arithmetic either way);
     //  - tracing: every replayed tick must *end* strictly before the
-    //    next trace sample is due.
-    long n = ceil_div(config_.duration - now_, dt);
+    //    next trace sample is due;
+    //  - warmup: every replayed tick of a pre-warmup interval must
+    //    *end* strictly before the warmup edge (the same -1 as a
+    //    lifetime edge), so the boundary step() takes the warmup
+    //    snapshot on the very tick the per-tick loop would, and an
+    //    interval lies wholly before the QoS window or inside it.
     // run_until() horizon: like the duration cap, a pure minimum
     // bound, so slicing a run into epochs never changes what runs.
     if (stop_at_ < config_.duration)
-        n = std::min(n, ceil_div(stop_at_ - now_, dt));
-    n = std::min(n, ceil_div(wake - now_, dt));
+        cap(ceil_div(stop_at_ - now_, dt), EngineStats::kRunUntil);
+    cap(ceil_div(wake - now_, dt), EngineStats::kWake);
     for (const auto& life : config_.lifetimes) {
         // >= not >: an edge landing exactly at now_ has not been
         // applied yet (apply_lifetimes() runs at the *start* of the
         // next tick), so the active set begin_replay() would freeze
         // is stale -- the cap collapses to -1 and forces a step().
         if (life.arrival >= now_)
-            n = std::min(n, ceil_div(life.arrival - now_, dt) - 1);
+            cap(ceil_div(life.arrival - now_, dt) - 1,
+                EngineStats::kLifetime);
         if (life.departure >= now_)
-            n = std::min(n, ceil_div(life.departure - now_, dt) - 1);
+            cap(ceil_div(life.departure - now_, dt) - 1,
+                EngineStats::kLifetime);
     }
     for (const auto& t : owned_tasks_) {
         if (!scheduler_->active(t->id()))
             continue;
         const SimTime blocked = scheduler_->blocked_until(t->id());
         if (blocked > now_)
-            n = std::min(n, ceil_div(blocked - now_, dt));
+            cap(ceil_div(blocked - now_, dt), EngineStats::kUnblock);
         if (t->num_phases() > 1)
-            n = std::min(n, ceil_div(t->phase_remaining(), dt));
+            cap(ceil_div(t->phase_remaining(), dt), EngineStats::kPhase);
     }
     if (bus_.enabled() && config_.trace_period > 0 && next_trace_ > now_)
-        n = std::min(n, ceil_div(next_trace_ - now_, dt) - 1);
+        cap(ceil_div(next_trace_ - now_, dt) - 1, EngineStats::kTrace);
+    if (!warmup_snapshotted_)
+        cap(ceil_div(config_.warmup - now_, dt) - 1, EngineStats::kWarmup);
     if (injector_ != nullptr) {
         // Every fault edge (window open/close, pending action due,
         // core restoration) is a horizon: the interval ends AT the
@@ -332,21 +381,26 @@ Simulation::quiescent_ticks() const
         const SimTime edge = injector_->next_edge(now_ - dt);
         if (edge != fault::FaultInjector::kNoEdge) {
             if (edge <= now_)
-                return 0;  // Edge on the very next tick: step().
-            n = std::min(n, ceil_div(edge - now_, dt));
+                return {};  // Edge on the very next tick: step().
+            cap(ceil_div(edge - now_, dt), EngineStats::kFault);
         }
     }
-    return std::max<long>(0, n);
+    h.ticks = std::max<long>(0, h.ticks);
+    return h;
 }
 
 void
-Simulation::advance_quiescent(long n)
+Simulation::advance_quiescent(const Horizon& h)
 {
+    const long n = h.ticks;
     const SimTime dt = config_.tick;
     // One water-fill for the whole interval: its inputs (placements,
     // nice weights, active set, blocked states, phases, V-F levels)
     // are exactly what quiescent_ticks() held constant.
-    scheduler_->begin_replay(now_, dt);
+    if (scheduler_->begin_replay(now_, dt))
+        ++stats_.cache_hits;
+    else
+        ++stats_.cache_misses;
 
     // One power evaluation, mirroring record_power()'s arithmetic so
     // the per-cluster watts -- and the cluster-order chip sum -- come
@@ -377,13 +431,16 @@ Simulation::advance_quiescent(long n)
     // and fall back to per-tick execution on a veto (begin_replay()
     // above only refreshed scheduler caches, which step() recomputes
     // bit-identically, so bailing out here is side-effect free).
-    if (!governor_->quiescent_at_power(chip_w))
+    if (!governor_->quiescent_at_power(chip_w)) {
+        ++stats_.power_vetoes;
         return;
+    }
 
     // Let the governor replay its per-tick observations (e.g. the
     // sensor guard's last-good cache, refreshed by every clean read)
     // before the sensor state advances past the interval.
     governor_->replay_quiescent(*this, power_scratch_, n);
+    ++stats_.closed_by[h.cap];
 
     // Fault-activity is constant over the interval: every window edge
     // is a horizon bound, so no fault starts or ends inside it.
@@ -400,90 +457,71 @@ Simulation::advance_quiescent(long n)
         mask = &alive_scratch_;
     }
 
-    const auto num_clusters =
-        static_cast<std::size_t>(chip_.num_clusters());
-
-    const bool post_warmup = warmup_snapshotted_ && now_ >= config_.warmup;
-
-    // Steady state: every load EWMA and HRM window is at its
-    // floating-point fixed point, so per-tick replay would not change
-    // a single bit of them -- advance everything in bulk.
+    // The warmup cap makes every tick of a pre-warmup interval end
+    // before the edge, and the step() that takes the warmup snapshot
+    // ends past it, so the QoS window covers all of an interval or
+    // none of it.
+    const bool post_warmup = warmup_snapshotted_;
     if (post_warmup && scheduler_->replay_bulk_ready(now_, dt)) {
+        // Steady state: every load EWMA and HRM window is at its
+        // floating-point fixed point, so per-tick replay would not
+        // change a single bit of them -- advance everything in bulk.
         scheduler_->replay_bulk(n, now_, dt);
-        for (std::size_t v = 0; v < num_clusters; ++v)
-            sensors_.advance(static_cast<ClusterId>(v),
-                             energy_inc_scratch_[v], dt, n);
-        thermal_->advance(power_scratch_, dt, n);
-        over_tdp_.add(over, n * dt);
-        over_tdp_post_.add(over, n * dt);
-        if (fault_active)
-            over_tdp_fault_.add(over, n * dt);
         now_ += n * dt;
         // One QoS sample covers the whole interval: the heart rates
         // are pinned by the window fixed points, so n per-tick
         // duty-cycle additions of dt equal one addition of n*dt.
         qos_.sample(task_views_, now_, n * dt, config_.warmup, mask);
-        return;
+        ++stats_.bulk_intervals;
+        stats_.bulk_ticks += n;
+    } else {
+        replay_span(n, post_warmup, mask);
+        ++stats_.span_intervals;
+        stats_.span_ticks += n;
     }
 
-    // Transient replay: per-tick floating-point sequences, with the
-    // governor poll, water-fill, lifetime scan, V-F/migration delta
-    // checks and trace check all elided (no-ops per quiescent_ticks).
-    if (post_warmup) {
-        // The sensors, thermal nodes and TDP duty cycles see constant
-        // inputs and are read by nothing inside the loop, so their n
-        // per-tick updates hoist into the same closed-form advances
-        // the bulk path uses (per-object op sequences unchanged).
-        if (scheduler_->replay_windows_steady(now_, dt)) {
-            // Heart rates are already pinned; only the load EWMAs are
-            // still converging.  Replay just their update chains and
-            // advance everything else in closed form, including the
-            // one-sample QoS reduction of the whole interval.
-            scheduler_->replay_ewma_bulk(n);
-            scheduler_->replay_bulk(n, now_, dt);
-            now_ += n * dt;
-            qos_.sample(task_views_, now_, n * dt, config_.warmup,
-                        mask);
-        } else {
-            for (long k = 0; k < n; ++k) {
-                scheduler_->replay_tick(now_, dt);
-                now_ += dt;
-                qos_.sample(task_views_, now_, dt, config_.warmup,
-                            mask);
-            }
-        }
-        for (std::size_t v = 0; v < num_clusters; ++v)
-            sensors_.advance(static_cast<ClusterId>(v),
-                             energy_inc_scratch_[v], dt, n);
-        thermal_->advance(power_scratch_, dt, n);
-        over_tdp_.add(over, n * dt);
+    // The sensors, thermal nodes and TDP duty cycles see constant
+    // inputs and are read by nothing inside the interval, so their n
+    // per-tick updates take closed-form advances (per-object op
+    // sequences unchanged).
+    const auto num_clusters =
+        static_cast<std::size_t>(chip_.num_clusters());
+    for (std::size_t v = 0; v < num_clusters; ++v)
+        sensors_.advance(static_cast<ClusterId>(v),
+                         energy_inc_scratch_[v], dt, n);
+    thermal_->advance(power_scratch_, dt, n);
+    over_tdp_.add(over, n * dt);
+    if (post_warmup)
         over_tdp_post_.add(over, n * dt);
-        if (fault_active)
-            over_tdp_fault_.add(over, n * dt);
-        return;
-    }
+    if (fault_active)
+        over_tdp_fault_.add(over, n * dt);
+}
 
-    // Pre-warmup transient: the warmup snapshot and the post-warmup
-    // duty-cycle gate can both flip mid-interval, so every side effect
-    // stays tick-by-tick.
-    for (long k = 0; k < n; ++k) {
-        if (!warmup_snapshotted_ && now_ + dt >= config_.warmup) {
-            warmup_energy_ = sensors_.chip_energy();
-            warmup_end_ = now_;
-            warmup_snapshotted_ = true;
+void
+Simulation::replay_span(long n, bool qos, const std::vector<bool>* mask)
+{
+    const SimTime dt = config_.tick;
+    double* rates = qos ? span_rates_.data() : nullptr;
+    for (long left = n; left > 0;) {
+        const long m = std::min(left, kSpanBlock);
+        scheduler_->replay_span(m, now_, dt, rates, kSpanBlock);
+        if (qos) {
+            // sample() reads every unmasked task at each tick's end.
+            // The slots wrote their rows; a live task without a slot
+            // reads its own (idle) window, tick by tick.
+            for (std::size_t t = 0; t < task_views_.size(); ++t) {
+                if (scheduler_->active(static_cast<TaskId>(t)) ||
+                    (mask != nullptr && !(*mask)[t]))
+                    continue;
+                double* row = rates + t * kSpanBlock;
+                for (long k = 0; k < m; ++k)
+                    row[k] = task_views_[t]->heart_rate(now_ +
+                                                        (k + 1) * dt);
+            }
+            qos_.sample_span(task_views_, m, dt, rates, kSpanBlock, mask);
         }
-        scheduler_->replay_tick(now_, dt);
-        for (std::size_t v = 0; v < num_clusters; ++v)
-            sensors_.advance(static_cast<ClusterId>(v),
-                             energy_inc_scratch_[v], dt, 1);
-        thermal_->step(power_scratch_, dt);
-        over_tdp_.add(over, dt);
-        if (now_ + dt >= config_.warmup)
-            over_tdp_post_.add(over, dt);
-        if (fault_active)
-            over_tdp_fault_.add(over, dt);
-        now_ += dt;
-        qos_.sample(task_views_, now_, dt, config_.warmup, mask);
+        now_ += m * dt;
+        left -= m;
     }
 }
 
@@ -502,9 +540,9 @@ Simulation::run_until(SimTime stop)
     while (now_ < stop) {
         step();
         if (config_.macro_step) {
-            const long n = quiescent_ticks();
-            if (n > 0)
-                advance_quiescent(n);
+            const Horizon h = quiescent_ticks();
+            if (h.ticks > 0)
+                advance_quiescent(h);
         }
     }
     stop_at_ = SimConfig::Lifetime::kForever;
@@ -540,6 +578,7 @@ Simulation::admit_task(const workload::TaskSpec& spec,
     owned_tasks_.push_back(std::make_unique<workload::Task>(id, spec));
     workload::Task* task = owned_tasks_.back().get();
     task_views_.push_back(task);
+    span_rates_.resize(owned_tasks_.size() * kSpanBlock);
     config_.lifetimes.push_back(life);
     const auto& boot_cores = chip_.cluster(0).cores();
     const CoreId target = core != kInvalidId
@@ -654,6 +693,7 @@ void
 Simulation::load(snap::Reader& r)
 {
     r(*this);
+    stats_ = {};  // The engine counters are not state (EngineStats).
 }
 
 } // namespace ppm::sim

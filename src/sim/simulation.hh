@@ -151,6 +151,46 @@ struct RunSummary {
     long market_rounds_early_exit = 0; ///< Rounds with empty active set.
 };
 
+/**
+ * What the engine did, in plain counters: ticks and intervals per
+ * advance path, replay intervals by the horizon cap that closed them,
+ * slot-cache lookups and power vetoes.  A macro-stepped and a
+ * per-tick run of the same scenario count differently by design, so
+ * the counters are a side channel: they never enter RunSummary,
+ * traces or snapshots, and a restored run starts them from zero.
+ */
+struct EngineStats {
+    /**
+     * The horizon cap that closed a replay interval.  When several
+     * caps end it on the same tick, the first one listed is named.
+     */
+    enum Cap {
+        kWake,      ///< Governor::next_wake().
+        kLifetime,  ///< A task arrival or departure.
+        kUnblock,   ///< A task's migration charge ends.
+        kPhase,     ///< A multi-phase task reaches its phase edge.
+        kTrace,     ///< The next trace sample is due.
+        kFault,     ///< A fault-injector edge.
+        kWarmup,    ///< The QoS warmup edge.
+        kRunUntil,  ///< The run_until() stop time.
+        kDuration,  ///< The end of the run.
+        kNumCaps
+    };
+
+    long step_ticks = 0;      ///< Boundary step()s (one tick each).
+    long bulk_intervals = 0;  ///< Intervals advanced at the fixed point.
+    long bulk_ticks = 0;
+    long span_intervals = 0;  ///< Intervals replayed by the span kernel.
+    long span_ticks = 0;
+    long closed_by[kNumCaps] = {};  ///< Replay intervals by closing cap.
+    long cache_hits = 0;    ///< Slot-cache lookups (every boundary tick
+    long cache_misses = 0;  ///< and interval start): reused / refilled.
+    long power_vetoes = 0;  ///< Intervals refused by quiescent_at_power().
+};
+
+/** Short name of a horizon cap: "wake", "lifetime", ... */
+const char* horizon_cap_name(EngineStats::Cap cap);
+
 /** One complete experiment instance. */
 class Simulation
 {
@@ -259,6 +299,9 @@ class Simulation
 
     /** Count of V-F transitions observed so far. */
     long vf_transitions() const { return vf_transitions_; }
+
+    /** Engine counters since construction or the last load(). */
+    const EngineStats& engine_stats() const { return stats_; }
 
     /** The fault injector; null on clean runs. */
     fault::FaultInjector* fault_injector() { return injector_.get(); }
@@ -376,25 +419,44 @@ class Simulation
     /** Sample traces if due. */
     void sample_traces();
 
+    /** A quiescent interval: its length and the cap that closed it. */
+    struct Horizon {
+        long ticks = 0;
+        EngineStats::Cap cap = EngineStats::kDuration;
+    };
+
     /**
      * Number of ticks from now() during which every per-tick action
      * other than {scheduler advance, power/energy/thermal accounting,
      * QoS sampling} is provably a no-op: the governor sleeps until
      * its next wake time, no task arrives, departs, unblocks or
-     * crosses a phase boundary, and no trace sample is due.  0 when
-     * the next tick must run the full step() path.
+     * crosses a phase boundary, no trace sample is due and the warmup
+     * edge is not reached.  0 ticks when the next tick must run the
+     * full step() path.
      */
-    long quiescent_ticks() const;
+    Horizon quiescent_ticks() const;
 
     /**
-     * Advance `n` ticks of a quiescent interval (see
-     * quiescent_ticks()) with bit-identical results to n step()
-     * calls: the scheduler's water-fill runs once and is replayed,
-     * power is computed once and accumulated per tick, and -- once
-     * every load signal and HRM window reaches its floating-point
-     * fixed point -- the whole remainder advances in bulk.
+     * Advance the ticks of a quiescent interval (see
+     * quiescent_ticks()) with bit-identical results to as many
+     * step() calls: the scheduler's water-fill runs once, power is
+     * computed once, and the interval takes one of two paths -- bulk,
+     * when every load signal and HRM window sits at its
+     * floating-point fixed point, or else the span kernel
+     * (replay_span()).
      */
-    void advance_quiescent(long n);
+    void advance_quiescent(const Horizon& h);
+
+    /**
+     * The span path of advance_quiescent(): `n` ticks of exact
+     * per-object recurrences, in blocks of kSpanBlock ticks whose
+     * heart rates feed one QosTracker::sample_span() each (`qos`
+     * false before the warmup, where no tick is sampled).
+     */
+    void replay_span(long n, bool qos, const std::vector<bool>* mask);
+
+    /** Ticks per span block: one QoS mask bit per tick. */
+    static constexpr long kSpanBlock = metrics::QosTracker::kMaxSpan;
 
     hw::Chip chip_;
     std::vector<std::unique_ptr<workload::Task>> owned_tasks_;
@@ -426,6 +488,7 @@ class Simulation
     Joules warmup_energy_ = 0.0;
     SimTime warmup_end_ = 0;
     bool warmup_snapshotted_ = false;
+    EngineStats stats_;  ///< Side channel; deliberately not in visit().
 
     // Interned trace handles, resolved once at construction so the
     // per-tick and per-sample paths never rebuild series names.
@@ -444,6 +507,9 @@ class Simulation
     std::vector<bool> alive_scratch_;     ///< step: lifetime mask.
     std::vector<Joules> energy_inc_scratch_;  ///< advance_quiescent:
                                               ///< per-cluster J/tick.
+    /** replay_span: kSpanBlock heart rates per task, row = task id;
+     *  sized at construction and admit_task(). */
+    std::vector<double> span_rates_;
 };
 
 } // namespace ppm::sim

@@ -24,6 +24,15 @@ HeartRateMonitor::record(SimTime now, double beats,
     supply_.add(now, supplied_pu_seconds);
 }
 
+void
+HeartRateMonitor::record_span(SimTime t0, SimTime dt, long n, double beats,
+                              double supplied_pu_seconds,
+                              double* heart_rates)
+{
+    beats_.add_span(t0, dt, n, beats, heart_rates);
+    supply_.add_span(t0, dt, n, supplied_pu_seconds, nullptr);
+}
+
 double
 HeartRateMonitor::heart_rate(SimTime now) const
 {

@@ -41,6 +41,15 @@ class HeartRateMonitor
     /** Record `beats` heartbeats and `supplied` PU-seconds at `now`. */
     void record(SimTime now, double beats, double supplied_pu_seconds);
 
+    /**
+     * `n` record() calls at t0, t0 + dt, ..., t0 + (n-1)*dt with the
+     * same values, bit for bit (WindowRate::add_span).  When
+     * `heart_rates` is not null, heart_rates[k] receives
+     * heart_rate(t0 + k*dt) as it reads right after the k-th sample.
+     */
+    void record_span(SimTime t0, SimTime dt, long n, double beats,
+                     double supplied_pu_seconds, double* heart_rates);
+
     /** Measured heart rate (hb/s) over the window ending at `now`. */
     double heart_rate(SimTime now) const;
 

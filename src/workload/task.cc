@@ -110,17 +110,23 @@ Task::replay_steady(SimTime now, SimTime dt, double beats,
 }
 
 void
-Task::bulk_advance(long n, SimTime dt, Cycles granted, double beats,
-                   double supplied_pu_seconds)
+Task::replay_span(long n, SimTime now, SimTime dt, Cycles granted,
+                  double beats, double supplied_pu_seconds,
+                  double* heart_rates)
 {
-    // The running totals are sums of n dependent additions; those do
-    // not associate in floating point, so they stay per-step loops.
-    for (long i = 0; i < n; ++i)
-        total_hb_ += beats;
-    for (long i = 0; i < n; ++i)
-        total_cycles_ += granted;
-    (void)supplied_pu_seconds;
-    hrm_.advance_steady(n * dt);
+    // Sums of n dependent additions each; floating-point addition
+    // does not associate, so they stay in per-tick order (the two
+    // independent chains share one loop so their latencies overlap).
+    double hb = total_hb_;
+    Cycles cycles = total_cycles_;
+    for (long i = 0; i < n; ++i) {
+        hb += beats;
+        cycles += granted;
+    }
+    total_hb_ = hb;
+    total_cycles_ = cycles;
+    hrm_.record_span(now + dt, dt, n, beats, supplied_pu_seconds,
+                     heart_rates);
     advance_phase_clock(n * dt);
 }
 

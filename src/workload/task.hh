@@ -108,32 +108,36 @@ class Task
                         double beats, double supplied_pu_seconds);
 
     /**
+     * `n` replay_advance() calls over [now, now + n*dt) at once, bit
+     * for bit: the running totals take their n dependent additions in
+     * per-tick order, both HRM windows advance through
+     * HeartRateMonitor::record_span, and the phase clock moves by
+     * n*dt.  When `heart_rates` is not null, heart_rates[k] receives
+     * heart_rate(now + (k+1)*dt), the rate at the k-th tick's end.
+     * The caller keeps phase edges out of the span, as for bulk_finish().
+     */
+    void replay_span(long n, SimTime now, SimTime dt, Cycles granted,
+                     double beats, double supplied_pu_seconds,
+                     double* heart_rates);
+
+    /**
      * True when `n` further replay_advance() calls with these cached
      * values would leave the task's observable floating-point state
      * (heart rate, supply, totals trajectory endpoints) reproducible
-     * by bulk_advance(): both HRM windows are at their uniform
+     * by bulk_finish(): both HRM windows are at their uniform
      * steady-state fixed point.
      */
     bool replay_steady(SimTime now, SimTime dt, double beats,
                        double supplied_pu_seconds) const;
 
     /**
-     * Apply `n` replay_advance() steps at once.  The totals are still
-     * accumulated one tick at a time (floating-point addition does
-     * not associate), but the steady HRM windows shift in O(1) and
-     * the phase clock advances in closed form.  Caller must have
-     * established replay_steady().
-     */
-    void bulk_advance(long n, SimTime dt, Cycles granted, double beats,
-                      double supplied_pu_seconds);
-
-    /**
      * Complete a bulk advance whose running totals were accumulated
      * externally (the scheduler interleaves the per-task addition
      * chains for throughput).  `total_hb` / `total_cycles` must be
      * the values total_heartbeats() / total_cycles() would hold after
-     * n per-tick additions of the cached increments; this shifts the
-     * steady HRM windows and phase clock exactly like bulk_advance().
+     * n per-tick additions of the cached increments; the steady HRM
+     * windows shift in O(1) and the phase clock advances in closed
+     * form.  Caller must have established replay_steady().
      */
     void bulk_finish(long n, SimTime dt, double total_hb,
                      Cycles total_cycles);

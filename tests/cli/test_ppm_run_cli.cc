@@ -168,6 +168,31 @@ TEST(PpmRunCli, NoIncrementalRejectsAnInlineValue)
     EXPECT_EQ(run_cli("--set l1 --seconds 1 --no-incremental=1"), 2);
 }
 
+TEST(PpmRunCli, EngineStatsPrintOnlyToStderr)
+{
+    // The counters ride stderr: stdout stays byte-identical with and
+    // without the flag, one line per chip under --fleet.
+    std::string plain;
+    std::string out;
+    std::string err;
+    ASSERT_EQ(run_cli_capture("--set l1 --seconds 3", &plain, nullptr), 0);
+    ASSERT_EQ(run_cli_capture("--set l1 --seconds 3 --engine-stats", &out,
+                              &err),
+              0);
+    EXPECT_EQ(out, plain);
+    EXPECT_NE(err.find("engine: step_ticks="), std::string::npos) << err;
+    EXPECT_NE(err.find(" closed_warmup=1 "), std::string::npos) << err;
+    ASSERT_EQ(run_cli_capture("--set l1 --seconds 1 --fleet 2 "
+                              "--engine-stats",
+                              nullptr, &err),
+              0);
+    EXPECT_NE(err.find("engine chip=0: "), std::string::npos) << err;
+    EXPECT_NE(err.find("engine chip=1: "), std::string::npos) << err;
+    EXPECT_EQ(run_cli("--set l1 --seconds 1 --engine-stats=1"), 2);
+    EXPECT_EQ(run_cli("--set l1 --seconds 1 --engine-stats --avg-seeds 2"),
+              1);
+}
+
 TEST(PpmRunCli, UnwritableTracePathFailsBeforeSimulating)
 {
     EXPECT_NE(run_cli("--set l1 --seconds 1 "

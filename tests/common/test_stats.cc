@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "common/stats.hh"
+#include "snapshot/archive.hh"
 
 namespace ppm {
 namespace {
@@ -258,6 +260,90 @@ TEST(WindowRate, AdvanceSteadyMatchesExplicitAdds)
     const double b = slow.rate(t + n * dt);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(a),
               std::bit_cast<std::uint64_t>(b));
+}
+
+/** A window's snapshot bytes: its runs, ring capacity, count and sum. */
+std::string
+window_bytes(const WindowRate& w)
+{
+    snap::Writer out;
+    out(w);
+    return out.payload();
+}
+
+TEST(WindowRate, AddSpanMatchesPerSampleAdds)
+{
+    // Seeded random histories drive two windows through the same
+    // sequence: one takes every span as add_span(), the other as n
+    // add() calls.  The histories mix single samples and spans, a
+    // small value palette (so runs repeat and coalesce), repeated
+    // timestamps, gaps longer than the window, partial windows,
+    // window/dt of 1 (and below) and spans longer than the window.
+    const double palette[] = {0.0, 0.25, 0.5, 1.0 / 3.0};
+    for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+        Rng rng(seed);
+        const SimTime dt = rng.chance(0.5) ? kMillisecond
+                                           : 2 * kMillisecond;
+        const SimTime windows[] = {dt / 2, dt, 3 * dt, 16 * dt, 100 * dt};
+        const SimTime window = windows[rng.uniform_int(0, 4)];
+        const long per_window = std::max<SimTime>(1, window / dt);
+        WindowRate span(window);
+        WindowRate ref(window);
+        std::vector<double> rates;
+        SimTime t = 0;
+        const auto value = [&] {
+            return palette[rng.uniform_int(0, 3)];
+        };
+        const auto gap = [&]() -> SimTime {
+            switch (rng.uniform_int(0, 5)) {
+            case 0:
+                return 0;  // Repeated timestamp.
+            case 1:
+                return 3 * dt;
+            case 2:
+                return window + dt;  // The window empties.
+            default:
+                return dt;
+            }
+        };
+        for (int op = 0; op < 60; ++op) {
+            if (rng.chance(0.5)) {
+                t += gap();
+                const double c = value();
+                span.add(t, c);
+                ref.add(t, c);
+            } else {
+                const long lengths[] = {0,
+                                        1,
+                                        2,
+                                        per_window - 1,
+                                        per_window,
+                                        per_window + 5,
+                                        3 * per_window + 1};
+                const long n = std::max<long>(
+                    0, lengths[rng.uniform_int(0, 6)]);
+                const SimTime t0 = t + gap();
+                const double c = value();
+                rates.assign(static_cast<std::size_t>(n), -1.0);
+                span.add_span(t0, dt, n, c, rates.data());
+                for (long k = 0; k < n; ++k) {
+                    ref.add(t0 + k * dt, c);
+                    ASSERT_EQ(std::bit_cast<std::uint64_t>(
+                                  rates[static_cast<std::size_t>(k)]),
+                              std::bit_cast<std::uint64_t>(
+                                  ref.rate(t0 + k * dt)))
+                        << "seed " << seed << " op " << op << " tick "
+                        << k;
+                }
+                if (n > 0)
+                    t = t0 + (n - 1) * dt;
+            }
+            ASSERT_EQ(window_bytes(span), window_bytes(ref))
+                << "seed " << seed << " op " << op;
+        }
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(span.rate(t + dt)),
+                  std::bit_cast<std::uint64_t>(ref.rate(t + dt)));
+    }
 }
 
 TEST(WindowRate, PartiallyFilledWindowIsNotSteady)

@@ -5,7 +5,10 @@
  * exactly the same RunSummary -- every field, at full precision -- as
  * the historical tick-by-tick loop, including the horizon edge cases
  * (events landing exactly on governor epochs, zero-length lifetimes,
- * arrivals at the end of the run) and trace-capped horizons.
+ * arrivals at the end of the run, a warmup edge inside a governor
+ * epoch) and trace-capped horizons.  The archive cases compare the
+ * complete snapshot payload, so every HRM window's run structure,
+ * ring capacity and running sum must match too, not just the summary.
  */
 
 #include <cstdio>
@@ -20,6 +23,7 @@
 #include "hw/platform.hh"
 #include "market/ppm_governor.hh"
 #include "sim/simulation.hh"
+#include "snapshot/archive.hh"
 #include "tests/test_util.hh"
 
 namespace ppm {
@@ -155,6 +159,136 @@ TEST(Macrostep, ArrivalExactlyAtDuration)
     cfg.lifetimes.resize(3);
     cfg.lifetimes[1].arrival = cfg.duration;
     expect_macro_matches_per_tick("PPM", cfg);
+}
+
+TEST(Macrostep, WarmupEdgeInsideGovernorEpoch)
+{
+    // The warmup edge closes a replay interval like a lifetime edge:
+    // the boundary step that takes the warmup snapshot must land on the
+    // same tick as in the per-tick loop, whether the edge sits on the
+    // tick grid or between two ticks, and in either case inside a
+    // 32 ms governor epoch (1216 ms < edge < 1248 ms).
+    for (const SimTime warmup : {1240 * kMillisecond, SimTime{1234567}}) {
+        for (const char* policy : {"PPM", "HPM", "HL"}) {
+            sim::SimConfig cfg = base_config();
+            cfg.warmup = warmup;
+            expect_macro_matches_per_tick(policy, cfg);
+        }
+    }
+}
+
+/**
+ * Advance the scenario macro-stepped and per tick through run_until()
+ * and require identical snapshot payloads at 1.3 s, 3.7 s and 4.999 s.
+ */
+void
+expect_archives_match_per_tick(const sim::SimConfig& base,
+                               const std::string& what)
+{
+    for (const char* policy : {"PPM", "HPM", "HL"}) {
+        sim::SimConfig cfg = base;
+        cfg.macro_step = true;
+        sim::Simulation macro(hw::tc2_chip(), specs(),
+                              make_policy(policy), cfg);
+        cfg.macro_step = false;
+        sim::Simulation tick(hw::tc2_chip(), specs(), make_policy(policy),
+                             cfg);
+        for (const SimTime at : {1300 * kMillisecond, 3700 * kMillisecond,
+                                 4999 * kMillisecond}) {
+            macro.run_until(at);
+            tick.run_until(at);
+            snap::Writer wm;
+            snap::Writer wt;
+            macro.save(wm);
+            tick.save(wt);
+            const std::string& a = wm.payload();
+            const std::string& b = wt.payload();
+            std::size_t first = 0;
+            while (first < a.size() && first < b.size() &&
+                   a[first] == b[first])
+                ++first;
+            EXPECT_TRUE(a == b)
+                << what << ", " << policy << " at " << at
+                << " us: payloads of "
+                << a.size() << " and " << b.size()
+                << " bytes first differ at byte " << first;
+        }
+    }
+}
+
+TEST(Macrostep, ArchiveBytesMatchPerTick)
+{
+    expect_archives_match_per_tick(base_config(), "plain");
+
+    sim::SimConfig lives = base_config();
+    lives.lifetimes.resize(3);
+    lives.lifetimes[1].arrival = 800 * kMillisecond;
+    lives.lifetimes[2].departure = 2 * kSecond;
+    expect_archives_match_per_tick(lives, "lifetimes");
+
+    sim::SimConfig off_grid = base_config();
+    off_grid.warmup = 1234567;  // Between two ticks.
+    expect_archives_match_per_tick(off_grid, "off-grid warmup");
+}
+
+/** Ticks the engine advanced, by the paths EngineStats counts. */
+long
+counted_ticks(const sim::EngineStats& st)
+{
+    return st.step_ticks + st.bulk_ticks + st.span_ticks;
+}
+
+TEST(Macrostep, EngineStatsAccountForEveryTick)
+{
+    for (const char* policy : {"PPM", "HPM", "HL"}) {
+        sim::SimConfig cfg = base_config();
+        cfg.lifetimes.resize(3);
+        cfg.lifetimes[2].departure = 2 * kSecond;
+        const long ticks = cfg.duration / cfg.tick;
+
+        cfg.macro_step = true;
+        sim::Simulation macro(hw::tc2_chip(), specs(), make_policy(policy),
+                              cfg);
+        macro.run_until(3 * kSecond);
+        snap::Writer w;
+        macro.save(w);
+        macro.run();
+        const sim::EngineStats& st = macro.engine_stats();
+        EXPECT_EQ(counted_ticks(st), ticks) << policy;
+        long closed = 0;
+        for (const long c : st.closed_by)
+            closed += c;
+        EXPECT_EQ(closed, st.bulk_intervals + st.span_intervals) << policy;
+        EXPECT_GT(st.span_ticks, 0) << policy;
+        EXPECT_GT(st.closed_by[sim::EngineStats::kWake], 0) << policy;
+        EXPECT_EQ(st.closed_by[sim::EngineStats::kWarmup], 1) << policy;
+        EXPECT_EQ(st.closed_by[sim::EngineStats::kLifetime], 1) << policy;
+        // Every boundary tick and every interval start looks up the
+        // slot cache once.
+        EXPECT_EQ(st.cache_hits + st.cache_misses,
+                  st.step_ticks + closed + st.power_vetoes)
+            << policy;
+
+        // A restored run counts from the restore, not from zero time.
+        sim::Simulation restored(hw::tc2_chip(), specs(),
+                                 make_policy(policy), cfg);
+        snap::Reader r;
+        ASSERT_EQ(r.open(w.finalize()), snap::LoadStatus::kOk);
+        restored.load(r);
+        EXPECT_EQ(counted_ticks(restored.engine_stats()), 0) << policy;
+        restored.run();
+        EXPECT_EQ(counted_ticks(restored.engine_stats()),
+                  ticks - 3 * kSecond / cfg.tick)
+            << policy;
+
+        // The per-tick loop steps every tick at the boundary.
+        cfg.macro_step = false;
+        sim::Simulation tick(hw::tc2_chip(), specs(), make_policy(policy),
+                             cfg);
+        tick.run();
+        EXPECT_EQ(tick.engine_stats().step_ticks, ticks) << policy;
+        EXPECT_EQ(counted_ticks(tick.engine_stats()), ticks) << policy;
+    }
 }
 
 TEST(Macrostep, TraceSinkCapsHorizonToSamplingGrid)

@@ -2,15 +2,16 @@
  * @file
  * The engine's steady state allocates nothing.  After a warm-up, a
  * steady Simulation::step(), a macro-stepped run_until() window,
- * Scheduler::tick() and Market::round() make zero heap allocations.
- * A counting global operator new brackets each measured window; this
- * file is its own test binary so the override reaches no other suite.
+ * Scheduler::tick() and Market::round() make zero heap allocations,
+ * and so do the HPM and HL governor wakes on a paper set.  A counting
+ * global operator new brackets each measured window; this file is its
+ * own test binary so the override reaches no other suite.
  *
- * The setups are bench_hotpath's: synthetic V x C chips running
+ * The engine setups are bench_hotpath's: synthetic V x C chips running
  * Table-7-style workloads drawn from seed 2014.  The paper's task sets
- * are not pinned here: after warm-up their HRM rings still grow when a
- * heart rate rises, and governor wakes allocate (EXPERIMENTS.md,
- * "Hot-path microbenchmarks").
+ * are pinned for the baseline wakes only: after warm-up their HRM
+ * rings still grow when a heart rate rises, and PPM's LBT wakes
+ * allocate (EXPERIMENTS.md, "Hot-path microbenchmarks").
  */
 
 #include <atomic>
@@ -23,12 +24,14 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "experiment/experiment.hh"
 #include "hw/platform.hh"
 #include "market/market.hh"
 #include "market/ppm_governor.hh"
 #include "metrics/telemetry.hh"
 #include "sched/scheduler.hh"
 #include "sim/simulation.hh"
+#include "workload/sets.hh"
 #include "workload/task.hh"
 
 // Both new and delete forward to malloc/free, so the pairing GCC's
@@ -198,9 +201,10 @@ TEST(AllocFree, SteadySimulationStep)
 TEST(AllocFree, MacroSteppedRunUntil)
 {
     // The first 60-s window grows the replay scratch to its working
-    // size (advance_quiescent, begin_replay, replay_bulk,
-    // ThermalModel::advance): 14 allocations at 2x4, 18 at 4x8.
-    // Every later window reuses it.
+    // size: advance_quiescent's per-cluster energy column,
+    // begin_replay's slots, cluster supplies, utilization copy and
+    // replay_bulk columns, and ThermalModel::advance's two columns --
+    // 14 allocations at 2x4, 18 at 4x8.  Every later window reuses it.
     const SimTime window = 60 * kSecond;
     for (const SimShape& s : kSimShapes) {
         auto sim = steady_sim(s);
@@ -208,6 +212,101 @@ TEST(AllocFree, MacroSteppedRunUntil)
         const long before = alloc_count();
         sim->run_until(sim->now() + window);
         EXPECT_EQ(alloc_count() - before, 0) << label(s);
+    }
+}
+
+/**
+ * Forwards every Governor virtual to the wrapped governor unchanged
+ * and counts the heap allocations made inside tick() alone, so engine
+ * allocations (an HRM ring growing) stay out of the count.
+ */
+class TickAllocProbe : public sim::Governor
+{
+  public:
+    explicit TickAllocProbe(std::unique_ptr<sim::Governor> inner)
+        : inner_(std::move(inner))
+    {
+    }
+
+    long allocs() const { return allocs_; }
+
+    std::string name() const override { return inner_->name(); }
+    void init(sim::Simulation& sim) override { inner_->init(sim); }
+    void tick(sim::Simulation& sim, SimTime now, SimTime dt) override
+    {
+        const long before = alloc_count();
+        inner_->tick(sim, now, dt);
+        allocs_ += alloc_count() - before;
+    }
+    SimTime next_wake(SimTime now) const override
+    {
+        return inner_->next_wake(now);
+    }
+    bool quiescent(const sim::Simulation& sim) const override
+    {
+        return inner_->quiescent(sim);
+    }
+    bool quiescent_at_power(Watts chip_power) const override
+    {
+        return inner_->quiescent_at_power(chip_power);
+    }
+    void replay_quiescent(const sim::Simulation& sim,
+                          const std::vector<Watts>& cluster_power,
+                          long n) override
+    {
+        inner_->replay_quiescent(sim, cluster_power, n);
+    }
+    void set_power_budget(Watts w_tdp) override
+    {
+        inner_->set_power_budget(w_tdp);
+    }
+    double power_deficit() const override
+    {
+        return inner_->power_deficit();
+    }
+    void task_admitted(sim::Simulation& sim, TaskId id,
+                       double big_speedup) override
+    {
+        inner_->task_admitted(sim, id, big_speedup);
+    }
+    sim::ClearingStats clearing_stats() const override
+    {
+        return inner_->clearing_stats();
+    }
+    sim::AdmitReject admission_check() const override
+    {
+        return inner_->admission_check();
+    }
+    void save(snap::Writer& w) const override { inner_->save(w); }
+    void load(snap::Reader& r) override { inner_->load(r); }
+
+  private:
+    std::unique_ptr<sim::Governor> inner_;
+    long allocs_ = 0;
+};
+
+TEST(AllocFree, BaselineWakes)
+{
+    // HPM and HL on the paper's m2 set, seed 42, uncapped and
+    // macro-stepped.  The scheduler's per-core task lists and HPM's
+    // demand scratch are sized when tasks are added, so the measured
+    // warm-up is empty: the first 10 simulated seconds allocate
+    // nothing either.  The test warms 10 s and counts the next 30 s.
+    const SimTime warm = 10 * kSecond;
+    const SimTime horizon = 40 * kSecond;
+    const auto specs = workload::instantiate(
+        workload::workload_set("m2"), 42, 1, horizon + 100 * kSecond);
+    for (const char* policy : {"HPM", "HL"}) {
+        auto probe = std::make_unique<TickAllocProbe>(
+            experiment::make_governor(policy, 1e9, {}));
+        const TickAllocProbe* counts = probe.get();
+        sim::SimConfig cfg;
+        cfg.duration = horizon;
+        sim::Simulation sim(hw::tc2_chip(), specs, std::move(probe), cfg);
+        sim.run_until(warm);
+        const long before = counts->allocs();
+        sim.run_until(horizon);
+        EXPECT_EQ(counts->allocs() - before, 0) << policy;
     }
 }
 

@@ -11,7 +11,7 @@
  *           [--per-tick] [--no-incremental] [--faults SPEC]
  *           [--fleet N] [--fleet-budget WATTS] [--fleet-epoch MS]
  *           [--snapshot-out PATH] [--snapshot-at MS]
- *           [--snapshot-every MS] [--snapshot-in PATH]
+ *           [--snapshot-every MS] [--snapshot-in PATH] [--engine-stats]
  *
  * --no-incremental disables PPM's incremental active-set clearing
  * (PpmConfig::incremental): every market entry is recomputed every
@@ -72,6 +72,15 @@
  *  snapshot covers the whole federation (supervisor, health, pending
  *  evacuations, every shard) and saves land on the next epoch
  *  barrier at or after the requested time.
+ *
+ * --engine-stats prints, after a completed run, what the engine did
+ * (sim::EngineStats) as one line of key=value counters on stderr:
+ * ticks and intervals per advance path (boundary step, bulk, span),
+ * replay intervals by the horizon cap that closed them, slot-cache
+ * hits and misses, and power vetoes.  A fleet prints one line per
+ * chip.  The counters differ between macro-stepped and --per-tick
+ * runs by design, so they never reach stdout; a restored run counts
+ * from the restore.  It reports one run, so --avg-seeds rejects it.
  *
  * --avg-seeds N runs N seeds (seed, +100, +200, ...) and prints the
  * cross-seed aggregate (see experiment::aggregate_summaries); --jobs
@@ -136,6 +145,7 @@ usage(const char* argv0)
         "          [--fleet N] [--fleet-budget WATTS] [--fleet-epoch MS]\n"
         "          [--snapshot-out PATH] [--snapshot-at MS]\n"
         "          [--snapshot-every MS] [--snapshot-in PATH]\n"
+        "          [--engine-stats]\n"
         "\n"
         "--no-incremental disables PPM's incremental active-set\n"
         "clearing and recomputes every market entry each round\n"
@@ -163,7 +173,10 @@ usage(const char* argv0)
         "--seed --seconds --tdp --priority --online --faults --fleet\n"
         "--fleet-budget --fleet-epoch must repeat the saving run's\n"
         "values; a mismatch exits 2 naming the flag); --snapshot-every\n"
-        "MS saves periodically while running to completion.\n",
+        "MS saves periodically while running to completion.\n"
+        "--engine-stats prints the engine's tick, interval, horizon-cap,\n"
+        "slot-cache and power-veto counters to stderr after the run\n"
+        "(one line per chip with --fleet).\n",
         argv0);
     std::exit(2);
 }
@@ -216,6 +229,31 @@ check_binding(const std::string& path, const std::string& saved,
     }
 }
 
+/** One --engine-stats line on stderr: `label`, then every counter. */
+void
+print_engine_stats(const std::string& label, const ppm::sim::EngineStats& st)
+{
+    using ppm::sim::EngineStats;
+    std::string line = label + ":";
+    const auto add = [&line](const std::string& key, long value) {
+        line += " " + key + "=" + std::to_string(value);
+    };
+    add("step_ticks", st.step_ticks);
+    add("bulk_intervals", st.bulk_intervals);
+    add("bulk_ticks", st.bulk_ticks);
+    add("span_intervals", st.span_intervals);
+    add("span_ticks", st.span_ticks);
+    for (int c = 0; c < EngineStats::kNumCaps; ++c) {
+        const auto cap = static_cast<EngineStats::Cap>(c);
+        add(std::string("closed_") + ppm::sim::horizon_cap_name(cap),
+            st.closed_by[c]);
+    }
+    add("cache_hits", st.cache_hits);
+    add("cache_misses", st.cache_misses);
+    add("power_vetoes", st.power_vetoes);
+    std::fprintf(stderr, "%s\n", line.c_str());
+}
+
 } // namespace
 
 int
@@ -241,6 +279,7 @@ main(int argc, char** argv)
     std::string snap_in;
     SimTime snap_at = 0;     // 0 = no save-and-exit point.
     SimTime snap_every = 0;  // 0 = no periodic saves.
+    bool engine_stats = false;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -375,6 +414,11 @@ main(int argc, char** argv)
             snap_every = ms * kMillisecond;
         } else if (arg == "--csv") {
             csv_summary = true;
+        } else if (arg == "--engine-stats") {
+            if (has_inline)
+                bad_arg("--engine-stats", "takes no value",
+                        inline_value.c_str());
+            engine_stats = true;
         } else if (arg == "--list-sets") {
             Table sets({"set", "class", "intensity", "members"});
             for (const auto& s : workload::standard_workload_sets()) {
@@ -429,6 +473,8 @@ main(int argc, char** argv)
         fatal("--snapshot-at must fall before the run end (--seconds)");
     if (snapshotting && avg_seeds > 1)
         fatal("snapshots cover one run; drop --avg-seeds");
+    if (engine_stats && avg_seeds > 1)
+        fatal("--engine-stats reports one run; drop it or --avg-seeds");
     if (snap_at > 0 && !trace_path.empty())
         fatal("--snapshot-at exits before the wide CSV is written; put "
               "--trace on the restoring run instead");
@@ -657,6 +703,11 @@ main(int argc, char** argv)
                            .count();
         s = fleet_res.combined;
         fleet_epochs = fleet_res.supervisor_epochs;
+        if (engine_stats) {
+            for (int c = 0; c < fleet.chips(); ++c)
+                print_engine_stats("engine chip=" + std::to_string(c),
+                                   fleet.shard(c).engine_stats());
+        }
     } else if (avg_seeds > 1) {
         const auto start = std::chrono::steady_clock::now();
         s = experiment::run_set_avg(set, params, avg_seeds, jobs);
@@ -717,6 +768,8 @@ main(int argc, char** argv)
         wall_seconds = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - start)
                            .count();
+        if (engine_stats)
+            print_engine_stats("engine", simulation.engine_stats());
         if (!trace_path.empty())
             simulation.recorder().write_csv(trace_out);
     } else {
@@ -724,6 +777,8 @@ main(int argc, char** argv)
             experiment::run_set(set, params);
         s = result.summary;
         wall_seconds = result.wall_seconds;
+        if (engine_stats)
+            print_engine_stats("engine", result.engine);
         if (!trace_path.empty())
             result.traces.write_csv(trace_out);
     }
