@@ -2,7 +2,8 @@
  * @file
  * Fleet-federation scalability: wall-clock cost of one supervisor
  * epoch (parallel shard macro-stepping + batched cross-shard
- * settlement) swept over fleet size and shard-pool worker count.
+ * settlement) swept over fleet size and shard-stepping thread count
+ * (FleetConfig::jobs: the control thread plus jobs - 1 pool workers).
  *
  * Each chip is a full per-chip economy (TC2-like platform, PPM
  * market governor, its own task population); one epoch advances
@@ -13,7 +14,7 @@
  * settlement runs in chip-id order on the control thread), so the
  * jobs sweep is a pure wall-clock scaling measurement.  Every epoch
  * row times the same window -- the first kEpochs epochs of a freshly
- * built fleet -- so rows differ only in shape and worker count.
+ * built fleet -- so rows differ only in shape and thread count.
  *
  * Tracked as BENCH_fleet.json via scripts/bench_fleet.sh.
  */
@@ -104,8 +105,8 @@ void
 fleet_args(benchmark::internal::Benchmark* b)
 {
     // A small warm-up shape plus the flagship: 64 chips x 160 tasks
-    // = 10,240 tasks cleared per epoch, swept over the shard-pool
-    // worker count (jobs=1 inlines on the control thread and is the
+    // = 10,240 tasks cleared per epoch, swept over the shard-stepping
+    // thread count (jobs=1 inlines on the control thread and is the
     // speedup baseline).
     for (const auto& shape : {std::pair{16, 40}, std::pair{64, 160}}) {
         for (int jobs : {1, 2, 4})

@@ -31,10 +31,11 @@ using experiment::run_specs;
 using experiment::run_sweep;
 
 /**
- * Parse `--jobs N` from a bench driver's argv.  Returns 0 (= one
- * worker per hardware thread) when absent; exits with usage on a
- * malformed value.  Results are identical for every jobs value --
- * the flag only trades wall-clock time for cores.
+ * Parse `--jobs N` from a bench driver's argv: N threads, the calling
+ * thread included.  Returns 0 (= one thread per hardware thread) when
+ * absent; exits with usage on a malformed value.  Results are
+ * identical for every jobs value -- the flag only trades wall-clock
+ * time for cores.
  */
 inline int
 jobs_arg(int argc, char** argv)

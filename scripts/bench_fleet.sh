@@ -2,12 +2,13 @@
 # Build and run the fleet-federation scalability benchmark, emitting
 # BENCH_fleet.json at the repo root: one supervisor epoch (parallel
 # shard macro-stepping + batched cross-shard settlement) per
-# (chips, tasks/chip) shape swept over shard-pool worker counts 1, 2
-# and 4.  The flagship shape clears 64 chips x 160 tasks = 10,240
-# tasks per epoch.  Every jobs value produces byte-identical fleet
-# state, and every row times the same window -- the first 32 epochs
-# of a freshly built fleet -- so the curve is a pure wall-clock
-# scaling measurement of the federation layer.  Two fault-tolerance
+# (chips, tasks/chip) shape swept over shard-stepping thread counts
+# (jobs) 1, 2 and 4, the control thread included.  The flagship shape
+# clears 64 chips x 160 tasks = 10,240 tasks per epoch.  Every jobs
+# value produces byte-identical fleet state, and every row times the
+# same window -- the first 32 epochs of a freshly built fleet -- so
+# the curve is a pure wall-clock scaling measurement of the
+# federation layer.  Two fault-tolerance
 # shapes ride along: BM_ChipFailureEvacuation (epoch cost under chip
 # failure/recovery churn, same window) and BM_SnapshotRoundTrip
 # (crash-consistent save + validate + restore of the whole
@@ -91,7 +92,7 @@ for b in runs:
 doc["host_hardware_threads"] = ncpu
 if max_jobs > ncpu:
     doc["warning"] = (
-        f"OVERSUBSCRIBED: sweep uses up to {max_jobs} workers but the "
+        f"OVERSUBSCRIBED: sweep uses up to {max_jobs} threads but the "
         f"host has only {ncpu} hardware thread(s); jobs > {ncpu} rows "
         "measure scheduler contention, not federation speedup.")
     print("WARNING:", doc["warning"], file=sys.stderr)

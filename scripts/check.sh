@@ -105,11 +105,15 @@ rm -f /tmp/ppm_inc.csv /tmp/ppm_full.csv \
 ./build/tools/ppm_run --set l1 --seconds 8 --csv --fleet 1 \
     > /tmp/ppm_fleet1.csv
 cmp /tmp/ppm_plain.csv /tmp/ppm_fleet1.csv
-./build/tools/ppm_run --set l1 --seconds 8 --csv --fleet 4 --jobs 1 \
-    > /tmp/ppm_fleet_j1.csv
-./build/tools/ppm_run --set l1 --seconds 8 --csv --fleet 4 --jobs 4 \
-    > /tmp/ppm_fleet_j4.csv
-cmp /tmp/ppm_fleet_j1.csv /tmp/ppm_fleet_j4.csv
+# --jobs N steps shards on N threads, the control thread included, so
+# --jobs 2 is the first value that fork-joins (one worker).
+for jobs in 1 2 3 4; do
+    ./build/tools/ppm_run --set l1 --seconds 8 --csv --fleet 4 \
+        --jobs "$jobs" > "/tmp/ppm_fleet_j$jobs.csv"
+done
+for jobs in 2 3 4; do
+    cmp /tmp/ppm_fleet_j1.csv "/tmp/ppm_fleet_j$jobs.csv"
+done
 # Warm-start cross-check: fleet shards keep their markets alive across
 # supervisor epochs (budget moves arrive mid-economy), so the
 # incremental engine's cross-invocation memos face every invalidation
@@ -117,8 +121,8 @@ cmp /tmp/ppm_fleet_j1.csv /tmp/ppm_fleet_j4.csv
 ./build/tools/ppm_run --set l1 --seconds 8 --csv --fleet 4 \
     --no-incremental > /tmp/ppm_fleet_full.csv
 cmp /tmp/ppm_fleet_j1.csv /tmp/ppm_fleet_full.csv
-rm -f /tmp/ppm_plain.csv /tmp/ppm_fleet1.csv \
-    /tmp/ppm_fleet_j1.csv /tmp/ppm_fleet_j4.csv /tmp/ppm_fleet_full.csv
+rm -f /tmp/ppm_plain.csv /tmp/ppm_fleet1.csv /tmp/ppm_fleet_j[1-4].csv \
+    /tmp/ppm_fleet_full.csv
 
 # Kill-and-resume smokes: a run saved at a snapshot point and resumed
 # in a fresh process must print byte-identical summaries to the
@@ -210,8 +214,10 @@ cmake --build build-tsan --parallel "$(nproc)" --target test_common \
     --gtest_filter='TraceBus.*:TraceSink.*:TraceRecorder.*' > /dev/null
 ./build-tsan/tests/test_integration \
     --gtest_filter='Sweep.*:RunCells.*:Macrostep.*' > /dev/null
-# The fuzz driver fans scenarios out over the same pool; a short
-# sweep under TSAN sanitizes the differential checker itself.
+# The fuzz driver checks scenarios on run_cells' own pool, and each
+# fleet scenario steps its shards on a pool of its own inside a cell;
+# a short sweep under TSAN sanitizes the differential checker and
+# those nested pools.
 cmake --build build-tsan --parallel "$(nproc)" --target ppm_fuzz
 ./build-tsan/tools/ppm_fuzz --count 20 --seed 1 > /dev/null
 

@@ -1,42 +1,64 @@
 /**
  * @file
- * Minimal fixed-size worker pool for the parallel experiment runner.
+ * Fixed-size fork-join pool: one parallel loop, for_chunks().
  *
- * Workers are std::jthread instances draining a FIFO task queue;
- * submit() returns a std::future so results and exceptions propagate
- * to the caller.  The pool itself imposes no ordering on task
- * *completion* -- callers that need deterministic output must reduce
- * results in submission order (as experiment::run_cells does).
+ * The pool's workers live as long as the pool and wait between jobs.
+ * for_chunks() publishes one job -- a chunk count and a body -- and
+ * the calling thread then claims chunks alongside the workers, in
+ * index order, through one atomic counter.  It returns once every
+ * chunk has finished, so the body and everything it captures may die
+ * right after.  Chunk boundaries are a pure function of (n, grain),
+ * so callers whose chunks touch disjoint state get the same results
+ * for every pool size, the null pool included.
+ *
+ * Waiting: a worker that finished a job polls for the next one for a
+ * bounded number of polls, then parks on a condition variable; the
+ * caller waits for a job's last chunk the same way.  Polls pause the
+ * CPU and yield it every few polls, so a poller gives way to the
+ * thread it waits for, even when every thread shares one CPU.  A job
+ * published while workers still poll starts without a wake-up.
+ *
+ * Reentrancy: a chunk that calls for_chunks() on the pool running it
+ * -- on a worker or on the calling thread -- runs the inner chunks
+ * inline on its own thread.  A thread outside the pool that calls
+ * for_chunks() while another one's job runs on it runs its own job
+ * inline too, rather than wait: the running job may be waiting on it.
+ *
+ * Exceptions: a throwing chunk does not stop the job.  Every other
+ * chunk still runs, and once all of them have finished for_chunks()
+ * rethrows the exception of the lowest throwing chunk index.  On the
+ * inline path the chunks run in order, so the first exception ends
+ * the loop, which is again the lowest index.
  */
 
 #ifndef PPM_COMMON_THREAD_POOL_HH
 #define PPM_COMMON_THREAD_POOL_HH
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <functional>
-#include <future>
+#include <cstdint>
+#include <exception>
+#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace ppm {
 
-/** Fixed-size FIFO worker pool. */
+/** Fixed-size fork-join pool. */
 class ThreadPool
 {
   public:
     /**
-     * @param num_threads Worker count; <= 0 means one worker per
+     * @param num_threads Worker count, not counting the threads that
+     *                    call for_chunks(); <= 0 means one worker per
      *                    hardware thread (at least one).
      */
     explicit ThreadPool(int num_threads = 0);
 
-    /** Joins all workers; queued tasks still run to completion. */
+    /** Joins all workers (no job can be running). */
     ~ThreadPool();
 
     ThreadPool(const ThreadPool&) = delete;
@@ -46,60 +68,35 @@ class ThreadPool
     int size() const { return static_cast<int>(workers_.size()); }
 
     /**
-     * True when the calling thread is one of this pool's workers.
-     * Lets nested fan-outs (a pool task that itself calls
-     * for_chunks() on the same pool) detect the recursion and run
-     * inline instead of enqueueing chunks they would then block on --
-     * with every worker blocked in a nested wait, the queued chunks
-     * could never be scheduled and the pool would deadlock.
+     * True when the calling thread works for this pool: it is one of
+     * the pool's workers, or it is inside a for_chunks() job on the
+     * pool (the job enrolls its caller for its duration).  Such a
+     * thread already holds a claim in the pool's current job, so a
+     * nested for_chunks() on the pool runs inline.
      */
-    bool on_worker_thread() const { return current_pool() == this; }
+    bool on_worker_thread() const;
 
-    /**
-     * Enqueue `fn` for execution on some worker and return a future
-     * for its result.  An exception thrown by `fn` is captured and
-     * rethrown from future::get().
-     */
-    template <typename Fn>
-    auto submit(Fn fn) -> std::future<std::invoke_result_t<Fn>>
-    {
-        using Result = std::invoke_result_t<Fn>;
-        auto task = std::make_shared<std::packaged_task<Result()>>(
-            std::move(fn));
-        std::future<Result> future = task->get_future();
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            queue_.emplace_back([task]() { (*task)(); });
-        }
-        ready_.notify_one();
-        return future;
-    }
-
-    /** Resolve a worker-count request: <= 0 -> hardware concurrency. */
+    /** Resolve a thread-count request: <= 0 -> hardware concurrency. */
     static int resolve_jobs(int requested);
 
     /**
-     * Dispatch `fn(begin, end)` over the fixed-size chunks of [0, n)
-     * and block until all of them finished.  The chunk boundaries are
-     * a pure function of `n` and `grain` -- ceil(n/grain) chunks of
-     * `grain` indices, the last one shorter -- and never depend on the
-     * worker count, so callers whose chunks touch disjoint state get
-     * identical results for every pool size.  With a null `pool`, a
-     * single worker, or a single chunk, the chunks run inline on the
-     * calling thread, in order, with zero allocation; otherwise each
-     * chunk is submitted as one pool task and the futures are drained
-     * in chunk order (the first chunk exception, in that order, is
-     * rethrown).  `fn` must be safe to invoke concurrently on
-     * disjoint ranges.
-     *
-     * Reentrancy: when the calling thread is itself a worker of
-     * `pool` (code inside a fleet shard or sweep cell reaching the
-     * pool that steps it), the chunks run inline -- blocking a worker
-     * on futures whose chunks sit behind it in the queue could
-     * deadlock the pool, and oversubscribing a busy pool is exactly
-     * what sharing one pool is meant to avoid.
-     * Results are bit-identical either way (chunk boundaries do not
-     * change).
+     * The pool that, with the thread calling for_chunks() on it, makes
+     * `threads` threads (<= 0: one per hardware thread): that many
+     * workers minus one.  Null when that is a single thread, which
+     * for_chunks() runs inline.  This is what every `--jobs N` means.
+     */
+    static std::unique_ptr<ThreadPool> for_threads(int threads);
+
+    /**
+     * Run `fn(begin, end)` over the fixed-size chunks of [0, n) and
+     * return once all of them finished.  The chunks are ceil(n/grain)
+     * runs of `grain` indices, the last one shorter (a zero grain
+     * means 1).  With a null `pool`, a single chunk, or a caller that
+     * already works for `pool`, the chunks run inline on the calling
+     * thread, in order, with zero allocation.  Otherwise the caller
+     * and the workers claim chunks in index order; see the file
+     * comment for the exception order.  `fn` must be safe to invoke
+     * concurrently on disjoint ranges.
      */
     template <typename Fn>
     static void for_chunks(ThreadPool* pool, std::size_t n,
@@ -110,38 +107,82 @@ class ThreadPool
         if (grain == 0)
             grain = 1;
         const std::size_t chunks = (n + grain - 1) / grain;
-        if (pool == nullptr || pool->size() <= 1 || chunks <= 1 ||
-            pool->on_worker_thread()) {
+        if (pool == nullptr || chunks <= 1 || pool->on_worker_thread()) {
             for (std::size_t c = 0; c < chunks; ++c)
                 fn(c * grain, std::min(n, (c + 1) * grain));
             return;
         }
-        std::vector<std::future<void>> futures;
-        futures.reserve(chunks);
-        for (std::size_t c = 0; c < chunks; ++c) {
-            futures.push_back(pool->submit([&fn, c, grain, n]() {
-                fn(c * grain, std::min(n, (c + 1) * grain));
-            }));
-        }
-        for (auto& f : futures)
-            f.get();
+        const auto chunk = [&fn, n, grain](std::size_t c) {
+            fn(c * grain, std::min(n, (c + 1) * grain));
+        };
+        using Chunk = decltype(chunk);
+        pool->fork_join(
+            chunks,
+            [](const void* ctx, std::size_t c) {
+                (*static_cast<const Chunk*>(ctx))(c);
+            },
+            &chunk);
     }
 
   private:
-    /** Worker loop: drain the queue until stop is requested. */
-    void work(std::stop_token stop);
+    /** A job's body: run chunk `c` of the job whose context is `ctx`. */
+    using Body = void (*)(const void* ctx, std::size_t c);
 
     /**
-     * The pool (if any) whose worker the calling thread is.  A
-     * function-local thread_local behind an accessor so the header
-     * needs no exported TLS definition.
+     * A link in the calling thread's chain of pools it works for, from
+     * construction to destruction: a worker enrolls in its pool for
+     * its lifetime, a for_chunks() caller for the job's duration.
      */
-    static ThreadPool*& current_pool();
+    struct Enrolment {
+        explicit Enrolment(const ThreadPool* p);
+        ~Enrolment();
+        Enrolment(const Enrolment&) = delete;
+        Enrolment& operator=(const Enrolment&) = delete;
 
+        const ThreadPool* pool;
+        const Enrolment* outer;
+    };
+
+    /** Publish one job, claim chunks until none is left, wait for the
+     *  last one, then rethrow the lowest-index chunk exception; or,
+     *  while another caller's job runs, run the chunks inline. */
+    void fork_join(std::size_t chunks, Body body, const void* ctx);
+
+    /** Claim and run chunks of the current job until it has none left. */
+    void run_chunks();
+
+    /** Worker loop: wait for each new job, help run it, until stopped. */
+    void work();
+
+    /** The calling thread's innermost enrolment (null outside pools). */
+    static const Enrolment*& current_enrolment();
+
+    // The job.  claim_ packs (chunk count << 32 | next index); a claim
+    // that reads an index below the count owns that chunk of the job
+    // that published the word, and only then reads body_ and ctx_,
+    // which that job stored before the word.  A job cannot end before
+    // its claimed chunks do, so those fields stay put while the chunk
+    // runs; a claim on an exhausted word runs nothing, whichever job
+    // it came late for.
+    std::atomic<Body> body_{nullptr};
+    std::atomic<const void*> ctx_{nullptr};
+    std::atomic<std::uint64_t> claim_{0};
+    std::atomic<std::size_t> pending_{0};      ///< Unfinished chunks.
+    std::atomic<std::uint64_t> generation_{0}; ///< Jobs published.
+
+    std::mutex job_mutex_;  ///< Held by the caller whose job runs.
+
+    // Parking and errors, guarded by mutex_.
     std::mutex mutex_;
-    std::condition_variable_any ready_;
-    std::deque<std::function<void()>> queue_;
-    std::vector<std::jthread> workers_;
+    std::condition_variable work_cv_;  ///< A job was published, or stop.
+    std::condition_variable done_cv_;  ///< The job's last chunk finished.
+    std::atomic<int> parked_{0};       ///< Workers asleep on work_cv_.
+    bool caller_parked_ = false;
+    std::atomic<bool> stopping_{false};
+    std::exception_ptr error_;
+    std::size_t error_chunk_ = 0;
+
+    std::vector<std::thread> workers_;
 };
 
 } // namespace ppm

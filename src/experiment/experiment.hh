@@ -141,8 +141,9 @@ aggregate_summaries(const std::vector<sim::RunSummary>& summaries);
 /**
  * Run `set` `n_seeds` times (seed i = cell_seed(params.seed, 100, i))
  * and return the aggregate_summaries() reduction of the per-seed
- * runs.  Seeds run in parallel on up to `jobs` workers (0 = one per
- * hardware thread); the result is identical for every `jobs` value.
+ * runs.  Seeds run in parallel on up to `jobs` threads, the calling
+ * thread included (0 = one per hardware thread); the result is
+ * identical for every `jobs` value.
  */
 sim::RunSummary run_set_avg(const workload::WorkloadSet& set,
                             RunParams params, int n_seeds = 3,

@@ -26,7 +26,8 @@
 #define PPM_EXPERIMENT_SWEEP_HH
 
 #include <functional>
-#include <future>
+#include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -36,18 +37,19 @@
 namespace ppm::experiment {
 
 /**
- * Run arbitrary cell functions on up to `jobs` workers (0 = one per
- * hardware thread) and return their results *in input order*.  With
- * jobs == 1, or with a single cell, the cells run inline on the
- * calling thread (no pool is constructed) -- the serial fallback used
- * for debugging and determinism comparisons.  A cell's exception
- * propagates to the caller.
+ * Run arbitrary cell functions on up to `jobs` threads, the calling
+ * thread included (0 = one per hardware thread), and return their
+ * results *in input order*.  With jobs == 1, or with a single cell,
+ * the cells run inline on the calling thread, in order (no pool is
+ * constructed) -- the serial fallback used for debugging and
+ * determinism comparisons.  Otherwise a pool of jobs - 1 workers and
+ * the caller claim the cells in index order, each writing its result
+ * into its own pre-sized slot; every cell runs, and the exception of
+ * the lowest-index throwing cell propagates to the caller.
  *
- * Takes the cell vector by value and moves each closure to its
- * worker: cell closures capture whole RunParams/spec payloads, so
- * copying every std::function into the pool would reallocate all of
- * that per cell.  Callers that reuse their vector should pass a copy
- * explicitly.
+ * Takes the cell vector by value: cell closures capture whole
+ * RunParams/spec payloads, so callers that reuse their vector should
+ * pass a copy explicitly.
  *
  * This is the generic layer under run_sweep(): benches whose cells
  * are custom governor configurations (the ablations) rather than
@@ -57,21 +59,18 @@ template <typename T>
 std::vector<T>
 run_cells(std::vector<std::function<T()>> cells, int jobs = 0)
 {
+    std::vector<std::optional<T>> slots(cells.size());
+    const auto pool = cells.size() > 1 ? ThreadPool::for_threads(jobs)
+                                       : nullptr;
+    ThreadPool::for_chunks(pool.get(), cells.size(), 1,
+                           [&](std::size_t begin, std::size_t end) {
+                               for (std::size_t i = begin; i < end; ++i)
+                                   slots[i].emplace(cells[i]());
+                           });
     std::vector<T> results;
-    results.reserve(cells.size());
-    if (cells.size() <= 1 || ThreadPool::resolve_jobs(jobs) == 1) {
-        for (auto& cell : cells)
-            results.push_back(std::move(cell)());
-        return results;
-    }
-    ThreadPool pool(jobs);
-    std::vector<std::future<T>> futures;
-    futures.reserve(cells.size());
-    for (auto& cell : cells)
-        futures.push_back(pool.submit(std::move(cell)));
-    // Reduce in submission order: completion order never leaks.
-    for (auto& f : futures)
-        results.push_back(f.get());
+    results.reserve(slots.size());
+    for (auto& slot : slots)
+        results.push_back(std::move(*slot));
     return results;
 }
 

@@ -25,8 +25,8 @@ Fleet::Fleet(FleetConfig cfg)
 
     if (cfg_.pool != nullptr) {
         pool_ = cfg_.pool;
-    } else if (cfg_.jobs != 1) {
-        owned_pool_ = std::make_unique<ThreadPool>(cfg_.jobs);
+    } else {
+        owned_pool_ = ThreadPool::for_threads(cfg_.jobs);
         pool_ = owned_pool_.get();
     }
 

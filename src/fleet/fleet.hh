@@ -7,9 +7,11 @@
  *
  * Execution model per epoch:
  *   1. every shard advances to the barrier via Simulation::run_until()
- *      -- fanned over a shared ThreadPool with for_chunks-style
- *      deterministic partitioning (chunk boundaries depend only on
- *      the chip count, never the worker count);
+ *      -- one ThreadPool::for_chunks() job of one shard per chunk,
+ *      which the control thread and the pool's workers claim in
+ *      chip-id order (the pool's workers stay alive between epochs,
+ *      so a job costs no allocation and, while they still poll, no
+ *      wake-up);
  *   2. at the barrier, the control thread gathers every chip's
  *      ChipSignal and the SupervisorMarket settles the fleet budget
  *      (one pass in chip-id order -- the only cross-shard reduction,
@@ -112,13 +114,17 @@ struct FleetConfig {
     std::vector<FloatingTask> floating;
 
     /**
-     * Shard-stepping worker threads when no external pool is given:
-     * 1 = inline (default), <= 0 = one per hardware thread.  Each
-     * shard's market clears inline on the worker stepping the shard.
+     * Shard-stepping threads when no external pool is given, the
+     * control thread included: 1 = inline (default), N > 1 = an owned
+     * pool of N - 1 workers plus the control thread, <= 0 = one per
+     * hardware thread.  Each shard's market clears inline on the
+     * thread stepping the shard.
      */
     int jobs = 1;
 
-    /** External shared pool (not owned; overrides `jobs`). */
+    /** External shared pool (not owned; overrides `jobs`).  The
+     *  control thread steps shards too, so a pool of W workers steps
+     *  them on W + 1 threads. */
     ThreadPool* pool = nullptr;
 
     /**

@@ -120,18 +120,22 @@ LbtModule::estimate_cluster(ClusterId v,
     // Tasks and demand sums per core of this cluster.  Core ids
     // within a cluster are contiguous (see Chip's builder), so the
     // in-cluster position is a subtraction.  Scratch buffers are
-    // reused across candidate evaluations.
+    // reused across candidate evaluations; on_core only grows, since
+    // shrinking it for a smaller cluster would free the task lists a
+    // larger cluster then allocates again.
     const CoreId first_core = cl.cores().front();
+    const auto cores = static_cast<std::size_t>(cl.num_cores());
     auto& on_core = scratch_.on_core;
     auto& core_demand = scratch_.core_demand;
-    on_core.resize(static_cast<std::size_t>(cl.num_cores()));
-    core_demand.assign(static_cast<std::size_t>(cl.num_cores()), 0.0);
-    for (auto& lst : on_core)
-        lst.clear();
+    if (on_core.size() < cores)
+        on_core.resize(cores);
+    core_demand.assign(cores, 0.0);
+    for (std::size_t pos = 0; pos < cores; ++pos)
+        on_core[pos].clear();
     Pu cluster_demand = 0.0;
     for (std::size_t t : members) {
         const auto pos = static_cast<std::size_t>(core[t] - first_core);
-        PPM_ASSERT(pos < on_core.size(), "task not in this cluster");
+        PPM_ASSERT(pos < cores, "task not in this cluster");
         on_core[pos].push_back(t);
         core_demand[pos] += demand[t];
         cluster_demand = std::max(cluster_demand, core_demand[pos]);
@@ -160,7 +164,7 @@ LbtModule::estimate_cluster(ClusterId v,
 
     // Per-core allocation at the steady supply.
     const double cost = power_cost_[static_cast<std::size_t>(v)];
-    for (std::size_t pos = 0; pos < on_core.size(); ++pos) {
+    for (std::size_t pos = 0; pos < cores; ++pos) {
         const auto& on_this_core = on_core[pos];
         if (on_this_core.empty())
             continue;
@@ -292,20 +296,24 @@ LbtModule::propose(bool inter_cluster, ClusterId source_cluster) const
         return Movement{};
 
     // Current placement, demands, per-core demand sums and per-
-    // cluster task membership.
-    std::vector<CoreId> core(tasks.size());
-    std::vector<Pu> demand(tasks.size());
-    std::vector<Pu> core_demand(
-        static_cast<std::size_t>(chip.num_cores()), 0.0);
-    std::vector<std::vector<std::size_t>> members(
-        static_cast<std::size_t>(chip.num_clusters()));
+    // cluster task membership, in scratch buffers every wake reuses.
+    auto& core = scratch_.core;
+    auto& demand = scratch_.demand;
+    auto& demand_by_core = scratch_.demand_by_core;
+    auto& members = scratch_.members;
+    core.resize(tasks.size());
+    demand.resize(tasks.size());
+    demand_by_core.assign(static_cast<std::size_t>(chip.num_cores()), 0.0);
+    members.resize(static_cast<std::size_t>(chip.num_clusters()));
+    for (auto& lst : members)
+        lst.clear();
     bool all_satisfied = true;
     for (std::size_t t = 0; t < tasks.size(); ++t) {
         core[t] = tasks[t].core;
         demand[t] = tasks[t].demand;
         if (!tasks[t].active)
             continue;
-        core_demand[static_cast<std::size_t>(core[t])] += demand[t];
+        demand_by_core[static_cast<std::size_t>(core[t])] += demand[t];
         members[static_cast<std::size_t>(chip.cluster_of(core[t]))]
             .push_back(t);
         if (tasks[t].supply < tasks[t].demand * (1.0 - kRatioEps))
@@ -314,9 +322,10 @@ LbtModule::propose(bool inter_cluster, ClusterId source_cluster) const
 
     // Baseline: per-cluster steady-state outcomes (computed once).
     const Money min_bid = market_->config().min_bid;
-    std::vector<ClusterOutcome> base(
-        static_cast<std::size_t>(chip.num_clusters()));
-    std::vector<double> base_ratio(tasks.size(), 1.0);
+    auto& base = scratch_.base;
+    auto& base_ratio = scratch_.base_ratio;
+    base.resize(static_cast<std::size_t>(chip.num_clusters()));
+    base_ratio.assign(tasks.size(), 1.0);
     Money base_spend = 0.0;
     for (ClusterId v = 0; v < chip.num_clusters(); ++v) {
         estimate_cluster(v, members[static_cast<std::size_t>(v)], core,
@@ -331,7 +340,8 @@ LbtModule::propose(bool inter_cluster, ClusterId source_cluster) const
     // Candidate movements: tasks on the constrained core(s), moved to
     // the most over-supplied unconstrained core of the target
     // cluster(s).
-    std::vector<Movement> candidates;
+    auto& candidates = scratch_.candidates;
+    candidates.clear();
     for (ClusterId v = 0; v < chip.num_clusters(); ++v) {
         if (source_cluster != kInvalidId && v != source_cluster)
             continue;
@@ -349,7 +359,7 @@ LbtModule::propose(bool inter_cluster, ClusterId source_cluster) const
             for (ClusterId w = 0; w < chip.num_clusters(); ++w) {
                 if (inter_cluster ? (w == v) : (w != v))
                     continue;
-                const CoreId target = best_target_core(w, core_demand);
+                const CoreId target = best_target_core(w, demand_by_core);
                 if (target == kInvalidId || target == t.core)
                     continue;
                 candidates.push_back(Movement{t.id, t.core, target});

@@ -138,8 +138,23 @@ class LbtModule
     DemandEstimator estimator_;
     std::vector<double> power_cost_;
 
-    /** Reused scratch for candidate evaluation (allocation-free). */
+    /**
+     * Reused scratch, so a warm propose() allocates nothing.  The
+     * first group lives for one propose() call: placement, demands,
+     * chip-wide per-core demand sums, per-cluster members, the
+     * baseline outcomes and the candidate list.  The rest serves one
+     * candidate, or one estimate_cluster() call (whose per-core
+     * demand column of one cluster is `core_demand`).
+     */
     struct Scratch {
+        std::vector<CoreId> core;
+        std::vector<Pu> demand;
+        std::vector<Pu> demand_by_core;
+        std::vector<std::vector<std::size_t>> members;
+        std::vector<ClusterOutcome> base;
+        std::vector<double> base_ratio;
+        std::vector<Movement> candidates;
+
         ClusterOutcome src_out;
         ClusterOutcome dst_out;
         std::vector<std::size_t> src_members;

@@ -3,15 +3,15 @@
  * The engine's steady state allocates nothing.  After a warm-up, a
  * steady Simulation::step(), a macro-stepped run_until() window,
  * Scheduler::tick() and Market::round() make zero heap allocations,
- * and so do the HPM and HL governor wakes on a paper set.  A counting
+ * and so do the PPM, HPM and HL governor wakes on a paper set.  A counting
  * global operator new brackets each measured window; this file is its
  * own test binary so the override reaches no other suite.
  *
  * The engine setups are bench_hotpath's: synthetic V x C chips running
  * Table-7-style workloads drawn from seed 2014.  The paper's task sets
- * are pinned for the baseline wakes only: after warm-up their HRM
- * rings still grow when a heart rate rises, and PPM's LBT wakes
- * allocate (EXPERIMENTS.md, "Hot-path microbenchmarks").
+ * are pinned for the governor wakes only: after warm-up their HRM
+ * rings still grow when a heart rate rises (EXPERIMENTS.md, "Hot-path
+ * microbenchmarks").
  */
 
 #include <atomic>
@@ -287,16 +287,16 @@ class TickAllocProbe : public sim::Governor
 
 TEST(AllocFree, BaselineWakes)
 {
-    // HPM and HL on the paper's m2 set, seed 42, uncapped and
+    // PPM, HPM and HL on the paper's m2 set, seed 42, uncapped and
     // macro-stepped.  The scheduler's per-core task lists and HPM's
-    // demand scratch are sized when tasks are added, so the measured
-    // warm-up is empty: the first 10 simulated seconds allocate
-    // nothing either.  The test warms 10 s and counts the next 30 s.
+    // demand scratch are sized when tasks are added; PPM's LBT
+    // scratch grows on its first wakes.  The test warms 10 s and
+    // counts the next 30 s.
     const SimTime warm = 10 * kSecond;
     const SimTime horizon = 40 * kSecond;
     const auto specs = workload::instantiate(
         workload::workload_set("m2"), 42, 1, horizon + 100 * kSecond);
-    for (const char* policy : {"HPM", "HL"}) {
+    for (const char* policy : {"PPM", "HPM", "HL"}) {
         auto probe = std::make_unique<TickAllocProbe>(
             experiment::make_governor(policy, 1e9, {}));
         const TickAllocProbe* counts = probe.get();

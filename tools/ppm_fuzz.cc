@@ -15,6 +15,9 @@
  *            [--max-violations K] [--fixture-dir DIR]
  *            [--json-out FILE] [--replay FILE] [--print-scenario N]
  *
+ * --jobs N checks scenarios on N threads, the calling thread included
+ * (default 0 = one per hardware thread; --jobs 1 checks them inline).
+ *
  * Exit code: 0 = every scenario clean, 1 = violations found,
  * 2 = CLI error.
  *
@@ -63,6 +66,8 @@ usage(const char* argv0)
         "the engine promises (macro==tick, incremental==full, fleet\n"
         "jobs=1==jobs=N, budget conservation, fault counters).  Violations are shrunk to\n"
         "minimal reproducers; --replay FILE re-checks one fixture.\n"
+        "--jobs N checks scenarios on N threads, the calling thread\n"
+        "included (0 = all hardware threads, the default).\n"
         "Exit: 0 clean, 1 violations, 2 usage error.\n",
         argv0);
     std::exit(2);
@@ -71,7 +76,7 @@ usage(const char* argv0)
 /**
  * In-flight scenario registry for crash triage: panic()/PPM_ASSERT
  * abort the process, losing which scenario was being simulated.  Each
- * worker parks its current scenario seed in a slot; the SIGABRT
+ * thread parks its current scenario seed in a slot; the SIGABRT
  * handler dumps the live slots with write(2) (async-signal-safe) so
  * the seed is always recoverable from the crash log.
  */

@@ -26,7 +26,8 @@
  * supervisor market reallocates the fleet power budget across chips
  * (--fleet-budget, default: --tdp x N when --tdp is set, uncapped
  * otherwise; --fleet-epoch sets the barrier period in milliseconds).
- * --jobs sets the shard-stepping pool's worker count.
+ * --jobs N steps the shards on N threads, this one included (a pool
+ * of N - 1 workers; --jobs 1 steps them inline).
  * The summary table aggregates the fleet (a 1-chip fleet prints
  * exactly the single-chip table); fleet output is byte-identical for
  * every --jobs value.  --trace/--trace-out/--avg-seeds are
@@ -84,8 +85,9 @@
  *
  * --avg-seeds N runs N seeds (seed, +100, +200, ...) and prints the
  * cross-seed aggregate (see experiment::aggregate_summaries); --jobs
- * caps the worker threads the seeds run on (0 = all hardware
- * threads), and the output is identical for every --jobs value.
+ * caps the threads the seeds run on, this one included (0 = all
+ * hardware threads), and the output is identical for every --jobs
+ * value.
  * --jobs only applies to --fleet and --avg-seeds N > 1 runs: a single
  * run (snapshot runs included) clears its market inline on one
  * thread, so it rejects --jobs with exit 2.
@@ -153,11 +155,12 @@ usage(const char* argv0)
         "or to isolate dirty-set bugs).\n"
         "--fleet N federates N chips under a supervisor power market\n"
         "(--fleet-budget watts across the fleet, default --tdp x N;\n"
-        "--fleet-epoch barrier period in ms; --jobs workers step the\n"
+        "--fleet-epoch barrier period in ms; --jobs threads step the\n"
         "shards).\n"
-        "--jobs N sets the worker count of --fleet and --avg-seeds runs\n"
-        "(0 = all hardware threads; output is identical for any N); a\n"
-        "single run has nothing to parallelize and rejects it.\n"
+        "--jobs N runs --fleet and --avg-seeds work on N threads, the\n"
+        "calling thread included (0 = all hardware threads; output is\n"
+        "identical for any N); a single run has nothing to parallelize\n"
+        "and rejects it.\n"
         "--per-tick disables the event-horizon macro-stepping engine\n"
         "and runs the historical tick-by-tick loop (results are\n"
         "bit-identical either way; use it to cross-check).\n"
