@@ -141,7 +141,7 @@ BM_IncrementalClearingRound(benchmark::State& state)
          ++i)
         s.market->round();
     const int n_dirty = n_tasks * dirty_pct / 100;
-    const market::ClearingStats warm = s.market->clearing_stats();
+    const sim::ClearingStats warm = s.market->clearing_stats();
     bool flip = false;
     for (auto _ : state) {
         // Alternate the perturbation so the touched bits change on
@@ -154,7 +154,7 @@ BM_IncrementalClearingRound(benchmark::State& state)
                 t, base[static_cast<std::size_t>(t)] + eps);
         benchmark::DoNotOptimize(s.market->round());
     }
-    const market::ClearingStats st = s.market->clearing_stats();
+    const sim::ClearingStats st = s.market->clearing_stats();
     const long task_slots = st.task_slots - warm.task_slots;
     const long task_skips = st.tasks_skipped - warm.tasks_skipped;
     const long core_slots = st.core_slots - warm.core_slots;

@@ -121,8 +121,18 @@ done
 ./build/tools/ppm_run --set l1 --seconds 8 --csv --fleet 4 \
     --no-incremental > /tmp/ppm_fleet_full.csv
 cmp /tmp/ppm_fleet_j1.csv /tmp/ppm_fleet_full.csv
+# A faulted fleet fails, degrades and recovers chips at the barrier
+# and places evacuations through admission control, all on the
+# control thread, so its bytes must not depend on the thread count
+# either.
+for jobs in 1 4; do
+    ./build/tools/ppm_run --set m2 --seconds 20 --fleet 4 --tdp 4 \
+        --faults chip-fail,chip-degrade,chip-recover,seed=7,chip_rate=30 \
+        --csv --jobs "$jobs" > "/tmp/ppm_fleet_faults_j$jobs.csv"
+done
+cmp /tmp/ppm_fleet_faults_j1.csv /tmp/ppm_fleet_faults_j4.csv
 rm -f /tmp/ppm_plain.csv /tmp/ppm_fleet1.csv /tmp/ppm_fleet_j[1-4].csv \
-    /tmp/ppm_fleet_full.csv
+    /tmp/ppm_fleet_full.csv /tmp/ppm_fleet_faults_j[14].csv
 
 # Kill-and-resume smokes: a run saved at a snapshot point and resumed
 # in a fresh process must print byte-identical summaries to the

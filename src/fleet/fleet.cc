@@ -9,6 +9,15 @@
 
 namespace ppm::fleet {
 
+namespace {
+
+/** Placement attempts per evacuated task before it parks in the
+ *  pending queue until the next recovery (backoff doubles per failed
+ *  attempt, starting at one epoch). */
+constexpr int kEvacMaxRetries = 8;
+
+} // namespace
+
 Fleet::Fleet(FleetConfig cfg)
     : cfg_(std::move(cfg)), supervisor_(cfg_.supervisor, cfg_.chips)
 {
@@ -35,14 +44,8 @@ Fleet::Fleet(FleetConfig cfg)
     signals_.assign(static_cast<std::size_t>(cfg_.chips), ChipSignal{});
     placements_.assign(cfg_.floating.size(), -1);
 
-    // Fleet fault tolerance: latched once here.  When off, every
-    // barrier takes the exact pre-existing code path, so fault-free
-    // configurations stay byte-identical.
-    fault_handling_ = !cfg_.fleet_faults.empty() ||
-        cfg_.deficit_watchdog_epochs > 0;
     health_.assign(static_cast<std::size_t>(cfg_.chips), 0);
     clamp_.assign(static_cast<std::size_t>(cfg_.chips), 1.0);
-    deficit_streak_.assign(static_cast<std::size_t>(cfg_.chips), 0);
     roster_.resize(static_cast<std::size_t>(cfg_.chips));
     for (int i = 0; i < cfg_.chips; ++i) {
         for (const auto& spec :
@@ -85,7 +88,6 @@ Fleet::Fleet(FleetConfig cfg)
     rejections_id_ = bus_.intern("fleet.rejections");
     chip_failures_id_ = bus_.intern("fleet.chip_failures");
     chip_recoveries_id_ = bus_.intern("fleet.chip_recoveries");
-    watchdog_id_ = bus_.intern("fleet.watchdog_trips");
 }
 
 Fleet::~Fleet() = default;
@@ -106,20 +108,13 @@ Fleet::settle_barrier()
         signals_[i].power = shards_[i]->sensors().instantaneous_chip();
         signals_[i].deficit = shards_[i]->governor().power_deficit();
     }
-    bool settled;
-    if (fault_handling_) {
-        // Health-aware settlement: failed chips are withdrawn (they
-        // get the quarantine floor), degraded chips get their budget
-        // clamped.  With every chip healthy this runs the identical
-        // arithmetic to the legacy call.
-        active_scratch_.resize(health_.size());
-        for (std::size_t i = 0; i < health_.size(); ++i)
-            active_scratch_[i] = health_[i] != 2 ? 1 : 0;
-        settled = supervisor_.settle(signals_, &active_scratch_, &clamp_);
-    } else {
-        settled = supervisor_.settle(signals_);
-    }
-    if (!settled)
+    // Health-aware settlement: failed chips are withdrawn (they get
+    // the quarantine floor), degraded chips get their budget clamped.
+    // With every chip healthy this runs the unmasked arithmetic.
+    active_scratch_.resize(health_.size());
+    for (std::size_t i = 0; i < health_.size(); ++i)
+        active_scratch_[i] = health_[i] != 2 ? 1 : 0;
+    if (!supervisor_.settle(signals_, &active_scratch_, &clamp_))
         return;  // Uncapped fleet: budgets never move.
     const std::vector<Watts>& next = supervisor_.budgets();
     for (std::size_t i = 0; i < shards_.size(); ++i) {
@@ -143,32 +138,21 @@ Fleet::admit_floating()
         const FloatingTask& task = cfg_.floating[f];
         if (task.arrival > now_)
             continue;
-        if (fault_handling_) {
-            // Health- and admission-aware placement; a rejected task
-            // stays floating and retries at the next barrier.
-            int chip = kInvalidId;
-            if (place_task(task.spec, task.big_speedup, task.departure,
-                           &chip)) {
-                placements_[f] = chip;
-                ++admitted_;
-                bus_.count(admitted_id_);
-            } else {
-                ++rejections_;
-                bus_.count(rejections_id_);
-            }
-            continue;
-        }
         // Post-settle prices; within one barrier the prices do not
         // move, so a batch of simultaneous arrivals lands on the same
         // cheapest chip and the next settlement redistributes budget.
-        int winner = supervisor_.cheapest_chip();
-        if (winner < 0)
-            winner = 0;  // Before the first settle: chip 0.
-        shards_[static_cast<std::size_t>(winner)]->admit_task(
-            task.spec, {now_, task.departure}, task.big_speedup);
-        placements_[f] = winner;
-        ++admitted_;
-        bus_.count(admitted_id_);
+        // A rejected task stays floating and retries at the next
+        // barrier.
+        int chip = kInvalidId;
+        if (place_task(task.spec, task.big_speedup, task.departure,
+                       &chip)) {
+            placements_[f] = chip;
+            ++admitted_;
+            bus_.count(admitted_id_);
+        } else {
+            ++rejections_;
+            bus_.count(rejections_id_);
+        }
     }
 }
 
@@ -181,8 +165,7 @@ Fleet::place_task(const workload::TaskSpec& spec, double big_speedup,
         active_scratch_[i] = health_[i] != 2 ? 1 : 0;
     int winner = supervisor_.cheapest_chip(&active_scratch_);
     if (winner < 0) {
-        // Before the first settle: lowest-id surviving chip (the
-        // all-healthy case degenerates to the legacy "chip 0").
+        // Before the first settle: lowest-id surviving chip.
         for (std::size_t i = 0; i < health_.size(); ++i) {
             if (health_[i] != 2) {
                 winner = static_cast<int>(i);
@@ -236,11 +219,10 @@ Fleet::apply_fleet_faults()
             bus_.count(chip_recoveries_id_);
             health_[i] = 0;
             clamp_[i] = 1.0;
-            deficit_streak_[i] = 0;
             // Freed capacity: wake every parked evacuation for an
             // immediate retry (drained in seq order below).
             for (PendingEvac& p : pending_evac_) {
-                p.retries_left = cfg_.evac_max_retries;
+                p.retries_left = kEvacMaxRetries;
                 p.next_try = now_;
                 p.backoff = cfg_.epoch;
             }
@@ -280,39 +262,10 @@ Fleet::evacuate_chip(std::size_t chip)
         p.spec = entries[static_cast<std::size_t>(t)].spec;
         p.big_speedup = entries[static_cast<std::size_t>(t)].big_speedup;
         p.departure = departure;
-        p.retries_left = cfg_.evac_max_retries;
+        p.retries_left = kEvacMaxRetries;
         p.next_try = now_;
         p.backoff = cfg_.epoch;
         pending_evac_.push_back(p);
-    }
-}
-
-void
-Fleet::run_deficit_watchdog()
-{
-    if (cfg_.deficit_watchdog_epochs <= 0)
-        return;
-    for (std::size_t i = 0; i < health_.size(); ++i) {
-        if (health_[i] == 2) {
-            deficit_streak_[i] = 0;
-            continue;
-        }
-        if (signals_[i].deficit > 0.0)
-            ++deficit_streak_[i];
-        else
-            deficit_streak_[i] = 0;
-        if (deficit_streak_[i] >= cfg_.deficit_watchdog_epochs &&
-            health_[i] == 0) {
-            // Persistent clearing deficit is a health signal: the
-            // chip cannot clear what it already has, so clamp its
-            // budget until it recovers (deficit drops) or a
-            // chip-recover event clears the mark.
-            health_[i] = 1;
-            clamp_[i] = cfg_.watchdog_clamp;
-            ++fleet_watchdog_trips_;
-            bus_.count(watchdog_id_);
-            deficit_streak_[i] = 0;
-        }
     }
 }
 
@@ -366,9 +319,9 @@ Fleet::sample_barrier()
     }
     bus_.sample(fleet_power_id_, now_, fleet_power);
     bus_.sample(fleet_budget_id_, now_, fleet_budget);
-    if (fault_handling_) {
-        // Health telemetry only exists once the fault machinery is
-        // on, so fault-free runs keep byte-identical traces.
+    if (!cfg_.fleet_faults.empty()) {
+        // Health cannot move without a fault plan, so fault-free runs
+        // leave the health series out and keep their traces' bytes.
         for (std::size_t i = 0; i < shards_.size(); ++i)
             bus_.sample(chip_state_ids_[i], now_,
                         static_cast<double>(health_[i]));
@@ -400,13 +353,9 @@ Fleet::run_epoch()
     // chip-id order.  Chip-scope faults land first (they are compiled
     // onto the barrier grid), so a failed chip's budget is withdrawn
     // from the very settlement at its failure barrier.
-    if (fault_handling_)
-        apply_fleet_faults();
+    apply_fleet_faults();
     settle_barrier();
-    if (fault_handling_) {
-        run_deficit_watchdog();
-        drain_pending();
-    }
+    drain_pending();
     admit_floating();
     sample_barrier();
 
@@ -434,7 +383,6 @@ Fleet::run()
     r.evac_landed = evac_landed_;
     r.evac_pending_end = static_cast<long>(pending_evac_.size());
     r.rejections = rejections_;
-    r.fleet_watchdog_trips = fleet_watchdog_trips_;
     r.all_chips_failed = all_failed_seen_;
     r.final_health.reserve(health_.size());
     for (unsigned char h : health_)

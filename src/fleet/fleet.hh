@@ -12,23 +12,33 @@
  *      chip-id order (the pool's workers stay alive between epochs,
  *      so a job costs no allocation and, while they still poll, no
  *      wake-up);
- *   2. at the barrier, the control thread gathers every chip's
- *      ChipSignal and the SupervisorMarket settles the fleet budget
- *      (one pass in chip-id order -- the only cross-shard reduction,
- *      so its floating-point association never varies);
- *   3. changed budgets are pushed down via Governor::set_power_budget
+ *   2. at the barrier, the control thread applies the chip-scope
+ *      faults due now (a failed chip's live tasks join the
+ *      evacuation queue);
+ *   3. it gathers every chip's ChipSignal and the SupervisorMarket
+ *      settles the fleet budget over the chips that have not failed,
+ *      clamping degraded ones (one pass in chip-id order -- the only
+ *      cross-shard reduction, so its floating-point association
+ *      never varies);
+ *   4. changed budgets are pushed down via Governor::set_power_budget
  *      (unchanged budgets are not re-applied, so a 1-chip fleet never
  *      touches its governor's exact configured thresholds);
- *   4. floating tasks whose arrival passed are admitted to the
- *      cheapest-price chip (ties -> lowest chip id);
- *   5. fleet.* telemetry is sampled onto the fleet bus in chip order.
+ *   5. due evacuations, then floating tasks whose arrival passed, are
+ *      placed on the cheapest healthy chip (ties -> lowest chip id)
+ *      through its admission check; a rejected task waits for a
+ *      later barrier;
+ *   6. fleet.* telemetry is sampled onto the fleet bus in chip order.
+ *
+ * Every barrier runs these six steps; without a fault plan steps 2
+ * and 5's evacuations find nothing to do.
  *
  * Determinism: shards are mutually independent between barriers and
  * everything at the barrier runs on the control thread in chip-id
  * order, so fleet output is byte-identical for every jobs value --
  * and a 1-chip fleet is bit-identical to calling Simulation::run()
- * directly (run_until() slicing provably changes nothing, and steps
- * 2-5 degenerate to pure observation).
+ * directly (run_until() slicing provably changes nothing, and
+ * without faults or floating tasks steps 2-6 degenerate to pure
+ * observation).
  */
 
 #ifndef PPM_FLEET_FLEET_HH
@@ -50,15 +60,16 @@
 namespace ppm::fleet {
 
 /** A task not pinned to any chip: placed by the supervisor at the
- *  first epoch barrier at or after its arrival. */
+ *  first epoch barrier at or after its arrival whose cheapest healthy
+ *  chip passes its admission check. */
 struct FloatingTask {
     workload::TaskSpec spec;
 
     /** Big-cluster speedup profile (0 = governor default). */
     double big_speedup = 0.0;
 
-    /** Earliest admission time; actual admission happens at the
-     *  first barrier >= arrival (tasks cannot land mid-epoch). */
+    /** Earliest admission time; actual admission happens at a
+     *  barrier >= arrival (tasks cannot land mid-epoch). */
     SimTime arrival = 0;
 
     /** Departure time (forever by default). */
@@ -130,31 +141,14 @@ struct FleetConfig {
     /**
      * Chip-scope fault schedule (chip-fail / chip-degrade /
      * chip-recover), compiled onto the epoch grid so every event
-     * lands exactly on a settlement barrier.  Empty (the default)
-     * disables the fleet fault machinery entirely: settlement,
-     * placement and telemetry take the exact code paths of a
-     * fault-free build, so existing runs stay byte-identical.
+     * lands exactly on a settlement barrier.  Every barrier runs the
+     * same health-aware path whatever the plan; with an empty plan
+     * (the default) no chip ever leaves health, so the masked
+     * settlement runs the unmasked arithmetic bit for bit, and the
+     * per-chip health series are not sampled -- fault-free runs keep
+     * their bytes.
      */
     fault::FleetFaultPlan fleet_faults;
-
-    /**
-     * Per-chip deficit watchdog: a chip reporting a positive clearing
-     * deficit for this many consecutive epochs is marked degraded
-     * (its budget clamped by `watchdog_clamp`) -- persistent deficit
-     * is a health signal, the fleet analogue of the market watchdog.
-     * 0 (default) disables the watchdog.
-     */
-    int deficit_watchdog_epochs = 0;
-
-    /** Budget clamp applied when the deficit watchdog trips. */
-    double watchdog_clamp = 0.9;
-
-    /**
-     * Bounded placement retries per evacuated task before it parks in
-     * the pending queue until the next recovery (backoff doubles per
-     * failed attempt, starting at one epoch).
-     */
-    int evac_max_retries = 8;
 };
 
 /** Aggregate outcome of a fleet run. */
@@ -182,12 +176,13 @@ struct FleetResult {
     /** Floating tasks admitted. */
     long admitted = 0;
 
-    /** Chip id each floating task landed on (-1 = never admitted,
-     *  arrival past the run end). */
+    /** Chip id each floating task landed on (-1 = never admitted:
+     *  arrival past the run end, or rejected at every barrier). */
     std::vector<int> placements;
 
-    // Fleet fault-tolerance accounting (all zero / empty on runs
-    // without chip-scope faults).  Conservation invariant:
+    // Fleet fault-tolerance accounting (zero on runs without
+    // chip-scope faults, except rejections, which also counts
+    // floating tasks turned away).  Conservation invariant:
     // evacuations == evac_landed + evac_pending_end -- no task is
     // lost or duplicated by chip failure.
     long chip_failures = 0;     ///< chip-fail events applied.
@@ -195,8 +190,7 @@ struct FleetResult {
     long evacuations = 0;       ///< Tasks pulled off failed chips.
     long evac_landed = 0;       ///< ...re-admitted on survivors.
     long evac_pending_end = 0;  ///< ...still queued at run end.
-    long rejections = 0;        ///< Typed admission rejections.
-    long fleet_watchdog_trips = 0;  ///< Deficit-watchdog trips.
+    long rejections = 0;        ///< Placements turned away.
     bool all_chips_failed = false;  ///< Whole fleet was down at once.
 
     /** Final per-chip health (0 = ok, 1 = degraded, 2 = failed). */
@@ -243,18 +237,6 @@ class Fleet
     /** The supervisor market (for inspection). */
     const SupervisorMarket& supervisor() const { return supervisor_; }
 
-    /** Per-chip health (0 = ok, 1 = degraded, 2 = failed). */
-    int chip_health(int i) const
-    {
-        return static_cast<int>(health_[static_cast<std::size_t>(i)]);
-    }
-
-    /** Evacuations still waiting for a chip that can take them. */
-    long pending_evacuations() const
-    {
-        return static_cast<long>(pending_evac_.size());
-    }
-
     /**
      * Serialize the complete fleet state between epochs: supervisor,
      * budgets, placements, health, the pending-evacuation queue, the
@@ -274,11 +256,10 @@ class Fleet
           admitted_, done_);
         // Fault-tolerance runtime.  The fleet fault plan is recompiled
         // from the same spec/seed/epoch, so only its cursor travels.
-        a(next_fleet_event_, health_, clamp_, deficit_streak_);
+        a(next_fleet_event_, health_, clamp_);
         a.fixed(roster_, "fleet chip count differs");
         a(pending_evac_, evac_seq_, chip_failures_, chip_recoveries_,
-          evacuations_, evac_landed_, rejections_, fleet_watchdog_trips_,
-          all_failed_seen_, bus_);
+          evacuations_, evac_landed_, rejections_, all_failed_seen_, bus_);
         a.fixed(shards_, "shard count differs");
     }
 
@@ -317,7 +298,8 @@ class Fleet
     /** Gather signals, settle, retarget budgets (chip-id order). */
     void settle_barrier();
 
-    /** Admit due floating tasks to the cheapest chips. */
+    /** Place due floating tasks (place_task); a rejected one stays
+     *  floating and retries at the next barrier. */
     void admit_floating();
 
     /** Sample the fleet.* series at the current barrier. */
@@ -329,9 +311,6 @@ class Fleet
     /** Pull every live task off newly failed chip `i` into the
      *  pending queue (task-id order). */
     void evacuate_chip(std::size_t i);
-
-    /** Update per-chip deficit streaks; trip the watchdog. */
-    void run_deficit_watchdog();
 
     /** Try to place due pending evacuations (seq order). */
     void drain_pending();
@@ -358,14 +337,10 @@ class Fleet
     long admitted_ = 0;
     bool done_ = false;
 
-    // Fleet fault-tolerance runtime.  fault_handling_ latches at
-    // construction (non-empty plan or watchdog enabled); when false,
-    // every barrier takes the exact legacy code path.
-    bool fault_handling_ = false;
+    // Fleet fault-tolerance runtime.
     std::size_t next_fleet_event_ = 0;  ///< Cursor into the plan.
     std::vector<unsigned char> health_; ///< 0 ok / 1 degraded / 2 failed.
     std::vector<double> clamp_;         ///< Budget clamp (1.0 = none).
-    std::vector<int> deficit_streak_;   ///< Consecutive deficit epochs.
     std::vector<std::vector<RosterEntry>> roster_;  ///< Per chip, by task id.
     std::vector<PendingEvac> pending_evac_;  ///< Sorted by seq.
     long evac_seq_ = 0;
@@ -374,7 +349,6 @@ class Fleet
     long evacuations_ = 0;
     long evac_landed_ = 0;
     long rejections_ = 0;
-    long fleet_watchdog_trips_ = 0;
     bool all_failed_seen_ = false;
     std::vector<unsigned char> active_scratch_;  ///< health != failed.
 
@@ -393,7 +367,6 @@ class Fleet
     metrics::SeriesId rejections_id_ = 0;
     metrics::SeriesId chip_failures_id_ = 0;
     metrics::SeriesId chip_recoveries_id_ = 0;
-    metrics::SeriesId watchdog_id_ = 0;
 };
 
 } // namespace ppm::fleet

@@ -15,6 +15,11 @@ constexpr Watts kUncapped = 1e8;
  *  picks it, and budget withdrawal is visible in the traces. */
 constexpr double kQuarantinePrice = 1e30;
 
+/** Watts requested per PU of clearing deficit: a chip's want is its
+ *  measured power plus a first-order estimate of the watts that would
+ *  cure its unmet demand. */
+constexpr double kDeficitGain = 0.001;
+
 } // namespace
 
 SupervisorMarket::SupervisorMarket(SupervisorConfig cfg, int chips)
@@ -23,8 +28,6 @@ SupervisorMarket::SupervisorMarket(SupervisorConfig cfg, int chips)
     PPM_ASSERT(chips >= 1, "fleet needs at least one chip");
     PPM_ASSERT(cfg_.total_budget > 0.0, "fleet budget must be positive");
     PPM_ASSERT(cfg_.floor_w > 0.0, "per-chip floor must be positive");
-    PPM_ASSERT(cfg_.deficit_gain >= 0.0,
-               "deficit gain must be non-negative");
     prices_.assign(static_cast<std::size_t>(chips), 0.0);
     budgets_.resize(static_cast<std::size_t>(chips));
     std::fill(budgets_.begin(), budgets_.end(), initial_budget());
@@ -38,12 +41,6 @@ SupervisorMarket::initial_budget() const
     if (budgets_.size() <= 1)
         return cfg_.total_budget;
     return cfg_.total_budget / static_cast<double>(budgets_.size());
-}
-
-bool
-SupervisorMarket::settle(const std::vector<ChipSignal>& signals)
-{
-    return settle(signals, nullptr, nullptr);
 }
 
 bool
@@ -80,7 +77,7 @@ SupervisorMarket::settle(const std::vector<ChipSignal>& signals,
         ++n_active;
         const double want = std::max(
             cfg_.floor_w,
-            signals[i].power + cfg_.deficit_gain * signals[i].deficit);
+            signals[i].power + kDeficitGain * signals[i].deficit);
         prices_[i] = want;  // Staged; rescaled below once budgets land.
         want_sum += want;
     }
@@ -140,12 +137,6 @@ SupervisorMarket::settle(const std::vector<ChipSignal>& signals,
     }
     lambda_ = want_sum / b;
     return true;
-}
-
-int
-SupervisorMarket::cheapest_chip() const
-{
-    return cheapest_chip(nullptr);
 }
 
 int

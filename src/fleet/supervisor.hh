@@ -39,14 +39,6 @@ struct SupervisorConfig {
      * floors -- then every chip gets the same even share.
      */
     Watts floor_w = 1.0;
-
-    /**
-     * Conversion gain from clearing deficit (PU of unmet demand) to
-     * requested watts.  A chip's "want" is its measured power plus
-     * gain * deficit: the watts it consumes now plus a first-order
-     * estimate of the watts that would cure its unmet demand.
-     */
-    double deficit_gain = 0.001;
 };
 
 /** One chip's per-epoch report to the supervisor. */
@@ -72,35 +64,31 @@ class SupervisorMarket
      * budgets were (re)computed this epoch -- false for an uncapped
      * fleet, whose budgets never move.
      *
-     * Settlement: want_i = max(floor, power_i + gain * deficit_i).
-     * A 1-chip fleet gets the whole budget verbatim (no
-     * floor-plus-remainder decomposition, so the single-chip path
-     * introduces no floating-point rewriting of the budget).  When
-     * the floors alone exceed the budget, every chip gets the even
-     * share B/n; otherwise each chip gets floor + remainder *
-     * want_i / sum(want), which sums back to B up to roundoff.
-     */
-    bool settle(const std::vector<ChipSignal>& signals);
-
-    /**
-     * Health-aware settlement (fleet fault tolerance).  `active`
-     * masks chips out of the economy entirely (0 = failed): a failed
-     * chip's budget is withdrawn from settlement -- it receives the
-     * quarantine floor and a sentinel price so placement never picks
-     * it.  `clamp` multiplies a degraded chip's granted budget
-     * (1.0 = healthy), floored at the per-chip floor.  Passing null
-     * for both is exactly settle(): the masked path with every chip
-     * active and every clamp at 1.0 runs the identical arithmetic,
-     * so enabling fault handling on a run where nothing fails
-     * changes no bits.
+     * Settlement: want_i = max(floor, power_i + gain * deficit_i),
+     * where the gain (0.001 W per PU) converts unmet demand into a
+     * first-order estimate of the watts that would cure it.  A 1-chip
+     * fleet gets the whole budget verbatim (no floor-plus-remainder
+     * decomposition, so the single-chip path introduces no
+     * floating-point rewriting of the budget).  When the floors alone
+     * exceed the budget, every chip gets the even share B/n;
+     * otherwise each chip gets floor + remainder * want_i /
+     * sum(want), which sums back to B up to roundoff.
      *
-     * Edge cases: exactly one active chip receives the full fleet
-     * budget verbatim (zero floating-point rewriting, mirroring the
-     * 1-chip rule); zero active chips put every chip at the floor.
+     * Health (fleet fault tolerance): `active` masks chips out of the
+     * economy entirely (0 = failed): a failed chip's budget is
+     * withdrawn from settlement -- it receives the quarantine floor
+     * and a sentinel price so placement never picks it.  `clamp`
+     * multiplies a degraded chip's granted budget (1.0 = healthy),
+     * floored at the per-chip floor.  Null means every chip active,
+     * or no clamp; a mask with every chip active and every clamp at
+     * 1.0 runs the identical arithmetic, so a fleet where nothing
+     * fails settles to the same bits.  Exactly one active chip
+     * receives the full fleet budget verbatim (mirroring the 1-chip
+     * rule); zero active chips put every chip at the floor.
      */
     bool settle(const std::vector<ChipSignal>& signals,
-                const std::vector<unsigned char>* active,
-                const std::vector<double>* clamp);
+                const std::vector<unsigned char>* active = nullptr,
+                const std::vector<double>* clamp = nullptr);
 
     /** Per-chip budgets after the last settle (watts). */
     const std::vector<Watts>& budgets() const { return budgets_; }
@@ -125,16 +113,13 @@ class SupervisorMarket
      *  verbatim for uncapped fleets. */
     Watts initial_budget() const;
 
-    /** Chip with the lowest price (ties -> lowest id); -1 before the
-     *  first settle. */
-    int cheapest_chip() const;
-
     /**
-     * Cheapest chip among those with a non-zero `active` mask entry;
-     * -1 before the first settle or when no chip is active.  Null
-     * mask = all chips eligible (same as cheapest_chip()).
+     * Chip with the lowest price (ties -> lowest id) among those with
+     * a non-zero `active` mask entry (null = every chip); -1 before
+     * the first settle or when no chip is active.
      */
-    int cheapest_chip(const std::vector<unsigned char>* active) const;
+    int cheapest_chip(
+        const std::vector<unsigned char>* active = nullptr) const;
 
     const SupervisorConfig& config() const { return cfg_; }
 

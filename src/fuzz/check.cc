@@ -9,11 +9,9 @@
 
 #include "common/logging.hh"
 
-#include "baselines/hl_governor.hh"
-#include "baselines/hpm_governor.hh"
+#include "experiment/experiment.hh"
 #include "fleet/fleet.hh"
 #include "hw/power_model.hh"
-#include "market/ppm_governor.hh"
 #include "metrics/telemetry.hh"
 #include "snapshot/archive.hh"
 
@@ -133,24 +131,9 @@ std::unique_ptr<sim::Governor>
 make_policy(const Scenario& sc, const std::string& policy,
             bool incremental)
 {
-    const Watts tdp = sc.tdp > 0.0 ? sc.tdp : 1e9;
-    if (policy == "PPM") {
-        market::PpmGovernorConfig cfg;
-        cfg.market.w_tdp = tdp;
-        cfg.market.w_th = market::derive_w_th(tdp);
-        cfg.market.incremental = incremental;
-        cfg.big_speedup = big_speedups(sc);
-        cfg.online_speedup = sc.online_speedup;
-        return std::make_unique<market::PpmGovernor>(cfg);
-    }
-    if (policy == "HPM") {
-        baselines::HpmConfig cfg;
-        cfg.tdp = tdp;
-        return std::make_unique<baselines::HpmGovernor>(cfg);
-    }
-    baselines::HlConfig cfg;
-    cfg.tdp = tdp;
-    return std::make_unique<baselines::HlGovernor>(cfg);
+    return experiment::make_governor(policy, sc.tdp > 0.0 ? sc.tdp : 1e9,
+                                     big_speedups(sc), sc.online_speedup,
+                                     1, nullptr, incremental);
 }
 
 sim::SimConfig
@@ -287,10 +270,11 @@ struct FleetOutput {
 /**
  * Build the `chips`-shard fleet configuration of the scenario.  Every
  * chip replicates the scenario's workload; chip governors are built
- * from their supervisor budget through the same knobs as make_policy,
- * so a 1-chip fleet is configured bit-identically to the plain PPM
- * run.  With `fleet_faults`, the scenario's chip-level fault classes
- * are compiled into the settlement-barrier transition schedule.
+ * from their supervisor budget by experiment::make_governor, as in
+ * make_policy, so a 1-chip fleet is configured bit-identically to the
+ * plain PPM run.  With `fleet_faults`, the scenario's chip-level fault
+ * classes are compiled into the settlement-barrier transition
+ * schedule.
  */
 fleet::FleetConfig
 make_fleet_config(const Scenario& sc, int chips, int jobs,
@@ -320,16 +304,10 @@ make_fleet_config(const Scenario& sc, int chips, int jobs,
         fc.workloads.push_back(std::move(wl));
     }
     fc.make_chip = [&sc](int) { return make_chip(sc); };
-    fc.make_governor = [&sc, incremental](
-                           int,
-                           Watts budget) -> std::unique_ptr<sim::Governor> {
-        market::PpmGovernorConfig cfg;
-        cfg.market.w_tdp = budget;
-        cfg.market.w_th = market::derive_w_th(budget);
-        cfg.market.incremental = incremental;
-        cfg.big_speedup = big_speedups(sc);
-        cfg.online_speedup = sc.online_speedup;
-        return std::make_unique<market::PpmGovernor>(cfg);
+    fc.make_governor = [&sc, incremental](int, Watts budget) {
+        return experiment::make_governor("PPM", budget, big_speedups(sc),
+                                         sc.online_speedup, 1, nullptr,
+                                         incremental);
     };
     return fc;
 }
@@ -803,7 +781,7 @@ check_scenario(const Scenario& sc)
         }
         if (fr.chip_failures < 0 || fr.evacuations < 0 ||
             fr.evac_landed < 0 || fr.evac_pending_end < 0 ||
-            fr.rejections < 0 || fr.fleet_watchdog_trips < 0) {
+            fr.rejections < 0) {
             violations.push_back(
                 {"fleet-conservation", "PPM",
                  "a fleet fault counter went negative"});

@@ -295,16 +295,41 @@ LbtModule::propose(bool inter_cluster, ClusterId source_cluster) const
     if (tasks.empty())
         return Movement{};
 
+    // Reserve every scratch list to its per-task bound, so a wake that
+    // sees a fuller cluster or more candidates than any before it
+    // still allocates nothing (reserve() is a no-op once the capacity
+    // is there).  A candidate is one (task, target cluster) pair.
+    const std::size_t n = tasks.size();
+    const auto clusters = static_cast<std::size_t>(chip.num_clusters());
+    const auto cores = static_cast<std::size_t>(chip.num_cores());
+    Scratch& s = scratch_;
+    s.members.resize(clusters);
+    s.base.resize(clusters);
+    if (s.on_core.size() < cores)
+        s.on_core.resize(cores);
+    for (auto& lst : s.members)
+        lst.reserve(n);
+    for (auto& out : s.base)
+        out.ratios.reserve(n);
+    for (auto& lst : s.on_core)
+        lst.reserve(n);
+    for (auto* lst : {&s.src_members, &s.dst_members, &s.active, &s.hungry})
+        lst->reserve(n);
+    s.src_out.ratios.reserve(n);
+    s.dst_out.ratios.reserve(n);
+    s.granted.reserve(n);
+    s.core_demand.reserve(cores);
+    s.candidates.reserve(n * clusters);
+
     // Current placement, demands, per-core demand sums and per-
     // cluster task membership, in scratch buffers every wake reuses.
-    auto& core = scratch_.core;
-    auto& demand = scratch_.demand;
-    auto& demand_by_core = scratch_.demand_by_core;
-    auto& members = scratch_.members;
-    core.resize(tasks.size());
-    demand.resize(tasks.size());
-    demand_by_core.assign(static_cast<std::size_t>(chip.num_cores()), 0.0);
-    members.resize(static_cast<std::size_t>(chip.num_clusters()));
+    auto& core = s.core;
+    auto& demand = s.demand;
+    auto& demand_by_core = s.demand_by_core;
+    auto& members = s.members;
+    core.resize(n);
+    demand.resize(n);
+    demand_by_core.assign(cores, 0.0);
     for (auto& lst : members)
         lst.clear();
     bool all_satisfied = true;
@@ -322,10 +347,9 @@ LbtModule::propose(bool inter_cluster, ClusterId source_cluster) const
 
     // Baseline: per-cluster steady-state outcomes (computed once).
     const Money min_bid = market_->config().min_bid;
-    auto& base = scratch_.base;
-    auto& base_ratio = scratch_.base_ratio;
-    base.resize(static_cast<std::size_t>(chip.num_clusters()));
-    base_ratio.assign(tasks.size(), 1.0);
+    auto& base = s.base;
+    auto& base_ratio = s.base_ratio;
+    base_ratio.assign(n, 1.0);
     Money base_spend = 0.0;
     for (ClusterId v = 0; v < chip.num_clusters(); ++v) {
         estimate_cluster(v, members[static_cast<std::size_t>(v)], core,
@@ -340,7 +364,7 @@ LbtModule::propose(bool inter_cluster, ClusterId source_cluster) const
     // Candidate movements: tasks on the constrained core(s), moved to
     // the most over-supplied unconstrained core of the target
     // cluster(s).
-    auto& candidates = scratch_.candidates;
+    auto& candidates = s.candidates;
     candidates.clear();
     for (ClusterId v = 0; v < chip.num_clusters(); ++v) {
         if (source_cluster != kInvalidId && v != source_cluster)
@@ -393,20 +417,20 @@ LbtModule::propose(bool inter_cluster, ClusterId source_cluster) const
             fallback = market_->core(mv.from).price;
 
         // Adjusted membership of the affected clusters only.
-        auto& src_members = scratch_.src_members;
+        auto& src_members = s.src_members;
         src_members.clear();
         for (std::size_t u : members[static_cast<std::size_t>(src)]) {
             if (u != t || src == dst)
                 src_members.push_back(u);
         }
-        auto& src_out = scratch_.src_out;
+        auto& src_out = s.src_out;
         estimate_cluster(src, src_members, core, demand, fallback,
                          src_out);
-        auto& dst_out = scratch_.dst_out;
+        auto& dst_out = s.dst_out;
         dst_out.ratios.clear();
         dst_out.spend = 0.0;
         if (src != dst) {
-            auto& dst_members = scratch_.dst_members;
+            auto& dst_members = s.dst_members;
             dst_members = members[static_cast<std::size_t>(dst)];
             dst_members.push_back(t);
             estimate_cluster(dst, dst_members, core, demand, fallback,

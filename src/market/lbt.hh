@@ -139,12 +139,13 @@ class LbtModule
     std::vector<double> power_cost_;
 
     /**
-     * Reused scratch, so a warm propose() allocates nothing.  The
-     * first group lives for one propose() call: placement, demands,
-     * chip-wide per-core demand sums, per-cluster members, the
-     * baseline outcomes and the candidate list.  The rest serves one
-     * candidate, or one estimate_cluster() call (whose per-core
-     * demand column of one cluster is `core_demand`).
+     * Reused scratch, so propose() allocates only on its first wake
+     * and after an admission: it reserves every list to its per-task
+     * bound up front.  The first group lives for one propose() call:
+     * placement, demands, chip-wide per-core demand sums, per-cluster
+     * members, the baseline outcomes and the candidate list.  The
+     * rest serves one candidate, or one estimate_cluster() call
+     * (whose per-core demand column of one cluster is `core_demand`).
      */
     struct Scratch {
         std::vector<CoreId> core;

@@ -24,6 +24,7 @@
 #include "fault/fault.hh"
 #include "hw/platform.hh"
 #include "market/config.hh"
+#include "sim/governor.hh"
 
 namespace ppm::market {
 
@@ -103,28 +104,6 @@ struct RoundReport {
     }
 };
 
-/**
- * Cumulative incremental-clearing counters across all rounds of one
- * Market (see RoundReport for the per-round definitions).  task_slots
- * and core_slots are the denominators -- sum over rounds of the task
- * and core counts -- so skip rates are skipped/slots.
- */
-struct ClearingStats {
-    long rounds = 0;
-    long task_slots = 0;
-    long tasks_skipped = 0;
-    long core_slots = 0;
-    long cores_skipped = 0;
-    long rounds_early_exit = 0;
-
-    template <class A>
-    void visit(A& a)
-    {
-        a(rounds, task_slots, tasks_skipped, core_slots, cores_skipped,
-          rounds_early_exit);
-    }
-};
-
 /** Market-visible state of one cluster agent, for telemetry. */
 struct ClusterTelemetry {
     ClusterId id = kInvalidId;
@@ -201,8 +180,11 @@ class Market
     /** Number of rounds executed. */
     long rounds() const { return rounds_; }
 
-    /** Cumulative incremental-clearing activity (all rounds so far). */
-    const ClearingStats& clearing_stats() const { return clearing_; }
+    /**
+     * Cumulative incremental-clearing activity (all rounds so far;
+     * see RoundReport for the per-round definitions).
+     */
+    const sim::ClearingStats& clearing_stats() const { return clearing_; }
 
     /**
      * Ids of the tasks the last round's dirty tracking recomputed
@@ -598,7 +580,7 @@ class Market
     std::vector<TaskId> purchase_tasks_;   ///< Purchase-pass active set.
     std::vector<TaskId> recomputed_tasks_; ///< Union, ascending.
 
-    ClearingStats clearing_;   ///< Cumulative counters.
+    sim::ClearingStats clearing_;   ///< Cumulative counters.
 };
 
 /**

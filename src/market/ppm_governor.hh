@@ -191,17 +191,8 @@ class PpmGovernor : public sim::Governor
      */
     sim::ClearingStats clearing_stats() const override
     {
-        sim::ClearingStats out;
-        if (market_ != nullptr) {
-            const ClearingStats& m = market_->clearing_stats();
-            out.rounds = m.rounds;
-            out.task_slots = m.task_slots;
-            out.tasks_skipped = m.tasks_skipped;
-            out.core_slots = m.core_slots;
-            out.cores_skipped = m.cores_skipped;
-            out.rounds_early_exit = m.rounds_early_exit;
-        }
-        return out;
+        return market_ != nullptr ? market_->clearing_stats()
+                                  : sim::ClearingStats{};
     }
 
   private:

@@ -27,12 +27,12 @@ namespace ppm::sim {
 class Simulation;
 
 /**
- * Cumulative incremental-clearing counters a governor exposes for the
- * run summary (mirrors market::ClearingStats without the dependency).
- * Slots count ledger entries considered per round (skipped + redone);
- * a skip rate near zero on a steady workload means the active set is
- * silently degraded -- every entry always dirty -- which is a bug
- * worth seeing, not just slowness.
+ * Cumulative incremental-clearing counters: what a market keeps across
+ * its rounds and what a governor exposes for the run summary.  Slots
+ * count ledger entries considered per round (skipped + redone), so
+ * skip rates are skipped/slots; a skip rate near zero on a steady
+ * workload means the active set is silently degraded -- every entry
+ * always dirty -- which is a bug worth seeing, not just slowness.
  */
 struct ClearingStats {
     long rounds = 0;            ///< Clearing rounds completed.
@@ -41,6 +41,14 @@ struct ClearingStats {
     long core_slots = 0;        ///< Core fold slots considered, total.
     long cores_skipped = 0;     ///< ...of which reused their folds.
     long rounds_early_exit = 0; ///< Rounds whose active set was empty.
+
+    /** Snapshot field list. */
+    template <class A>
+    void visit(A& a)
+    {
+        a(rounds, task_slots, tasks_skipped, core_slots, cores_skipped,
+          rounds_early_exit);
+    }
 };
 
 /**

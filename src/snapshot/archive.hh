@@ -70,12 +70,14 @@ namespace ppm::snap {
 /**
  * Current snapshot format version.  Bump it whenever the payload
  * layout changes, so a file written under another layout is rejected
- * with kBadVersion rather than misread.  Version 4 drops the adaptive
- * V-F stepper's state (the market's previous excess objective, the
- * round report's two excess norms and each cluster control's step
- * accumulator and last direction).
+ * with kBadVersion rather than misread.  Version 4 dropped the
+ * adaptive V-F stepper's state (the market's previous excess
+ * objective, the round report's two excess norms and each cluster
+ * control's step accumulator and last direction); version 5 drops the
+ * fleet deficit watchdog's state (the per-chip deficit streaks and the
+ * trip count).
  */
-inline constexpr std::uint32_t kFormatVersion = 4;
+inline constexpr std::uint32_t kFormatVersion = 5;
 
 static_assert(std::is_same_v<std::int64_t, long> &&
                   std::is_same_v<std::uint64_t, std::size_t>,

@@ -433,6 +433,43 @@ TEST(Fleet, FloatingTasksLandOnTheCheapestChip)
     EXPECT_EQ(res.per_chip[0].task_below.size(), 3u);
 }
 
+TEST(Fleet, FloatingTaskWaitsWhileEveryChipIsInEmergency)
+{
+    // Floating tasks pass the same admission check as evacuations: a
+    // 0.4 W fleet cannot clear two heavy tasks on either chip, so
+    // both markets sit in emergency, and the cheapest chip turns the
+    // task away at every barrier from its arrival to the run end.
+    fleet::FleetConfig fc;
+    fc.chips = 2;
+    fc.epoch = 96 * kMillisecond;
+    fc.supervisor.total_budget = 0.4;
+    fc.supervisor.floor_w = 0.1;
+    fc.sim.duration = 3 * kSecond;
+    fc.sim.tdp_for_metrics = 0.2;
+    fc.make_chip = [](int) { return hw::tc2_chip(); };
+    fc.make_governor = [](int, Watts budget) {
+        return budgeted_ppm(budget);
+    };
+    fleet::ChipWorkload heavy;
+    heavy.specs = {test::steady_spec("h0", 2, 700.0, 1.8, 30.0),
+                   test::steady_spec("h1", 1, 650.0, 1.7, 30.0)};
+    fc.workloads = {heavy, heavy};
+
+    fleet::FloatingTask task;
+    task.spec = test::steady_spec("float0", 1, 100.0, 1.6, 10.0);
+    task.arrival = kSecond;
+    fc.floating = {task};
+
+    fleet::Fleet fleet(std::move(fc));
+    const fleet::FleetResult res = fleet.run();
+    EXPECT_EQ(res.admitted, 0);
+    EXPECT_GT(res.rejections, 0);
+    ASSERT_EQ(res.placements.size(), 1u);
+    EXPECT_EQ(res.placements[0], -1);
+    EXPECT_EQ(res.per_chip[0].task_below.size(), 2u);
+    EXPECT_EQ(res.per_chip[1].task_below.size(), 2u);
+}
+
 // ----------------------------------------------------------------
 // The simulation primitives the fleet engine rests on.
 
@@ -525,8 +562,10 @@ recover_at(SimTime t, int chip)
 
 TEST(FleetFaults, EmptyPlanLeavesTheRunByteIdentical)
 {
-    // The fault machinery must be fully disabled -- not merely
-    // inert -- when the plan is empty: same bytes on every stream.
+    // Every barrier runs the one health-aware path, so an empty plan
+    // must leave it inert: no chip leaves health, the masked
+    // settlement runs the unmasked arithmetic and no health series is
+    // sampled -- same bytes on every stream.
     const FleetBytes plain = run_golden_fleet(3, 1);
 
     std::ostringstream fleet_os, chip_os;

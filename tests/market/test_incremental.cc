@@ -90,7 +90,7 @@ TEST(Incremental, SteadyStateReachesEarlyExitAndStaysThere)
         EXPECT_EQ(r.cores_skipped, 4);
         EXPECT_TRUE(f.market.last_round_recomputed().empty());
     }
-    const ClearingStats& st = f.market.clearing_stats();
+    const sim::ClearingStats& st = f.market.clearing_stats();
     EXPECT_GE(st.rounds_early_exit, 10);
     EXPECT_EQ(st.task_slots, 4 * st.rounds);
     EXPECT_GT(st.tasks_skipped, 0);

@@ -287,26 +287,31 @@ class TickAllocProbe : public sim::Governor
 
 TEST(AllocFree, BaselineWakes)
 {
-    // PPM, HPM and HL on the paper's m2 set, seed 42, uncapped and
-    // macro-stepped.  The scheduler's per-core task lists and HPM's
-    // demand scratch are sized when tasks are added; PPM's LBT
-    // scratch grows on its first wakes.  The test warms 10 s and
-    // counts the next 30 s.
+    // PPM, HPM and HL on each of the paper's nine sets, seed 42,
+    // uncapped and macro-stepped.  The scheduler's per-core task
+    // lists and HPM's demand scratch are sized when tasks are added;
+    // PPM's LBT scratch reserves its per-task bounds on each wake.
+    // The test warms 10 s and counts the next 30 s.
     const SimTime warm = 10 * kSecond;
     const SimTime horizon = 40 * kSecond;
-    const auto specs = workload::instantiate(
-        workload::workload_set("m2"), 42, 1, horizon + 100 * kSecond);
-    for (const char* policy : {"PPM", "HPM", "HL"}) {
-        auto probe = std::make_unique<TickAllocProbe>(
-            experiment::make_governor(policy, 1e9, {}));
-        const TickAllocProbe* counts = probe.get();
-        sim::SimConfig cfg;
-        cfg.duration = horizon;
-        sim::Simulation sim(hw::tc2_chip(), specs, std::move(probe), cfg);
-        sim.run_until(warm);
-        const long before = counts->allocs();
-        sim.run_until(horizon);
-        EXPECT_EQ(counts->allocs() - before, 0) << policy;
+    for (const workload::WorkloadSet& set :
+         workload::standard_workload_sets()) {
+        const auto specs = workload::instantiate(set, 42, 1,
+                                                 horizon + 100 * kSecond);
+        for (const char* policy : {"PPM", "HPM", "HL"}) {
+            auto probe = std::make_unique<TickAllocProbe>(
+                experiment::make_governor(policy, 1e9, {}));
+            const TickAllocProbe* counts = probe.get();
+            sim::SimConfig cfg;
+            cfg.duration = horizon;
+            sim::Simulation sim(hw::tc2_chip(), specs, std::move(probe),
+                                cfg);
+            sim.run_until(warm);
+            const long before = counts->allocs();
+            sim.run_until(horizon);
+            EXPECT_EQ(counts->allocs() - before, 0)
+                << policy << " on " << set.name;
+        }
     }
 }
 

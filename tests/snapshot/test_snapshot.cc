@@ -545,7 +545,7 @@ TEST(Archive, PayloadLayoutPinned)
     ASSERT_GT(f.bus().counter("fleet.evacuations"), 0);
     snap::Writer w;
     f.save(w);
-    EXPECT_EQ(layout_of(w), "13611:60b09fd43f07a5f3");
+    EXPECT_EQ(layout_of(w), "13579:6f4c5bae0efd6b9f");
 }
 
 TEST(SnapshotRestore, SimulationLoadRejectsWrongShape)

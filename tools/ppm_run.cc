@@ -860,10 +860,6 @@ main(int argc, char** argv)
         table.add_row({"all_chips_failed",
                        fleet_res.all_chips_failed ? "yes" : "no"});
     }
-    if (fleet_mode && fleet_res.fleet_watchdog_trips > 0) {
-        table.add_row({"fleet_watchdog_trips",
-                       std::to_string(fleet_res.fleet_watchdog_trips)});
-    }
     if (params.faults.any()) {
         table.add_row({"faults_injected",
                        std::to_string(s.faults_injected)});

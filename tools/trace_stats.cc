@@ -405,9 +405,6 @@ main(int argc, char** argv)
         std::printf("fleet_rejections: %s\n",
                     fmt_double(counter_total("fleet.rejections"), 0)
                         .c_str());
-        std::printf("fleet_watchdog_trips: %s\n",
-                    fmt_double(counter_total("fleet.watchdog_trips"), 0)
-                        .c_str());
     }
 
     // Snapshot accounting (ppm_run --snapshot-every riders).
