@@ -32,10 +32,7 @@ run_variant(const workload::WorkloadSet& set, bool lbt, bool dvfs)
     market::PpmGovernorConfig cfg;
     cfg.enable_lbt = lbt;
     cfg.market.dvfs_enabled = dvfs;
-    for (const auto& m : set.members) {
-        cfg.big_speedup.push_back(
-            workload::profile(m.bench, m.input).big_speedup);
-    }
+    cfg.big_speedup = workload::big_speedups(set);
     sim::SimConfig sim_cfg;
     sim_cfg.duration = 300 * kSecond;
     sim::Simulation sim(hw::tc2_chip(), workload::instantiate(set, 42),

@@ -42,10 +42,7 @@ main(int argc, char** argv)
             market::PpmGovernorConfig cfg;
             cfg.market.tolerance = cell.delta;
             cfg.market.demand_rounding = cell.rounding;
-            for (const auto& m : set.members) {
-                cfg.big_speedup.push_back(
-                    workload::profile(m.bench, m.input).big_speedup);
-            }
+            cfg.big_speedup = workload::big_speedups(set);
             sim::SimConfig sim_cfg;
             sim_cfg.duration = 300 * kSecond;
             sim::Simulation sim(

@@ -33,10 +33,7 @@ run_variant(const workload::WorkloadSet& set, const char* variant,
 {
     market::PpmGovernorConfig cfg;
     if (std::string(variant) == "offline") {
-        for (const auto& m : set.members) {
-            cfg.big_speedup.push_back(
-                workload::profile(m.bench, m.input).big_speedup);
-        }
+        cfg.big_speedup = workload::big_speedups(set);
     } else if (std::string(variant) == "online") {
         cfg.online_speedup = true;
     }  // "none": defaults only.

@@ -51,10 +51,7 @@ run_on(hw::Chip chip, const workload::WorkloadSet& set,
        std::uint64_t seed)
 {
     market::PpmGovernorConfig cfg;
-    for (const auto& m : set.members) {
-        cfg.big_speedup.push_back(
-            workload::profile(m.bench, m.input).big_speedup);
-    }
+    cfg.big_speedup = workload::big_speedups(set);
     sim::SimConfig sim_cfg;
     sim_cfg.duration = 300 * kSecond;
     sim::Simulation sim(std::move(chip), workload::instantiate(set, seed),

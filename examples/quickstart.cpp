@@ -42,10 +42,7 @@ main(int argc, char** argv)
     market::PpmGovernorConfig cfg;
     cfg.market.w_tdp = 8.0;
     cfg.market.w_th = 7.0;
-    for (const auto& member : set.members) {
-        cfg.big_speedup.push_back(
-            workload::profile(member.bench, member.input).big_speedup);
-    }
+    cfg.big_speedup = workload::big_speedups(set);
 
     // 4. Run.
     sim::SimConfig sim_cfg;

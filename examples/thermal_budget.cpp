@@ -38,10 +38,7 @@ main(int argc, char** argv)
         market::PpmGovernorConfig cfg;
         cfg.market.w_tdp = budget;
         cfg.market.w_th = budget - 0.6;
-        for (const auto& m : set.members) {
-            cfg.big_speedup.push_back(
-                workload::profile(m.bench, m.input).big_speedup);
-        }
+        cfg.big_speedup = workload::big_speedups(set);
         sim::SimConfig sim_cfg;
         sim_cfg.duration = 120 * kSecond;
         sim_cfg.tdp_for_metrics = budget;

@@ -134,6 +134,18 @@ cmp /tmp/ppm_fleet_faults_j1.csv /tmp/ppm_fleet_faults_j4.csv
 rm -f /tmp/ppm_plain.csv /tmp/ppm_fleet1.csv /tmp/ppm_fleet_j[1-4].csv \
     /tmp/ppm_fleet_full.csv /tmp/ppm_fleet_faults_j[14].csv
 
+# Seed-averaging smoke: --avg-seeds runs one cell per seed and reduces
+# the summaries in seed order, so the thread count must not change a
+# byte either.  A capped, faulted m2 run puts non-zero values in the
+# table's market and fault rows as well as its QoS and power rows.
+for jobs in 1 3; do
+    ./build/tools/ppm_run --set m2 --seconds 10 --tdp 4 \
+        --faults sensor,dvfs,seed=9,rate=20 --avg-seeds 3 --csv \
+        --jobs "$jobs" > "/tmp/ppm_avg_j$jobs.csv"
+done
+cmp /tmp/ppm_avg_j1.csv /tmp/ppm_avg_j3.csv
+rm -f /tmp/ppm_avg_j[13].csv
+
 # Kill-and-resume smokes: a run saved at a snapshot point and resumed
 # in a fresh process must print byte-identical summaries to the
 # uninterrupted run -- single-chip, federated, and federated under

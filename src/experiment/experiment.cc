@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <type_traits>
 
 #include "baselines/hl_governor.hh"
 #include "baselines/hpm_governor.hh"
@@ -10,7 +11,6 @@
 #include "experiment/sweep.hh"
 #include "hw/platform.hh"
 #include "market/ppm_governor.hh"
-#include "workload/benchmarks.hh"
 
 namespace ppm::experiment {
 
@@ -41,9 +41,10 @@ make_governor(const std::string& policy, Watts tdp,
     fatal("unknown policy '%s' (use PPM, HPM or HL)", policy.c_str());
 }
 
-RunResult
-run_specs(const std::vector<workload::TaskSpec>& specs,
-          const std::vector<double>& big_speedups, const RunParams& params)
+std::unique_ptr<sim::Simulation>
+make_simulation(const std::vector<workload::TaskSpec>& specs,
+                const std::vector<double>& big_speedups,
+                const RunParams& params)
 {
     sim::SimConfig sim_cfg;
     sim_cfg.duration = params.duration;
@@ -58,24 +59,32 @@ run_specs(const std::vector<workload::TaskSpec>& specs,
             sim_cfg.duration, sim_cfg.tick);
     }
 
-    sim::Simulation simulation(
+    auto simulation = std::make_unique<sim::Simulation>(
         std::move(chip), specs,
         make_governor(params.policy, params.tdp, big_speedups,
                       params.online_speedup, 1, nullptr,
                       params.incremental),
         sim_cfg);
     if (params.extra_sink != nullptr)
-        simulation.bus().add_sink(params.extra_sink);
+        simulation->bus().add_sink(params.extra_sink);
+    return simulation;
+}
+
+RunResult
+run_specs(const std::vector<workload::TaskSpec>& specs,
+          const std::vector<double>& big_speedups, const RunParams& params)
+{
+    const auto simulation = make_simulation(specs, big_speedups, params);
     RunResult result;
     const auto start = std::chrono::steady_clock::now();
-    result.summary = simulation.run();
+    result.summary = simulation->run();
     result.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
             .count();
-    result.engine = simulation.engine_stats();
+    result.engine = simulation->engine_stats();
     if (params.trace)
-        result.traces = simulation.recorder();
+        result.traces = simulation->recorder();
     return result;
 }
 
@@ -85,12 +94,7 @@ run_set(const workload::WorkloadSet& set, const RunParams& params)
     const auto specs = workload::instantiate(set, params.seed,
                                              params.priority,
                                              params.duration + 100 * kSecond);
-    std::vector<double> speedups;
-    for (const auto& member : set.members) {
-        speedups.push_back(
-            workload::profile(member.bench, member.input).big_speedup);
-    }
-    return run_specs(specs, speedups, params);
+    return run_specs(specs, workload::big_speedups(set), params);
 }
 
 std::uint64_t
@@ -112,74 +116,32 @@ sim::RunSummary
 aggregate_summaries(const std::vector<sim::RunSummary>& summaries)
 {
     PPM_ASSERT(!summaries.empty(), "need at least one summary");
-    sim::RunSummary avg = summaries.front();
-    for (std::size_t i = 1; i < summaries.size(); ++i) {
-        const sim::RunSummary& s = summaries[i];
-        PPM_ASSERT(s.task_below.size() == avg.task_below.size() &&
-                       s.task_outside.size() == avg.task_outside.size(),
-                   "summaries must cover the same task count");
-        avg.any_below_miss += s.any_below_miss;
-        avg.any_outside_miss += s.any_outside_miss;
-        avg.avg_power += s.avg_power;
-        avg.avg_power_post_warmup += s.avg_power_post_warmup;
-        avg.energy += s.energy;
-        avg.migrations += s.migrations;
-        avg.vf_transitions += s.vf_transitions;
-        avg.over_tdp_fraction += s.over_tdp_fraction;
-        avg.over_tdp_post_warmup += s.over_tdp_post_warmup;
-        // Worst seed sets the thermal envelope.
-        avg.peak_temp_c = std::max(avg.peak_temp_c, s.peak_temp_c);
-        avg.thermal_cycles += s.thermal_cycles;
-        avg.faults_injected += s.faults_injected;
-        avg.sensor_fallbacks += s.sensor_fallbacks;
-        avg.fault_retries += s.fault_retries;
-        avg.safe_mode_entries += s.safe_mode_entries;
-        avg.watchdog_trips += s.watchdog_trips;
-        avg.safe_mode_seconds += s.safe_mode_seconds;
-        avg.over_tdp_during_fault += s.over_tdp_during_fault;
-        avg.market_rounds += s.market_rounds;
-        avg.market_task_slots += s.market_task_slots;
-        avg.market_tasks_skipped += s.market_tasks_skipped;
-        avg.market_core_slots += s.market_core_slots;
-        avg.market_cores_skipped += s.market_cores_skipped;
-        avg.market_rounds_early_exit += s.market_rounds_early_exit;
-        for (std::size_t t = 0; t < avg.task_below.size(); ++t)
-            avg.task_below[t] += s.task_below[t];
-        for (std::size_t t = 0; t < avg.task_outside.size(); ++t)
-            avg.task_outside[t] += s.task_outside[t];
-    }
     const double n = static_cast<double>(summaries.size());
-    avg.any_below_miss /= n;
-    avg.any_outside_miss /= n;
-    avg.avg_power /= n;
-    avg.avg_power_post_warmup /= n;
-    avg.energy /= n;
-    avg.migrations = static_cast<long>(avg.migrations / n);
-    avg.vf_transitions = static_cast<long>(avg.vf_transitions / n);
-    avg.thermal_cycles = static_cast<long>(avg.thermal_cycles / n);
-    avg.over_tdp_fraction /= n;
-    avg.over_tdp_post_warmup /= n;
-    avg.faults_injected = static_cast<long>(avg.faults_injected / n);
-    avg.sensor_fallbacks = static_cast<long>(avg.sensor_fallbacks / n);
-    avg.fault_retries = static_cast<long>(avg.fault_retries / n);
-    avg.safe_mode_entries =
-        static_cast<long>(avg.safe_mode_entries / n);
-    avg.watchdog_trips = static_cast<long>(avg.watchdog_trips / n);
-    avg.safe_mode_seconds /= n;
-    avg.over_tdp_during_fault /= n;
-    avg.market_rounds = static_cast<long>(avg.market_rounds / n);
-    avg.market_task_slots = static_cast<long>(avg.market_task_slots / n);
-    avg.market_tasks_skipped =
-        static_cast<long>(avg.market_tasks_skipped / n);
-    avg.market_core_slots = static_cast<long>(avg.market_core_slots / n);
-    avg.market_cores_skipped =
-        static_cast<long>(avg.market_cores_skipped / n);
-    avg.market_rounds_early_exit =
-        static_cast<long>(avg.market_rounds_early_exit / n);
-    for (double& f : avg.task_below)
-        f /= n;
-    for (double& f : avg.task_outside)
-        f /= n;
+    sim::RunSummary avg = summaries.front();
+    sim::RunSummary::fields([&](sim::RunSummary::Merge merge, auto field) {
+        auto& acc = avg.*field;
+        using T = std::remove_reference_t<decltype(acc)>;
+        constexpr bool per_task = std::is_same_v<T, std::vector<double>>;
+        for (std::size_t i = 1; i < summaries.size(); ++i) {
+            const T& x = summaries[i].*field;
+            if constexpr (per_task) {
+                PPM_ASSERT(x.size() == acc.size(),
+                           "summaries must cover the same task count");
+                for (std::size_t t = 0; t < acc.size(); ++t)
+                    acc[t] += x[t];
+            } else if (merge == sim::RunSummary::kPeak) {
+                acc = std::max(acc, x);
+            } else {
+                acc += x;
+            }
+        }
+        if constexpr (per_task) {
+            for (double& v : acc)
+                v /= n;
+        } else if (merge != sim::RunSummary::kPeak) {
+            acc = static_cast<T>(acc / n);
+        }
+    });
     return avg;
 }
 

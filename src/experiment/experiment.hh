@@ -102,9 +102,18 @@ RunResult run_set(const workload::WorkloadSet& set,
                   const RunParams& params);
 
 /**
- * Run explicit task specs on a fresh TC2-like chip; `big_speedups`
- * feeds PPM's demand estimator (empty = defaults).
+ * Build, without running it, the simulation of explicit task specs
+ * on a fresh TC2-like chip: the SimConfig, the fault plan, the
+ * governor (`big_speedups` feeds PPM's demand estimator, empty =
+ * defaults) and `params.extra_sink`.  For callers that step the run
+ * themselves (snapshots); run_specs() runs it to the end.
  */
+std::unique_ptr<sim::Simulation>
+make_simulation(const std::vector<workload::TaskSpec>& specs,
+                const std::vector<double>& big_speedups,
+                const RunParams& params);
+
+/** Run make_simulation(specs, big_speedups, params) to the end. */
 RunResult run_specs(const std::vector<workload::TaskSpec>& specs,
                     const std::vector<double>& big_speedups,
                     const RunParams& params);
@@ -122,16 +131,8 @@ std::uint64_t cell_seed(std::uint64_t base, std::uint64_t stride,
                         int index);
 
 /**
- * Reduce per-seed summaries into one cross-seed summary.  Aggregation
- * semantics, per field:
- *  - mean: any_below_miss, any_outside_miss, avg_power,
- *    avg_power_post_warmup, energy, over_tdp_fraction,
- *    over_tdp_post_warmup;
- *  - elementwise mean: task_below, task_outside (all inputs must have
- *    the same task count);
- *  - max: peak_temp_c (the thermal envelope is set by the worst seed);
- *  - sum-then-divide (rounded to long): migrations, vf_transitions,
- *    thermal_cycles.
+ * Reduce per-seed summaries into one cross-seed summary by walking
+ * sim::RunSummary::fields(), which says how each field averages.
  * The governor name is taken from the first summary.  panic()s on an
  * empty input or mismatched task counts.
  */

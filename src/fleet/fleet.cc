@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "common/logging.hh"
@@ -395,38 +396,22 @@ Fleet::run()
         sim::RunSummary& c = r.combined;
         const double n = static_cast<double>(r.per_chip.size());
         c.governor = r.per_chip[0].governor;
-        for (const sim::RunSummary& s : r.per_chip) {
-            c.any_below_miss += s.any_below_miss / n;
-            c.any_outside_miss += s.any_outside_miss / n;
-            c.avg_power += s.avg_power;
-            c.avg_power_post_warmup += s.avg_power_post_warmup;
-            c.energy += s.energy;
-            c.migrations += s.migrations;
-            c.vf_transitions += s.vf_transitions;
-            c.over_tdp_fraction += s.over_tdp_fraction / n;
-            c.over_tdp_post_warmup += s.over_tdp_post_warmup / n;
-            c.peak_temp_c = std::max(c.peak_temp_c, s.peak_temp_c);
-            c.thermal_cycles += s.thermal_cycles;
-            c.task_below.insert(c.task_below.end(),
-                                s.task_below.begin(),
-                                s.task_below.end());
-            c.task_outside.insert(c.task_outside.end(),
-                                  s.task_outside.begin(),
-                                  s.task_outside.end());
-            c.faults_injected += s.faults_injected;
-            c.sensor_fallbacks += s.sensor_fallbacks;
-            c.fault_retries += s.fault_retries;
-            c.safe_mode_entries += s.safe_mode_entries;
-            c.watchdog_trips += s.watchdog_trips;
-            c.safe_mode_seconds += s.safe_mode_seconds;
-            c.over_tdp_during_fault += s.over_tdp_during_fault / n;
-            c.market_rounds += s.market_rounds;
-            c.market_task_slots += s.market_task_slots;
-            c.market_tasks_skipped += s.market_tasks_skipped;
-            c.market_core_slots += s.market_core_slots;
-            c.market_cores_skipped += s.market_cores_skipped;
-            c.market_rounds_early_exit += s.market_rounds_early_exit;
-        }
+        sim::RunSummary::fields([&](sim::RunSummary::Merge merge,
+                                    auto field) {
+            auto& acc = c.*field;
+            for (const sim::RunSummary& s : r.per_chip) {
+                const auto& x = s.*field;
+                if constexpr (std::is_same_v<std::remove_cvref_t<decltype(x)>,
+                                             std::vector<double>>)
+                    acc.insert(acc.end(), x.begin(), x.end());
+                else if (merge == sim::RunSummary::kShare)
+                    acc += x / n;
+                else if (merge == sim::RunSummary::kPeak)
+                    acc = std::max(acc, x);
+                else
+                    acc += x;
+            }
+        });
     }
 
     if (bus_.enabled()) {

@@ -155,12 +155,8 @@ struct FleetConfig {
 struct FleetResult {
     /**
      * Fleet-level summary.  For a 1-chip fleet this is chip 0's
-     * RunSummary verbatim; otherwise: QoS/over-TDP fractions are
-     * unweighted means over chips (every chip's duration is the
-     * same), energy/migrations/V-F transitions/fault counters are
-     * sums, average powers are sums (the fleet draws the sum of its
-     * chips), peak temperature is the max, and the per-task vectors
-     * concatenate in chip order.
+     * RunSummary verbatim; otherwise each field combines across chips
+     * as sim::RunSummary::fields() says.
      */
     sim::RunSummary combined;
 

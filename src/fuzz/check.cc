@@ -5,6 +5,7 @@
 #include <memory>
 #include <sstream>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "common/logging.hh"
@@ -457,11 +458,15 @@ check_summary_sanity(const Scenario& sc, const std::string& policy,
         out.push_back({"summary-sanity", policy, detail});
     };
 
-    if (!fraction_ok(s.any_below_miss) ||
-        !fraction_ok(s.any_outside_miss) ||
-        !fraction_ok(s.over_tdp_fraction) ||
-        !fraction_ok(s.over_tdp_post_warmup) ||
-        !fraction_ok(s.over_tdp_during_fault)) {
+    bool shares_ok = true;
+    sim::RunSummary::fields([&](sim::RunSummary::Merge merge, auto field) {
+        if constexpr (std::is_same_v<std::remove_cvref_t<decltype(s.*field)>,
+                                     double>) {
+            if (merge == sim::RunSummary::kShare && !fraction_ok(s.*field))
+                shares_ok = false;
+        }
+    });
+    if (!shares_ok) {
         bad("a miss/duty fraction is outside [0, 1]");
         return;
     }
@@ -567,42 +572,6 @@ check_tdp_duty(const Scenario& sc, const std::string& policy,
 }
 
 } // namespace
-
-std::string
-summary_fingerprint(const sim::RunSummary& s)
-{
-    std::ostringstream out;
-    out << s.governor << '\n'
-        << fmt_exact(s.any_below_miss) << '\n'
-        << fmt_exact(s.any_outside_miss) << '\n'
-        << fmt_exact(s.avg_power) << '\n'
-        << fmt_exact(s.avg_power_post_warmup) << '\n'
-        << fmt_exact(s.energy) << '\n'
-        << s.migrations << '\n'
-        << s.vf_transitions << '\n'
-        << fmt_exact(s.over_tdp_fraction) << '\n'
-        << fmt_exact(s.over_tdp_post_warmup) << '\n'
-        << fmt_exact(s.peak_temp_c) << '\n'
-        << s.thermal_cycles << '\n'
-        << s.faults_injected << '\n'
-        << s.sensor_fallbacks << '\n'
-        << s.fault_retries << '\n'
-        << s.safe_mode_entries << '\n'
-        << s.watchdog_trips << '\n'
-        << fmt_exact(s.safe_mode_seconds) << '\n'
-        << fmt_exact(s.over_tdp_during_fault) << '\n'
-        << s.market_rounds << '\n'
-        << s.market_task_slots << '\n'
-        << s.market_tasks_skipped << '\n'
-        << s.market_core_slots << '\n'
-        << s.market_cores_skipped << '\n'
-        << s.market_rounds_early_exit << '\n';
-    for (const double v : s.task_below)
-        out << fmt_exact(v) << '\n';
-    for (const double v : s.task_outside)
-        out << fmt_exact(v) << '\n';
-    return out.str();
-}
 
 std::vector<Violation>
 check_scenario(const Scenario& sc)

@@ -42,13 +42,8 @@ struct Violation {
     std::string detail;  ///< Human-readable one-liner.
 };
 
-/**
- * Full-precision rendering of every RunSummary field (including the
- * fault counters), used as the comparison key of every differential
- * (macro-vs-tick, incremental, fleet, snapshot): two runs are equivalent iff their fingerprints are
- * byte-identical.
- */
-std::string summary_fingerprint(const sim::RunSummary& s);
+/** The comparison key of every differential (sim/simulation.hh). */
+using sim::summary_fingerprint;
 
 /**
  * Execute `sc` differentially under every policy and return every

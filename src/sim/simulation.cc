@@ -1,6 +1,9 @@
 #include "sim/simulation.hh"
 
 #include <algorithm>
+#include <cstdio>
+#include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "common/logging.hh"
@@ -663,6 +666,33 @@ Simulation::summary() const
     s.market_cores_skipped = cs.cores_skipped;
     s.market_rounds_early_exit = cs.rounds_early_exit;
     return s;
+}
+
+std::string
+summary_fingerprint(const RunSummary& s)
+{
+    std::ostringstream out;
+    const auto put = [&out](auto v) {
+        if constexpr (std::is_same_v<decltype(v), double>) {
+            char buf[32];
+            std::snprintf(buf, sizeof buf, "%.17g", v);
+            out << buf << '\n';
+        } else {
+            out << v << '\n';
+        }
+    };
+    out << s.governor << '\n';
+    RunSummary::fields([&](RunSummary::Merge, auto field) {
+        const auto& x = s.*field;
+        if constexpr (std::is_same_v<std::remove_cvref_t<decltype(x)>,
+                                     std::vector<double>>) {
+            for (const double v : x)
+                put(v);
+        } else {
+            put(x);
+        }
+    });
+    return out.str();
 }
 
 void

@@ -149,7 +149,69 @@ struct RunSummary {
     long market_core_slots = 0;      ///< Core fold slots considered.
     long market_cores_skipped = 0;   ///< ...reused their fold results.
     long market_rounds_early_exit = 0; ///< Rounds with empty active set.
+
+    /** How a field combines across runs (see fields()). */
+    enum Merge {
+        kShare,  ///< A fraction of the run's time.
+        kPeak,   ///< An extreme over the run.
+        kTotal,  ///< Any other number: a count, an amount or a power.
+    };
+
+    /**
+     * The field list: calls f(merge, &RunSummary::x) for every field
+     * but `governor`, in fingerprint order with the two per-task
+     * vectors (shares, task by task) last.  Everything that reduces
+     * or compares whole summaries walks it, so a field added here
+     * reaches each of them:
+     *  - across seeds (experiment::aggregate_summaries) shares and
+     *    totals are means (longs sum, then divide and truncate), a
+     *    peak is the max and the vectors are elementwise means;
+     *  - across chips (fleet::Fleet::run) shares are unweighted means
+     *    (every chip runs the same duration), totals are sums (the
+     *    fleet draws the sum of its chips' power), a peak is the max
+     *    and the vectors concatenate in chip order;
+     *  - summary_fingerprint() renders each at full precision.
+     */
+    template <class F>
+    static void fields(F&& f)
+    {
+        f(kShare, &RunSummary::any_below_miss);
+        f(kShare, &RunSummary::any_outside_miss);
+        f(kTotal, &RunSummary::avg_power);
+        f(kTotal, &RunSummary::avg_power_post_warmup);
+        f(kTotal, &RunSummary::energy);
+        f(kTotal, &RunSummary::migrations);
+        f(kTotal, &RunSummary::vf_transitions);
+        f(kShare, &RunSummary::over_tdp_fraction);
+        f(kShare, &RunSummary::over_tdp_post_warmup);
+        f(kPeak, &RunSummary::peak_temp_c);
+        f(kTotal, &RunSummary::thermal_cycles);
+        f(kTotal, &RunSummary::faults_injected);
+        f(kTotal, &RunSummary::sensor_fallbacks);
+        f(kTotal, &RunSummary::fault_retries);
+        f(kTotal, &RunSummary::safe_mode_entries);
+        f(kTotal, &RunSummary::watchdog_trips);
+        f(kTotal, &RunSummary::safe_mode_seconds);
+        f(kShare, &RunSummary::over_tdp_during_fault);
+        f(kTotal, &RunSummary::market_rounds);
+        f(kTotal, &RunSummary::market_task_slots);
+        f(kTotal, &RunSummary::market_tasks_skipped);
+        f(kTotal, &RunSummary::market_core_slots);
+        f(kTotal, &RunSummary::market_cores_skipped);
+        f(kTotal, &RunSummary::market_rounds_early_exit);
+        f(kShare, &RunSummary::task_below);
+        f(kShare, &RunSummary::task_outside);
+    }
 };
+
+/**
+ * Full-precision rendering of a RunSummary: the governor name, then
+ * every RunSummary::fields() entry, one number per line (doubles as
+ * %.17g).  The comparison key of every differential (macro-vs-tick,
+ * incremental, any --jobs, fleet, snapshot): two runs are equivalent
+ * iff their fingerprints are byte-identical.
+ */
+std::string summary_fingerprint(const RunSummary& s);
 
 /**
  * What the engine did, in plain counters: ticks and intervals per

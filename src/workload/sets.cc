@@ -131,4 +131,14 @@ instantiate(const WorkloadSet& set, std::uint64_t base_seed, int priority,
     return specs;
 }
 
+std::vector<double>
+big_speedups(const WorkloadSet& set)
+{
+    std::vector<double> speedups;
+    speedups.reserve(set.members.size());
+    for (const SetMember& member : set.members)
+        speedups.push_back(profile(member.bench, member.input).big_speedup);
+    return speedups;
+}
+
 } // namespace ppm::workload

@@ -68,6 +68,12 @@ std::vector<TaskSpec> instantiate(const WorkloadSet& set,
                                   int priority = 1,
                                   SimTime horizon = 700 * kSecond);
 
+/**
+ * Each member's offline-profiled big/LITTLE speedup, in member order:
+ * what PPM's demand estimator takes as PpmGovernorConfig::big_speedup.
+ */
+std::vector<double> big_speedups(const WorkloadSet& set);
+
 } // namespace ppm::workload
 
 #endif // PPM_WORKLOAD_SETS_HH

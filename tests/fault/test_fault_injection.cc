@@ -53,18 +53,9 @@ standard_specs()
     };
 }
 
-/** Full-precision rendering of one double. */
-std::string
-fmt_exact(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
 struct ScenarioResult {
     sim::RunSummary summary;
-    std::string output;  ///< Summary fields + wide trace CSV, exact.
+    std::string output;  ///< Summary fingerprint + wide trace CSV.
 };
 
 ScenarioResult
@@ -84,20 +75,7 @@ run_scenario(const std::string& policy, const fault::FaultPlan& plan,
     ScenarioResult r;
     r.summary = sim.run();
     std::ostringstream out;
-    const sim::RunSummary& s = r.summary;
-    out << s.governor << '\n'
-        << fmt_exact(s.any_below_miss) << '\n'
-        << fmt_exact(s.any_outside_miss) << '\n'
-        << fmt_exact(s.avg_power) << '\n'
-        << fmt_exact(s.energy) << '\n'
-        << s.migrations << ' ' << s.vf_transitions << '\n'
-        << fmt_exact(s.over_tdp_fraction) << '\n'
-        << fmt_exact(s.peak_temp_c) << '\n'
-        << s.faults_injected << ' ' << s.sensor_fallbacks << ' '
-        << s.fault_retries << ' ' << s.safe_mode_entries << ' '
-        << s.watchdog_trips << '\n'
-        << fmt_exact(s.safe_mode_seconds) << '\n'
-        << fmt_exact(s.over_tdp_during_fault) << '\n';
+    out << sim::summary_fingerprint(r.summary);
     sim.recorder().write_csv(out);
     r.output = out.str();
     return r;

@@ -42,38 +42,6 @@ fmt_exact(double v)
     return buf;
 }
 
-/** FNV-1a 64-bit (same fingerprint the golden fixtures use). */
-std::uint64_t
-fnv1a(const std::string& bytes)
-{
-    std::uint64_t h = 1469598103934665603ULL;
-    for (const unsigned char c : bytes) {
-        h ^= c;
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
-
-/** Full-precision textual fingerprint of a RunSummary. */
-std::string
-fingerprint(const sim::RunSummary& s)
-{
-    std::ostringstream out;
-    out << s.governor << ' ' << fmt_exact(s.any_below_miss) << ' '
-        << fmt_exact(s.any_outside_miss) << ' '
-        << fmt_exact(s.avg_power) << ' '
-        << fmt_exact(s.avg_power_post_warmup) << ' '
-        << fmt_exact(s.energy) << ' ' << s.migrations << ' '
-        << s.vf_transitions << ' ' << fmt_exact(s.over_tdp_fraction)
-        << ' ' << fmt_exact(s.over_tdp_post_warmup) << ' '
-        << fmt_exact(s.peak_temp_c) << ' ' << s.thermal_cycles;
-    for (const double v : s.task_below)
-        out << ' ' << fmt_exact(v);
-    for (const double v : s.task_outside)
-        out << ' ' << fmt_exact(v);
-    return out.str();
-}
-
 /** The exact PPM configuration of the golden hot-path fixture. */
 market::PpmGovernorConfig
 golden_ppm_config()
@@ -236,7 +204,8 @@ TEST(Fleet, OneChipFleetMatchesPlainSimulationByteForByte)
     std::ostringstream fleet_wide;
     fleet.shard(0).recorder().write_csv(fleet_wide);
 
-    EXPECT_EQ(fingerprint(res.combined), fingerprint(plain_summary));
+    EXPECT_EQ(sim::summary_fingerprint(res.combined),
+              sim::summary_fingerprint(plain_summary));
     EXPECT_EQ(fleet_jsonl_os.str(), plain_jsonl_os.str());
     EXPECT_EQ(fleet_csv_os.str(), plain_csv_os.str());
     EXPECT_EQ(fleet_wide.str(), plain_wide.str());
@@ -288,7 +257,7 @@ TEST(Fleet, OneChipFleetReproducesGoldenFixture)
     const auto stream_block = [&out](const char* name,
                                      const std::string& bytes) {
         char fp[32];
-        std::snprintf(fp, sizeof(fp), "%016" PRIx64, fnv1a(bytes));
+        std::snprintf(fp, sizeof(fp), "%016" PRIx64, test::fnv1a(bytes));
         out << name << "_bytes " << bytes.size() << '\n'
             << name << "_fnv1a64 " << fp << '\n';
         std::istringstream is(bytes);
@@ -328,8 +297,8 @@ run_golden_fleet(int chips, int jobs)
     fleet.bus().add_sink(&fleet_sink);
     fleet.shard(0).bus().add_sink(&chip_sink);
     const fleet::FleetResult res = fleet.run();
-    return {fingerprint(res.combined), fleet_os.str(), chip_os.str(),
-            res.final_budgets, res.supervisor_epochs};
+    return {sim::summary_fingerprint(res.combined), fleet_os.str(),
+            chip_os.str(), res.final_budgets, res.supervisor_epochs};
 }
 
 TEST(Fleet, JobsCountNeverChangesBytes)
@@ -498,7 +467,7 @@ TEST(Simulation, RunUntilSlicesMatchOneShotRun)
     sliced->run_until(6 * kSecond);
     const sim::RunSummary b = sliced->finish();
 
-    EXPECT_EQ(fingerprint(a), fingerprint(b));
+    EXPECT_EQ(sim::summary_fingerprint(a), sim::summary_fingerprint(b));
     EXPECT_EQ(os_a.str(), os_b.str());
 }
 
@@ -565,9 +534,9 @@ TEST(FleetFaults, EmptyPlanLeavesTheRunByteIdentical)
     // Every barrier runs the one health-aware path, so an empty plan
     // must leave it inert: no chip leaves health, the masked
     // settlement runs the unmasked arithmetic and no health series is
-    // sampled -- same bytes on every stream.
-    const FleetBytes plain = run_golden_fleet(3, 1);
-
+    // sampled.  The bytes are pinned from the fault-free run of
+    // golden_fleet_config(3, 1), so they also lock the 3-chip
+    // combine of the per-chip summaries.
     std::ostringstream fleet_os, chip_os;
     metrics::JsonlSink fleet_sink(fleet_os), chip_sink(chip_os);
     fleet::Fleet fleet(
@@ -576,10 +545,18 @@ TEST(FleetFaults, EmptyPlanLeavesTheRunByteIdentical)
     fleet.shard(0).bus().add_sink(&chip_sink);
     const fleet::FleetResult res = fleet.run();
 
-    EXPECT_EQ(fingerprint(res.combined), plain.summary);
-    EXPECT_EQ(fleet_os.str(), plain.fleet_jsonl);
-    EXPECT_EQ(chip_os.str(), plain.chip0_jsonl);
-    EXPECT_EQ(res.final_budgets, plain.final_budgets);
+    EXPECT_EQ(test::fnv1a(sim::summary_fingerprint(res.combined)),
+              0x4a8f1aff5b50e800ULL);
+    ASSERT_EQ(res.per_chip.size(), 3u);
+    for (const sim::RunSummary& chip : res.per_chip)
+        EXPECT_EQ(test::fnv1a(sim::summary_fingerprint(chip)),
+                  0xa48e7e6895c5b2aaULL);
+    EXPECT_EQ(fleet_os.str().size(), 66675u);
+    EXPECT_EQ(test::fnv1a(fleet_os.str()), 0x1539a8ce9094be06ULL);
+    EXPECT_EQ(chip_os.str().size(), 179960u);
+    EXPECT_EQ(test::fnv1a(chip_os.str()), 0x02bf539ef8410910ULL);
+    EXPECT_EQ(res.supervisor_epochs, 63);
+    EXPECT_EQ(res.final_budgets, std::vector<Watts>(3, 3.5));
     EXPECT_EQ(res.chip_failures, 0);
     EXPECT_EQ(res.evacuations, 0);
     EXPECT_FALSE(res.all_chips_failed);

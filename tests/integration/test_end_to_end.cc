@@ -29,11 +29,7 @@ run_policy(const std::string& policy, const std::string& set_name,
         market::PpmGovernorConfig cfg;
         cfg.market.w_tdp = tdp;
         cfg.market.w_th = tdp < 1e8 ? tdp - 0.6 : tdp - 0.5;
-        for (const auto& member : set.members) {
-            cfg.big_speedup.push_back(
-                workload::profile(member.bench, member.input)
-                    .big_speedup);
-        }
+        cfg.big_speedup = workload::big_speedups(set);
         gov = std::make_unique<market::PpmGovernor>(cfg);
     } else if (policy == "HPM") {
         baselines::HpmConfig cfg;
@@ -109,10 +105,7 @@ TEST(EndToEnd, DeterministicAcrossRuns)
 {
     const auto a = run_policy("PPM", "m1", 1e9, 60 * kSecond);
     const auto b = run_policy("PPM", "m1", 1e9, 60 * kSecond);
-    EXPECT_DOUBLE_EQ(a.any_below_miss, b.any_below_miss);
-    EXPECT_DOUBLE_EQ(a.avg_power, b.avg_power);
-    EXPECT_EQ(a.migrations, b.migrations);
-    EXPECT_EQ(a.vf_transitions, b.vf_transitions);
+    EXPECT_EQ(sim::summary_fingerprint(a), sim::summary_fingerprint(b));
 }
 
 TEST(EndToEnd, PpmScalesToOctaCoreChip)
@@ -124,10 +117,7 @@ TEST(EndToEnd, PpmScalesToOctaCoreChip)
     const auto specs = workload::instantiate(set, 42, 1,
                                              200 * kSecond);
     market::PpmGovernorConfig cfg;
-    for (const auto& member : set.members) {
-        cfg.big_speedup.push_back(
-            workload::profile(member.bench, member.input).big_speedup);
-    }
+    cfg.big_speedup = workload::big_speedups(set);
     sim::SimConfig sim_cfg;
     sim_cfg.duration = 120 * kSecond;
     sim::Simulation sim(hw::octa_big_little_chip(), specs,

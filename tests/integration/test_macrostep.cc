@@ -11,7 +11,6 @@
  * ring capacity and running sum must match too, not just the summary.
  */
 
-#include <cstdio>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -28,38 +27,6 @@
 
 namespace ppm {
 namespace {
-
-std::string
-fmt_exact(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-/** Full-precision rendering of every RunSummary field. */
-std::string
-fingerprint(const sim::RunSummary& s)
-{
-    std::ostringstream out;
-    out << s.governor << '\n'
-        << fmt_exact(s.any_below_miss) << '\n'
-        << fmt_exact(s.any_outside_miss) << '\n'
-        << fmt_exact(s.avg_power) << '\n'
-        << fmt_exact(s.avg_power_post_warmup) << '\n'
-        << fmt_exact(s.energy) << '\n'
-        << s.migrations << '\n'
-        << s.vf_transitions << '\n'
-        << fmt_exact(s.over_tdp_fraction) << '\n'
-        << fmt_exact(s.over_tdp_post_warmup) << '\n'
-        << fmt_exact(s.peak_temp_c) << '\n'
-        << s.thermal_cycles << '\n';
-    for (const double v : s.task_below)
-        out << fmt_exact(v) << '\n';
-    for (const double v : s.task_outside)
-        out << fmt_exact(v) << '\n';
-    return out.str();
-}
 
 std::unique_ptr<sim::Governor>
 make_policy(const std::string& policy)
@@ -101,7 +68,8 @@ expect_macro_matches_per_tick(const std::string& policy,
     cfg.macro_step = false;
     sim::Simulation tick(hw::tc2_chip(), specs(), make_policy(policy),
                          cfg);
-    EXPECT_EQ(fingerprint(macro.run()), fingerprint(tick.run()))
+    EXPECT_EQ(sim::summary_fingerprint(macro.run()),
+              sim::summary_fingerprint(tick.run()))
         << policy << " diverged from the per-tick loop";
 }
 
@@ -308,8 +276,8 @@ TEST(Macrostep, TraceSinkCapsHorizonToSamplingGrid)
     cfg.macro_step = false;
     sim::Simulation tick(hw::tc2_chip(), specs(), make_policy("PPM"),
                          cfg);
-    const std::string macro_fp = fingerprint(macro.run());
-    const std::string tick_fp = fingerprint(tick.run());
+    const std::string macro_fp = sim::summary_fingerprint(macro.run());
+    const std::string tick_fp = sim::summary_fingerprint(tick.run());
     EXPECT_EQ(macro_fp, tick_fp);
 
     std::ostringstream macro_csv;

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "experiment/sweep.hh"
+#include "tests/test_util.hh"
 
 namespace ppm::experiment {
 namespace {
@@ -27,10 +28,24 @@ make_summary(double scale)
     s.migrations = static_cast<long>(10 * scale);
     s.vf_transitions = static_cast<long>(20 * scale);
     s.over_tdp_fraction = 0.05 * scale;
+    s.over_tdp_post_warmup = 0.04 * scale;
     s.peak_temp_c = 50.0 * scale;
     s.thermal_cycles = static_cast<long>(4 * scale);
     s.task_below = {0.1 * scale, 0.2 * scale};
     s.task_outside = {0.3 * scale, 0.4 * scale};
+    s.faults_injected = static_cast<long>(3 * scale);
+    s.sensor_fallbacks = static_cast<long>(5 * scale);
+    s.fault_retries = static_cast<long>(7 * scale);
+    s.safe_mode_entries = static_cast<long>(1 * scale);
+    s.watchdog_trips = static_cast<long>(9 * scale);
+    s.safe_mode_seconds = 0.5 * scale;
+    s.over_tdp_during_fault = 0.25 * scale;
+    s.market_rounds = static_cast<long>(101 * scale);
+    s.market_task_slots = static_cast<long>(607 * scale);
+    s.market_tasks_skipped = static_cast<long>(303 * scale);
+    s.market_core_slots = static_cast<long>(505 * scale);
+    s.market_cores_skipped = static_cast<long>(251 * scale);
+    s.market_rounds_early_exit = static_cast<long>(11 * scale);
     return s;
 }
 
@@ -45,6 +60,9 @@ TEST(AggregateSummaries, MeansEveryScalarField)
     EXPECT_NEAR(avg.avg_power_post_warmup, 3.0, 1e-12);
     EXPECT_NEAR(avg.energy, 200.0, 1e-12);
     EXPECT_NEAR(avg.over_tdp_fraction, 0.1, 1e-12);
+    EXPECT_NEAR(avg.over_tdp_post_warmup, 0.08, 1e-12);
+    EXPECT_NEAR(avg.safe_mode_seconds, 1.0, 1e-12);
+    EXPECT_NEAR(avg.over_tdp_during_fault, 0.5, 1e-12);
 }
 
 TEST(AggregateSummaries, PeakTempIsMaxNotSeedZero)
@@ -63,7 +81,7 @@ TEST(AggregateSummaries, PeakTempIsMaxNotSeedZero)
 TEST(AggregateSummaries, CountersAreSumThenDivide)
 {
     auto a = make_summary(1.0);
-    auto b = make_summary(1.0);
+    auto b = make_summary(2.0);
     a.thermal_cycles = 7;
     b.thermal_cycles = 2;
     a.migrations = 11;
@@ -75,6 +93,29 @@ TEST(AggregateSummaries, CountersAreSumThenDivide)
     EXPECT_EQ(avg.thermal_cycles, 4);
     EXPECT_EQ(avg.migrations, 7);
     EXPECT_EQ(avg.vf_transitions, 5);
+    // The fault and market counters: (v + 2v) / 2 truncated.
+    EXPECT_EQ(avg.faults_injected, 4);            // 9 / 2
+    EXPECT_EQ(avg.sensor_fallbacks, 7);           // 15 / 2
+    EXPECT_EQ(avg.fault_retries, 10);             // 21 / 2
+    EXPECT_EQ(avg.safe_mode_entries, 1);          // 3 / 2
+    EXPECT_EQ(avg.watchdog_trips, 13);            // 27 / 2
+    EXPECT_EQ(avg.market_rounds, 151);            // 303 / 2
+    EXPECT_EQ(avg.market_task_slots, 910);        // 1821 / 2
+    EXPECT_EQ(avg.market_tasks_skipped, 454);     // 909 / 2
+    EXPECT_EQ(avg.market_core_slots, 757);        // 1515 / 2
+    EXPECT_EQ(avg.market_cores_skipped, 376);     // 753 / 2
+    EXPECT_EQ(avg.market_rounds_early_exit, 16);  // 33 / 2
+}
+
+TEST(AggregateSummariesDeath, MismatchedTaskCountsPanic)
+{
+    auto a = make_summary(1.0);
+    auto b = make_summary(1.0);
+    b.task_below.push_back(0.5);
+    EXPECT_DEATH(aggregate_summaries({a, b}), "same task count");
+    b = make_summary(1.0);
+    b.task_outside.pop_back();
+    EXPECT_DEATH(aggregate_summaries({a, b}), "same task count");
 }
 
 TEST(AggregateSummaries, TaskVectorsAreElementwiseMeans)
@@ -99,10 +140,8 @@ TEST(AggregateSummaries, TaskVectorsAreElementwiseMeans)
 TEST(AggregateSummaries, SingleSummaryIsIdentity)
 {
     const auto s = make_summary(2.0);
-    const auto avg = aggregate_summaries({s});
-    EXPECT_DOUBLE_EQ(avg.avg_power, s.avg_power);
-    EXPECT_EQ(avg.thermal_cycles, s.thermal_cycles);
-    EXPECT_EQ(avg.task_below, s.task_below);
+    EXPECT_EQ(sim::summary_fingerprint(aggregate_summaries({s})),
+              sim::summary_fingerprint(s));
 }
 
 TEST(RunCells, PreservesInputOrder)
@@ -139,19 +178,7 @@ expect_identical(const sim::RunSummary& a, const sim::RunSummary& b)
 {
     // Bitwise equality: the determinism guarantee is bit-identical
     // output for any --jobs value, not merely "close".
-    EXPECT_EQ(a.governor, b.governor);
-    EXPECT_EQ(a.any_below_miss, b.any_below_miss);
-    EXPECT_EQ(a.any_outside_miss, b.any_outside_miss);
-    EXPECT_EQ(a.avg_power, b.avg_power);
-    EXPECT_EQ(a.avg_power_post_warmup, b.avg_power_post_warmup);
-    EXPECT_EQ(a.energy, b.energy);
-    EXPECT_EQ(a.migrations, b.migrations);
-    EXPECT_EQ(a.vf_transitions, b.vf_transitions);
-    EXPECT_EQ(a.over_tdp_fraction, b.over_tdp_fraction);
-    EXPECT_EQ(a.peak_temp_c, b.peak_temp_c);
-    EXPECT_EQ(a.thermal_cycles, b.thermal_cycles);
-    EXPECT_EQ(a.task_below, b.task_below);
-    EXPECT_EQ(a.task_outside, b.task_outside);
+    EXPECT_EQ(sim::summary_fingerprint(a), sim::summary_fingerprint(b));
 }
 
 TEST(Sweep, JobCountDoesNotChangeResults)
@@ -274,6 +301,29 @@ TEST(Sweep, RunSetAvgMatchesAnyJobCount)
     const auto& set = workload::workload_set("l2");
     expect_identical(run_set_avg(set, params, 2, 1),
                      run_set_avg(set, params, 2, 4));
+}
+
+TEST(Sweep, RunSetAvgReproducesPinnedDigest)
+{
+    // A faulted, capped PPM run whose seeds give every kind of field
+    // non-zero values: shares, totals (energy, migrations, market
+    // rounds, fault retries), the peak and the per-task vectors.
+    RunParams params;
+    params.tdp = 4.0;
+    params.duration = 10 * kSecond;
+    std::string error;
+    ASSERT_TRUE(fault::parse_fault_spec("sensor,dvfs,seed=9,rate=20",
+                                        &params.faults, &error))
+        << error;
+    const sim::RunSummary avg =
+        run_set_avg(workload::workload_set("h3"), params, 3, 1);
+    EXPECT_GT(avg.any_below_miss, 0.0);
+    EXPECT_GT(avg.over_tdp_fraction, 0.0);
+    EXPECT_GT(avg.migrations, 0);
+    EXPECT_GT(avg.market_rounds, 0);
+    EXPECT_GT(avg.fault_retries, 0);
+    EXPECT_EQ(test::fnv1a(sim::summary_fingerprint(avg)),
+              0x5e5755d67e2b12fbULL);
 }
 
 } // namespace

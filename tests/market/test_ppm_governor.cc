@@ -223,12 +223,7 @@ TEST(PpmGovernor, NoTelemetryOverheadWhenDisabled)
         std::make_unique<PpmGovernor>(PpmGovernorConfig{}), traced_cfg);
     const auto b = traced.run();
 
-    EXPECT_EQ(a.any_below_miss, b.any_below_miss);
-    EXPECT_EQ(a.energy, b.energy);
-    EXPECT_EQ(a.avg_power, b.avg_power);
-    EXPECT_EQ(a.migrations, b.migrations);
-    EXPECT_EQ(a.vf_transitions, b.vf_transitions);
-    EXPECT_EQ(a.peak_temp_c, b.peak_temp_c);
+    EXPECT_EQ(sim::summary_fingerprint(a), sim::summary_fingerprint(b));
 }
 
 TEST(PpmGovernor, StableWorkloadSettlesVfTransitions)

@@ -35,36 +35,6 @@
 namespace ppm {
 namespace {
 
-std::string
-fmt_exact(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-/** Full-precision textual fingerprint of a RunSummary. */
-std::string
-fingerprint(const sim::RunSummary& s)
-{
-    std::ostringstream out;
-    out << s.governor << ' ' << fmt_exact(s.any_below_miss) << ' '
-        << fmt_exact(s.any_outside_miss) << ' '
-        << fmt_exact(s.avg_power) << ' '
-        << fmt_exact(s.avg_power_post_warmup) << ' '
-        << fmt_exact(s.energy) << ' ' << s.migrations << ' '
-        << s.vf_transitions << ' ' << fmt_exact(s.over_tdp_fraction)
-        << ' ' << fmt_exact(s.over_tdp_post_warmup) << ' '
-        << fmt_exact(s.peak_temp_c) << ' ' << s.thermal_cycles << ' '
-        << s.market_rounds << ' ' << s.market_tasks_skipped << ' '
-        << s.market_rounds_early_exit;
-    for (const double v : s.task_below)
-        out << ' ' << fmt_exact(v);
-    for (const double v : s.task_outside)
-        out << ' ' << fmt_exact(v);
-    return out.str();
-}
-
 // ---------------------------------------------------------------
 // Archive primitives.
 
@@ -264,7 +234,8 @@ expect_split_matches(const std::string& policy, sim::SimConfig cfg,
     second.run_until(cfg.duration);
     const sim::RunSummary split_summary = second.finish();
 
-    EXPECT_EQ(fingerprint(split_summary), fingerprint(full_summary))
+    EXPECT_EQ(sim::summary_fingerprint(split_summary),
+              sim::summary_fingerprint(full_summary))
         << policy << " summary diverged across a snapshot at " << at;
     EXPECT_EQ(os1.str() + os2.str(), full_os.str())
         << policy << " telemetry diverged across a snapshot at " << at;
@@ -369,7 +340,8 @@ TEST(SnapshotRestore, ChainedSnapshotsCompose)
     s.run_until(cfg.duration);
     const sim::RunSummary chained = s.finish();
 
-    EXPECT_EQ(fingerprint(chained), fingerprint(full_summary));
+    EXPECT_EQ(sim::summary_fingerprint(chained),
+              sim::summary_fingerprint(full_summary));
     EXPECT_EQ(os1.str() + os2.str() + os3.str(), full_os.str());
 }
 
@@ -445,8 +417,8 @@ expect_fleet_split_matches(int chips, bool chip_faults, SimTime at)
     ASSERT_EQ(r.remaining(), 0u);
     const fleet::FleetResult split_res = second.run();
 
-    EXPECT_EQ(fingerprint(split_res.combined),
-              fingerprint(full_res.combined));
+    EXPECT_EQ(sim::summary_fingerprint(split_res.combined),
+              sim::summary_fingerprint(full_res.combined));
     EXPECT_EQ(fleet_os1.str() + fleet_os2.str(), full_fleet_os.str());
     EXPECT_EQ(chip_os1.str() + chip_os2.str(), full_chip_os.str());
     // Fault accounting is cumulative across the kill.
@@ -473,17 +445,6 @@ TEST(SnapshotRestore, FaultedFleetBitExactAcrossSnapshot)
 // ---------------------------------------------------------------
 // Payload layout.
 
-std::uint64_t
-payload_fnv1a(const std::string& bytes)
-{
-    std::uint64_t h = 1469598103934665603ULL;
-    for (const char c : bytes) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
-
 /** Size and FNV-1a of a payload, as one comparable string. */
 std::string
 layout_of(const snap::Writer& w)
@@ -491,7 +452,7 @@ layout_of(const snap::Writer& w)
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%zu:%016llx", w.payload().size(),
                   static_cast<unsigned long long>(
-                      payload_fnv1a(w.payload())));
+                      test::fnv1a(w.payload())));
     return buf;
 }
 

@@ -6,6 +6,7 @@
 #ifndef PPM_TESTS_TEST_UTIL_HH
 #define PPM_TESTS_TEST_UTIL_HH
 
+#include <cstdint>
 #include <string>
 
 #include "workload/task.hh"
@@ -24,6 +25,18 @@ steady_spec(const std::string& name, int priority, Pu demand_little,
 {
     return workload::steady_task_spec(name, priority, demand_little,
                                       speedup, target_hr, self_pace);
+}
+
+/** FNV-1a 64-bit of `bytes`: the digest the pinned fixtures use. */
+inline std::uint64_t
+fnv1a(const std::string& bytes)
+{
+    std::uint64_t h = 1469598103934665603ULL;
+    for (const unsigned char c : bytes) {
+        h ^= c;
+        h *= 1099511628211ULL;
+    }
+    return h;
 }
 
 } // namespace ppm::test

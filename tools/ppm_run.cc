@@ -631,12 +631,7 @@ main(int argc, char** argv)
         // (chip 0 uses --seed verbatim, so a 1-chip fleet byte-matches
         // the plain single-run path), federated under the supervisor
         // power market.
-        std::vector<double> speedups;
-        for (const auto& member : set.members) {
-            speedups.push_back(
-                workload::profile(member.bench, member.input)
-                    .big_speedup);
-        }
+        const std::vector<double> speedups = workload::big_speedups(set);
 
         fleet::FleetConfig fc;
         fc.chips = fleet_chips;
@@ -717,73 +712,38 @@ main(int argc, char** argv)
         wall_seconds = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - start)
                            .count();
-    } else if (snapshotting) {
-        // Snapshot runs need mid-run control of the Simulation, so
-        // build it here exactly as experiment::run_specs() does; the
+    } else {
+        // One run, stepped here so snapshots can save mid-run; the
         // restore path rebuilds this identical object from the same
         // flags and then overwrites its dynamic state from the file.
-        const auto specs = workload::instantiate(
-            set, params.seed, params.priority,
-            params.duration + 100 * kSecond);
-        std::vector<double> speedups;
-        for (const auto& member : set.members) {
-            speedups.push_back(
-                workload::profile(member.bench, member.input)
-                    .big_speedup);
-        }
-        sim::SimConfig sim_cfg;
-        sim_cfg.duration = params.duration;
-        sim_cfg.trace = params.trace;
-        sim_cfg.tdp_for_metrics = params.tdp;
-        sim_cfg.macro_step = params.macro_step;
-        hw::Chip chip = hw::tc2_chip();
-        if (params.faults.any()) {
-            sim_cfg.faults = fault::FaultPlan::compile(
-                params.faults, chip.num_clusters(), chip.num_cores(),
-                sim_cfg.duration, sim_cfg.tick);
-        }
-        sim::Simulation simulation(
-            std::move(chip), specs,
-            experiment::make_governor(
-                params.policy, params.tdp, speedups,
-                params.online_speedup, 1, nullptr, params.incremental),
-            sim_cfg);
-        if (params.extra_sink != nullptr)
-            simulation.bus().add_sink(params.extra_sink);
+        const auto simulation = experiment::make_simulation(
+            workload::instantiate(set, params.seed, params.priority,
+                                  params.duration + 100 * kSecond),
+            workload::big_speedups(set), params);
         if (!snap_in.empty())
-            restore_or_die(simulation);
+            restore_or_die(*simulation);
         const auto start = std::chrono::steady_clock::now();
         if (snap_at > 0) {
-            simulation.run_until(snap_at);
-            save_or_die(simulation, simulation.bus());
+            simulation->run_until(snap_at);
+            save_or_die(*simulation, simulation->bus());
             return snapshot_exit();
         }
         if (snap_every > 0) {
             for (SimTime due =
-                     (simulation.now() / snap_every + 1) * snap_every;
+                     (simulation->now() / snap_every + 1) * snap_every;
                  due < params.duration; due += snap_every) {
-                simulation.run_until(due);
-                save_or_die(simulation, simulation.bus());
+                simulation->run_until(due);
+                save_or_die(*simulation, simulation->bus());
             }
         }
-        simulation.run_until(params.duration);
-        s = simulation.finish();
+        s = simulation->run();
         wall_seconds = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - start)
                            .count();
         if (engine_stats)
-            print_engine_stats("engine", simulation.engine_stats());
+            print_engine_stats("engine", simulation->engine_stats());
         if (!trace_path.empty())
-            simulation.recorder().write_csv(trace_out);
-    } else {
-        const experiment::RunResult result =
-            experiment::run_set(set, params);
-        s = result.summary;
-        wall_seconds = result.wall_seconds;
-        if (engine_stats)
-            print_engine_stats("engine", result.engine);
-        if (!trace_path.empty())
-            result.traces.write_csv(trace_out);
+            simulation->recorder().write_csv(trace_out);
     }
 
     Table table({"metric", "value"});
