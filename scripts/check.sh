@@ -73,10 +73,13 @@ for policy in PPM HPM HL; do
         --snapshot-at 15000 > /dev/null
     cmp /tmp/ppm_macro.snap /tmp/ppm_tick.snap
 done
-# The engine counters go to stderr only, and name the span path.
+# The engine counters go to stderr only, and name the span path; the
+# span path must take HRM-window samples in closed form, or the
+# byte checks above only exercised its one-by-one fallback.
 ./build/tools/ppm_run --policy HPM --set m2 --seconds 20 --tdp 4 \
     --engine-stats > /dev/null 2> /tmp/ppm_engine.txt
 grep -q " span_ticks=[1-9]" /tmp/ppm_engine.txt
+grep -q " span_window_closed=[1-9]" /tmp/ppm_engine.txt
 rm -f /tmp/ppm_macro.csv /tmp/ppm_tick.csv /tmp/ppm_macro.snap \
     /tmp/ppm_tick.snap /tmp/ppm_engine.txt
 
@@ -248,8 +251,13 @@ cmake --build build-tsan --parallel "$(nproc)" --target ppm_fuzz
 # the hardened-market tests under ASan+UBSan.
 cmake -B build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DPPM_ASAN=ON
 cmake --build build-asan --parallel "$(nproc)" --target test_fault \
-    test_market test_hw test_fleet test_snapshot
+    test_market test_hw test_fleet test_snapshot test_common
 ./build-asan/tests/test_fault > /dev/null
+# The span kernel's closed form does int64 ulp arithmetic on bit casts
+# and shifts, and its hit masks shift by tick index: UBSan checks
+# every shift and signed overflow on the window and helper tests.
+./build-asan/tests/test_common \
+    --gtest_filter='WindowRate.*:AddRepeated.*' > /dev/null
 # Incremental rides along here too: the memo arrays are the newest
 # indexed state, so overruns would surface under ASan first.  The
 # market-correctness regressions (ParallelClearing.*) drive every

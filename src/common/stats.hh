@@ -10,6 +10,7 @@
 
 #include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/logging.hh"
@@ -103,6 +104,49 @@ class DutyCycle
 };
 
 /**
+ * x after n steps of x = (x - minus) + plus, bit for bit as the plain
+ * loop computes them (n <= 0 returns x).  Wherever it is provably
+ * exact the steps are taken in O(1): inside one binade, with no
+ * rounding tie and one ulp of margin at each edge, every step moves x
+ * by the same whole number of ulps (ARCHITECTURE.md, "Time advance").
+ * Elsewhere -- x not a positive normal, a tie, a step that leaves the
+ * binade -- it takes the plain steps until the closed form applies
+ * again.
+ */
+double add_repeated(double x, double minus, double plus, long n);
+
+/**
+ * A reference band on a rate, with QosTracker::sample()'s two
+ * predicates: below means rate < lo; outside means ranged and rate
+ * below lo or above hi.  An unranged band is never outside.
+ */
+struct RateBand {
+    double lo = 0.0;
+    double hi = 0.0;
+    bool ranged = false;
+};
+
+/**
+ * The ticks of a span of at most kMaxTicks ticks whose rate fell below
+ * or outside a RateBand: bit k stands for the k-th tick.
+ */
+struct SpanHits {
+    static constexpr long kMaxTicks = 64;
+
+    std::uint64_t below = 0;
+    std::uint64_t outside = 0;
+
+    /** Judge tick k's rate against `band`. */
+    void mark(const RateBand& band, long k, double rate)
+    {
+        const bool b = rate < band.lo;
+        const bool o = band.ranged && (b || rate > band.hi);
+        below |= std::uint64_t{b} << k;
+        outside |= std::uint64_t{o} << k;
+    }
+};
+
+/**
  * Sliding-window event-rate estimator: events per second over the most
  * recent `window` of simulated time.  The Heart Rate Monitor is built
  * on this (heartbeats per second).
@@ -115,7 +159,9 @@ class DutyCycle
  * engine can fast-forward a steady window in O(1) (advance_steady).
  * Eviction still subtracts sample counts one at a time, in FIFO
  * order, so the floating-point trajectory of the window sum is
- * bit-identical to the historical one-sample-per-slot ring.
+ * bit-identical to the historical one-sample-per-slot ring; add_span()
+ * takes stretches of that same trajectory in add_repeated()'s exact
+ * closed form.
  */
 class WindowRate
 {
@@ -132,11 +178,15 @@ class WindowRate
      * the aged-out samples oldest first, then clears the residue of an
      * emptied window, then adds its count, and the runs and ring
      * capacity end up exactly as the per-sample path leaves them.
-     * When `rates` is not null, rates[k] receives the rate right after
-     * the k-th sample, i.e. rate(t0 + k*dt).
+     * When `hits` is not null (then n <= SpanHits::kMaxTicks), bit k
+     * of its masks is set by rate(t0 + k*dt), the rate right after the
+     * k-th sample, judged against `band`; bits are only ever set.
+     * @return the samples replayed one by one rather than in closed
+     *         form (the first one or two, and where no closed form
+     *         was exact).
      */
-    void add_span(SimTime t0, SimTime dt, long n, double count,
-                  double* rates);
+    long add_span(SimTime t0, SimTime dt, long n, double count,
+                  SpanHits* hits = nullptr, RateBand band = {});
 
     /** Events per second over [now - window, now]. */
     double rate(SimTime now) const;

@@ -1,6 +1,7 @@
 #include "hw/sensors.hh"
 
 #include "common/logging.hh"
+#include "common/stats.hh"
 
 namespace ppm::hw {
 
@@ -32,8 +33,7 @@ SensorBank::advance(ClusterId v, Joules energy_per_tick, SimTime tick,
     PPM_ASSERT(v >= 0 && v < num_clusters(), "cluster channel out of range");
     PPM_ASSERT(tick >= 0 && n >= 0, "negative advance");
     auto idx = static_cast<std::size_t>(v);
-    for (long i = 0; i < n; ++i)
-        energy_[idx] += energy_per_tick;
+    energy_[idx] = add_repeated(energy_[idx], 0.0, energy_per_tick, n);
     elapsed_[idx] += n * tick;
 }
 

@@ -34,10 +34,11 @@ class SensorBank
      * Apply `n` ticks of constant power in one call: bit-identical to
      * n record() calls whose per-tick energy increment is
      * `energy_per_tick` (the caller hoists watts * to_seconds(tick)
-     * out of the loop; the additions themselves stay per-tick because
-     * floating-point accumulation does not associate).  Leaves the
-     * instantaneous reading untouched -- the boundary record() that
-     * preceded a quiescent interval already stored it.
+     * out of the loop).  The n additions go through add_repeated(),
+     * which takes them in closed form wherever that is exact and one
+     * by one elsewhere.  Leaves the instantaneous reading untouched --
+     * the boundary record() that preceded a quiescent interval
+     * already stored it.
      */
     void advance(ClusterId v, Joules energy_per_tick, SimTime tick,
                  long n);

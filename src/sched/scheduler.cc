@@ -384,10 +384,6 @@ Scheduler::begin_replay(SimTime now, SimTime dt)
     for (ReplaySlot& s : replay_slots_)
         s.phase_idx = s.task->phase_index();
     replay_core_util_ = core_util_;
-    // replay_bulk()'s columns match the slot set, sized here so a
-    // replay never grows them.
-    bulk_hb_.resize(replay_slots_.size());
-    bulk_cycles_.resize(replay_slots_.size());
     replay_cache_valid_ = true;
     return false;
 }
@@ -447,44 +443,26 @@ Scheduler::replay_bulk_ready(SimTime now, SimTime dt) const
 }
 
 void
-Scheduler::replay_bulk(long n, SimTime now, SimTime dt)
+Scheduler::replay_bulk(long n, SimTime dt)
 {
-    (void)now;
-    // Each task's totals are sums of n dependent additions that must
-    // stay in per-tick order (floating-point addition does not
-    // associate).  Different tasks' chains are independent, though, so
-    // running them in lockstep lets the CPU overlap the add latencies
-    // instead of serialising one task's whole chain after another's.
-    const std::size_t m = replay_slots_.size();
-    for (std::size_t i = 0; i < m; ++i) {
-        bulk_hb_[i] = replay_slots_[i].task->total_heartbeats();
-        bulk_cycles_[i] = replay_slots_[i].task->total_cycles();
-    }
-    for (long k = 0; k < n; ++k) {
-        for (std::size_t i = 0; i < m; ++i) {
-            bulk_hb_[i] += replay_slots_[i].beats;
-            bulk_cycles_[i] += replay_slots_[i].granted;
-        }
-    }
-    for (std::size_t i = 0; i < m; ++i)
-        replay_slots_[i].task->bulk_finish(n, dt, bulk_hb_[i],
-                                           bulk_cycles_[i]);
+    for (const ReplaySlot& s : replay_slots_)
+        s.task->replay_bulk(n, dt, s.granted, s.beats);
 }
 
-void
-Scheduler::replay_span(long n, SimTime now, SimTime dt,
-                       double* heart_rates, std::size_t stride)
+long
+Scheduler::replay_span(long n, SimTime now, SimTime dt, SpanHits* hits)
 {
     // Slots are independent objects, so each runs its whole span
     // before the next; only each object's own sequence must keep the
     // per-tick order.
+    long iterated = 0;
     for (const ReplaySlot& s : replay_slots_) {
-        s.task->replay_span(n, now, dt, s.granted, s.beats, s.supplied,
-                            heart_rates != nullptr
-                                ? heart_rates + s.entry * stride
-                                : nullptr);
+        iterated += s.task->replay_span(
+            n, now, dt, s.granted, s.beats, s.supplied,
+            hits != nullptr ? hits + s.entry : nullptr);
     }
     replay_ewma_bulk(n);
+    return iterated;
 }
 
 void

@@ -124,18 +124,21 @@ class Scheduler
     bool replay_bulk_ready(SimTime now, SimTime dt) const;
 
     /** Apply `n` replay ticks at once (after replay_bulk_ready()). */
-    void replay_bulk(long n, SimTime now, SimTime dt);
+    void replay_bulk(long n, SimTime dt);
 
     /**
      * `n` replay_tick() calls from `now` at once, bit for bit: each
      * slot's task runs Task::replay_span, then the load EWMAs take
-     * their n updates (replay_ewma_bulk).  When `heart_rates` is not
-     * null, the row of task t -- heart_rates + t * stride, n values --
-     * receives its heart rate at each tick's end; rows of tasks
-     * without a slot (inactive ones) are left untouched.
+     * their n updates (replay_ewma_bulk).  When `hits` is not null,
+     * hits[t] gets task t's below/outside bits, one per tick's end;
+     * entries of tasks without a slot (inactive ones) are left
+     * untouched.
+     * @return the HRM window samples replayed one by one.
      */
-    void replay_span(long n, SimTime now, SimTime dt, double* heart_rates,
-                     std::size_t stride);
+    long replay_span(long n, SimTime now, SimTime dt, SpanHits* hits);
+
+    /** Replay slots of the current plan: one per active task. */
+    std::size_t replay_slot_count() const { return replay_slots_.size(); }
 
     /** Time before which the task receives no cycles (migration). */
     SimTime blocked_until(TaskId t) const { return entry(t).blocked_until; }
@@ -310,8 +313,6 @@ class Scheduler
     // Replay state (begin_replay / replay_tick / replay_bulk).
     std::vector<ReplaySlot> replay_slots_;
     double replay_alpha_ = 0.0;
-    std::vector<double> bulk_hb_;    ///< replay_bulk() scratch.
-    std::vector<Cycles> bulk_cycles_;
     bool replay_cache_valid_ = false;
     bool replay_all_unblocked_ = false;
     SimTime replay_dt_ = 0;

@@ -24,13 +24,12 @@ HeartRateMonitor::record(SimTime now, double beats,
     supply_.add(now, supplied_pu_seconds);
 }
 
-void
+long
 HeartRateMonitor::record_span(SimTime t0, SimTime dt, long n, double beats,
-                              double supplied_pu_seconds,
-                              double* heart_rates)
+                              double supplied_pu_seconds, SpanHits* hits)
 {
-    beats_.add_span(t0, dt, n, beats, heart_rates);
-    supply_.add_span(t0, dt, n, supplied_pu_seconds, nullptr);
+    return beats_.add_span(t0, dt, n, beats, hits, band()) +
+        supply_.add_span(t0, dt, n, supplied_pu_seconds);
 }
 
 double

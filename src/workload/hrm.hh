@@ -43,12 +43,13 @@ class HeartRateMonitor
 
     /**
      * `n` record() calls at t0, t0 + dt, ..., t0 + (n-1)*dt with the
-     * same values, bit for bit (WindowRate::add_span).  When
-     * `heart_rates` is not null, heart_rates[k] receives
-     * heart_rate(t0 + k*dt) as it reads right after the k-th sample.
+     * same values, bit for bit (WindowRate::add_span).  When `hits` is
+     * not null, bit k of its masks is set by heart_rate(t0 + k*dt), as
+     * it reads right after the k-th sample, judged against band().
+     * @return the window samples replayed one by one (both windows).
      */
-    void record_span(SimTime t0, SimTime dt, long n, double beats,
-                     double supplied_pu_seconds, double* heart_rates);
+    long record_span(SimTime t0, SimTime dt, long n, double beats,
+                     double supplied_pu_seconds, SpanHits* hits);
 
     /** Measured heart rate (hb/s) over the window ending at `now`. */
     double heart_rate(SimTime now) const;
@@ -67,6 +68,9 @@ class HeartRateMonitor
 
     /** Target heart rate: midpoint of the range (0 with no range). */
     double target_hr() const { return 0.5 * (min_hr_ + max_hr_); }
+
+    /** The reference range as a band on the heart rate. */
+    RateBand band() const { return {min_hr_, max_hr_, has_range()}; }
 
     /** True if the measured rate at `now` is below the range. */
     bool below_range(SimTime now) const;

@@ -109,33 +109,23 @@ Task::replay_steady(SimTime now, SimTime dt, double beats,
     return hrm_.replay_steady(now, dt, beats, supplied_pu_seconds);
 }
 
-void
+long
 Task::replay_span(long n, SimTime now, SimTime dt, Cycles granted,
-                  double beats, double supplied_pu_seconds,
-                  double* heart_rates)
+                  double beats, double supplied_pu_seconds, SpanHits* hits)
 {
-    // Sums of n dependent additions each; floating-point addition
-    // does not associate, so they stay in per-tick order (the two
-    // independent chains share one loop so their latencies overlap).
-    double hb = total_hb_;
-    Cycles cycles = total_cycles_;
-    for (long i = 0; i < n; ++i) {
-        hb += beats;
-        cycles += granted;
-    }
-    total_hb_ = hb;
-    total_cycles_ = cycles;
-    hrm_.record_span(now + dt, dt, n, beats, supplied_pu_seconds,
-                     heart_rates);
+    total_hb_ = add_repeated(total_hb_, 0.0, beats, n);
+    total_cycles_ = add_repeated(total_cycles_, 0.0, granted, n);
+    const long iterated =
+        hrm_.record_span(now + dt, dt, n, beats, supplied_pu_seconds, hits);
     advance_phase_clock(n * dt);
+    return iterated;
 }
 
 void
-Task::bulk_finish(long n, SimTime dt, double total_hb,
-                  Cycles total_cycles)
+Task::replay_bulk(long n, SimTime dt, Cycles granted, double beats)
 {
-    total_hb_ = total_hb;
-    total_cycles_ = total_cycles;
+    total_hb_ = add_repeated(total_hb_, 0.0, beats, n);
+    total_cycles_ = add_repeated(total_cycles_, 0.0, granted, n);
     hrm_.advance_steady(n * dt);
     advance_phase_clock(n * dt);
 }

@@ -109,38 +109,37 @@ class Task
 
     /**
      * `n` replay_advance() calls over [now, now + n*dt) at once, bit
-     * for bit: the running totals take their n dependent additions in
-     * per-tick order, both HRM windows advance through
+     * for bit: the running totals take their n additions through
+     * add_repeated(), both HRM windows advance through
      * HeartRateMonitor::record_span, and the phase clock moves by
-     * n*dt.  When `heart_rates` is not null, heart_rates[k] receives
-     * heart_rate(now + (k+1)*dt), the rate at the k-th tick's end.
-     * The caller keeps phase edges out of the span, as for bulk_finish().
+     * n*dt.  When `hits` is not null, bit k of its masks is set by
+     * heart_rate(now + (k+1)*dt), the rate at the k-th tick's end,
+     * against the HRM's band.  The caller keeps phase edges out of the
+     * span, as for replay_bulk().
+     * @return the HRM window samples replayed one by one.
      */
-    void replay_span(long n, SimTime now, SimTime dt, Cycles granted,
+    long replay_span(long n, SimTime now, SimTime dt, Cycles granted,
                      double beats, double supplied_pu_seconds,
-                     double* heart_rates);
+                     SpanHits* hits);
 
     /**
      * True when `n` further replay_advance() calls with these cached
      * values would leave the task's observable floating-point state
      * (heart rate, supply, totals trajectory endpoints) reproducible
-     * by bulk_finish(): both HRM windows are at their uniform
+     * by replay_bulk(): both HRM windows are at their uniform
      * steady-state fixed point.
      */
     bool replay_steady(SimTime now, SimTime dt, double beats,
                        double supplied_pu_seconds) const;
 
     /**
-     * Complete a bulk advance whose running totals were accumulated
-     * externally (the scheduler interleaves the per-task addition
-     * chains for throughput).  `total_hb` / `total_cycles` must be
-     * the values total_heartbeats() / total_cycles() would hold after
-     * n per-tick additions of the cached increments; the steady HRM
-     * windows shift in O(1) and the phase clock advances in closed
-     * form.  Caller must have established replay_steady().
+     * `n` replay_advance() calls at the steady state, bit for bit: the
+     * running totals take their n additions through add_repeated(),
+     * the steady HRM windows shift in O(1) and the phase clock
+     * advances in closed form.  Caller must have established
+     * replay_steady().
      */
-    void bulk_finish(long n, SimTime dt, double total_hb,
-                     Cycles total_cycles);
+    void replay_bulk(long n, SimTime dt, Cycles granted, double beats);
 
     /** Time left in the current phase. */
     SimTime phase_remaining() const;

@@ -77,8 +77,9 @@
  * --engine-stats prints, after a completed run, what the engine did
  * (sim::EngineStats) as one line of key=value counters on stderr:
  * ticks and intervals per advance path (boundary step, bulk, span),
- * replay intervals by the horizon cap that closed them, slot-cache
- * hits and misses, and power vetoes.  A fleet prints one line per
+ * HRM-window samples the span path took in closed form and one by
+ * one, replay intervals by the horizon cap that closed them,
+ * slot-cache hits and misses, and power vetoes.  A fleet prints one line per
  * chip.  The counters differ between macro-stepped and --per-tick
  * runs by design, so they never reach stdout; a restored run counts
  * from the restore.  It reports one run, so --avg-seeds rejects it.
@@ -177,9 +178,9 @@ usage(const char* argv0)
         "--fleet-budget --fleet-epoch must repeat the saving run's\n"
         "values; a mismatch exits 2 naming the flag); --snapshot-every\n"
         "MS saves periodically while running to completion.\n"
-        "--engine-stats prints the engine's tick, interval, horizon-cap,\n"
-        "slot-cache and power-veto counters to stderr after the run\n"
-        "(one line per chip with --fleet).\n",
+        "--engine-stats prints the engine's tick, interval, span-window,\n"
+        "horizon-cap, slot-cache and power-veto counters to stderr after\n"
+        "the run (one line per chip with --fleet).\n",
         argv0);
     std::exit(2);
 }
@@ -246,6 +247,8 @@ print_engine_stats(const std::string& label, const ppm::sim::EngineStats& st)
     add("bulk_ticks", st.bulk_ticks);
     add("span_intervals", st.span_intervals);
     add("span_ticks", st.span_ticks);
+    add("span_window_closed", st.span_window_closed);
+    add("span_window_iterated", st.span_window_iterated);
     for (int c = 0; c < EngineStats::kNumCaps; ++c) {
         const auto cap = static_cast<EngineStats::Cap>(c);
         add(std::string("closed_") + ppm::sim::horizon_cap_name(cap),
