@@ -202,9 +202,9 @@ TEST(AllocFree, MacroSteppedRunUntil)
 {
     // The first 60-s window grows the replay scratch to its working
     // size: advance_quiescent's per-cluster energy column,
-    // begin_replay's slots, cluster supplies, utilization copy and
-    // replay_bulk columns, and ThermalModel::advance's two columns --
-    // 14 allocations at 2x4, 18 at 4x8.  Every later window reuses it.
+    // begin_replay's slots, cluster supplies and utilization copy, and
+    // ThermalModel::advance's two columns -- 12 allocations at 2x4, 16
+    // at 4x8.  Every later window reuses it.
     const SimTime window = 60 * kSecond;
     for (const SimShape& s : kSimShapes) {
         auto sim = steady_sim(s);
