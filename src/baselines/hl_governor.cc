@@ -41,23 +41,6 @@ HlGovernor::init(sim::Simulation& sim)
     }
 }
 
-CoreId
-HlGovernor::least_loaded_core(sim::Simulation& sim, ClusterId v) const
-{
-    CoreId best = kInvalidId;
-    std::size_t best_count = 0;
-    for (CoreId c : sim.chip().cluster(v).cores()) {
-        if (!sim.chip().core_online(c))
-            continue;
-        const std::size_t count = sim.scheduler().tasks_on(c).size();
-        if (best == kInvalidId || count < best_count) {
-            best = c;
-            best_count = count;
-        }
-    }
-    return best;
-}
-
 void
 HlGovernor::schedule(sim::Simulation& sim, SimTime now)
 {
@@ -75,11 +58,11 @@ HlGovernor::schedule(sim::Simulation& sim, SimTime now)
             const ClusterId v = sim.chip().cluster_of(cur);
             const double load = sched.task_load(t->id());
             if (v == little_ && load > cfg_.up_threshold) {
-                const CoreId dst = least_loaded_core(sim, big_);
+                const CoreId dst = sched.least_loaded_core(big_);
                 if (dst != kInvalidId)
                     sim.request_migration(t->id(), dst, now);
             } else if (v == big_ && load < cfg_.down_threshold) {
-                const CoreId dst = least_loaded_core(sim, little_);
+                const CoreId dst = sched.least_loaded_core(little_);
                 if (dst != kInvalidId)
                     sim.request_migration(t->id(), dst, now);
             }
@@ -159,7 +142,7 @@ HlGovernor::kill_big_cluster(sim::Simulation& sim, SimTime now)
         const CoreId c = sim.scheduler().core_of(t->id());
         if (sim.chip().cluster_of(c) != big_)
             continue;
-        const CoreId dst = least_loaded_core(sim, little_);
+        const CoreId dst = sim.scheduler().least_loaded_core(little_);
         // Emergency evacuation bypasses the fault layer: the kernel
         // moves the runqueues itself before cutting the power rail.
         if (dst != kInvalidId)

@@ -144,9 +144,6 @@ class HlGovernor : public sim::Governor
     /** Kill the big cluster after evacuating it (TDP emergency). */
     void kill_big_cluster(sim::Simulation& sim, SimTime now);
 
-    /** Least-loaded core (by task count) of cluster `v`. */
-    CoreId least_loaded_core(sim::Simulation& sim, ClusterId v) const;
-
     HlConfig cfg_;
     ClusterId little_ = kInvalidId;
     ClusterId big_ = kInvalidId;

@@ -76,23 +76,6 @@ HpmGovernor::init(sim::Simulation& sim)
     }
 }
 
-CoreId
-HpmGovernor::least_loaded_core(sim::Simulation& sim, ClusterId v) const
-{
-    CoreId best = kInvalidId;
-    std::size_t best_count = 0;
-    for (CoreId c : sim.chip().cluster(v).cores()) {
-        if (!sim.chip().core_online(c))
-            continue;
-        const std::size_t count = sim.scheduler().tasks_on(c).size();
-        if (best == kInvalidId || count < best_count) {
-            best = c;
-            best_count = count;
-        }
-    }
-    return best;
-}
-
 void
 HpmGovernor::run_dvfs(sim::Simulation& sim, SimTime dt)
 {
@@ -237,14 +220,14 @@ HpmGovernor::run_lbt(sim::Simulation& sim, SimTime now)
             cl.level() >= level_cap_[static_cast<std::size_t>(v)];
         if (v == little_ && unsat >= cfg_.up_migrate_after &&
             cluster_maxed) {
-            const CoreId dst = least_loaded_core(sim, big_);
+            const CoreId dst = sched.least_loaded_core(big_);
             if (dst != kInvalidId) {
                 sim.request_migration(id, dst, now);
                 unsat = 0;
             }
         } else if (v == big_ && sat >= cfg_.down_migrate_after &&
                    little_util < cfg_.little_headroom) {
-            const CoreId dst = least_loaded_core(sim, little_);
+            const CoreId dst = sched.least_loaded_core(little_);
             if (dst != kInvalidId) {
                 sim.request_migration(id, dst, now);
                 sat = 0;

@@ -145,9 +145,6 @@ class HpmGovernor : public sim::Governor
     /** Demand-proportional nice values per core. */
     void assign_nice(sim::Simulation& sim, SimTime now);
 
-    /** Least-populated core of cluster `v`. */
-    CoreId least_loaded_core(sim::Simulation& sim, ClusterId v) const;
-
     HpmConfig cfg_;
     ClusterId little_ = kInvalidId;
     ClusterId big_ = kInvalidId;

@@ -219,7 +219,7 @@ mark_run(const RateBand& band, const AdditiveRun& run, double width,
          long first, SpanHits& hits)
 {
     const std::uint64_t below = run_hits(
-        run, width, first, [&band](double r) { return r < band.lo; });
+        run, width, first, [&band](double r) { return band.below(r); });
     hits.below |= below;
     if (band.ranged)
         hits.outside |= below | run_hits(run, width, first,

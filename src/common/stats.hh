@@ -116,14 +116,22 @@ class DutyCycle
 double add_repeated(double x, double minus, double plus, long n);
 
 /**
- * A reference band on a rate, with QosTracker::sample()'s two
- * predicates: below means rate < lo; outside means ranged and rate
- * below lo or above hi.  An unranged band is never outside.
+ * A reference band on a rate, and the one definition of the QoS
+ * predicates every sampler uses.  An unranged band is never outside.
  */
 struct RateBand {
     double lo = 0.0;
     double hi = 0.0;
     bool ranged = false;
+
+    /** The rate misses the band's floor. */
+    bool below(double rate) const { return rate < lo; }
+
+    /** The band is ranged and the rate is below it or above it. */
+    bool outside(double rate) const
+    {
+        return ranged && (below(rate) || rate > hi);
+    }
 };
 
 /**
@@ -139,10 +147,8 @@ struct SpanHits {
     /** Judge tick k's rate against `band`. */
     void mark(const RateBand& band, long k, double rate)
     {
-        const bool b = rate < band.lo;
-        const bool o = band.ranged && (b || rate > band.hi);
-        below |= std::uint64_t{b} << k;
-        outside |= std::uint64_t{o} << k;
+        below |= std::uint64_t{band.below(rate)} << k;
+        outside |= std::uint64_t{band.outside(rate)} << k;
     }
 };
 

@@ -7,9 +7,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
+#include <limits>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "common/rng.hh"
 #include "hw/platform.hh"
 #include "hw/sensors.hh"
@@ -39,19 +40,6 @@ fault_kind_name(FaultKind kind)
 // Spec parsing.
 
 namespace {
-
-bool
-parse_number(const std::string& value, double* out)
-{
-    if (value.empty())
-        return false;
-    char* end = nullptr;
-    const double v = std::strtod(value.c_str(), &end);
-    if (end != value.c_str() + value.size() || !std::isfinite(v))
-        return false;
-    *out = v;
-    return true;
-}
 
 bool
 fail(std::string* error, const std::string& message)
@@ -108,8 +96,26 @@ parse_fault_spec(const std::string& text, FaultSpec* spec,
         }
         const std::string key = token.substr(0, eq);
         const std::string value = token.substr(eq + 1);
+        // Seeds and retries are exact integers; the rest are reals.
+        if (key == "seed") {
+            if (!parse_u64(value, &out.seed))
+                return fail(error, "fault spec seed wants an integer "
+                                   "in [0, 2^64), got '" +
+                                       value + "'");
+            continue;
+        }
+        if (key == "retries") {
+            long retries = 0;
+            if (!parse_long(value, &retries) || retries < 0 ||
+                retries > std::numeric_limits<int>::max())
+                return fail(error, "fault spec retries wants an "
+                                   "integer in [0, 2^31), got '" +
+                                       value + "'");
+            out.max_retries = static_cast<int>(retries);
+            continue;
+        }
         double num = 0.0;
-        if (!parse_number(value, &num))
+        if (!parse_double(value, &num))
             return fail(error, "fault spec key '" + key +
                                    "' has a non-numeric value '" +
                                    value + "'");
@@ -117,14 +123,13 @@ parse_fault_spec(const std::string& text, FaultSpec* spec,
             if (num <= 0.0)
                 return fail(error, "fault spec key '" + key +
                                        "' must be > 0");
-            *dst = static_cast<SimTime>(num * kMillisecond);
+            if (!truncate_time(num, kMillisecond, dst))
+                return fail(error, "fault spec key '" + key +
+                                       "' is out of range, got '" +
+                                       value + "'");
             return true;
         };
-        if (key == "seed") {
-            if (num < 0.0)
-                return fail(error, "fault spec seed must be >= 0");
-            out.seed = static_cast<std::uint64_t>(num);
-        } else if (key == "rate") {
+        if (key == "rate") {
             if (num <= 0.0)
                 return fail(error, "fault spec rate must be > 0");
             out.rate_per_min = num;
@@ -144,10 +149,6 @@ parse_fault_spec(const std::string& text, FaultSpec* spec,
         } else if (key == "staleness_ms") {
             if (!positive_time(&out.staleness_bound))
                 return false;
-        } else if (key == "retries") {
-            if (num < 0.0)
-                return fail(error, "fault spec retries must be >= 0");
-            out.max_retries = static_cast<int>(num);
         } else if (key == "backoff_ms") {
             if (!positive_time(&out.retry_backoff))
                 return false;

@@ -176,12 +176,11 @@ Fleet::place_task(const workload::TaskSpec& spec, double big_speedup,
     }
     if (winner < 0)
         return false;  // Whole fleet is down.
-    sim::AdmitReject why = sim::AdmitReject::kNone;
     const TaskId id = shards_[static_cast<std::size_t>(winner)]
                           ->try_admit_task(spec, {now_, departure},
-                                           big_speedup, kInvalidId, &why);
+                                           big_speedup);
     if (id == kInvalidId)
-        return false;  // Typed rejection already counted on the shard.
+        return false;  // Rejection already counted on the shard.
     roster_[static_cast<std::size_t>(winner)].push_back(
         {spec, big_speedup});
     if (chip_out != nullptr)

@@ -158,42 +158,73 @@ make_sim_config(const Scenario& sc, const hw::Chip& chip,
     return cfg;
 }
 
-/** Everything one execution of the scenario produces. */
-struct RunOutput {
-    sim::RunSummary summary;
-    std::string jsonl;       ///< Full telemetry stream, bytes.
-    std::string trace_csv;   ///< Recorder dump; empty unless traced.
-    std::string audit_error; ///< First MarketAuditSink failure.
-    std::size_t plan_events = 0;  ///< Compiled fault windows.
-};
-
-RunOutput
-run_once(const Scenario& sc, const std::string& policy,
-         bool macro_step, bool incremental)
+/**
+ * Kill-and-resume: snapshot `killed` (a Simulation or a Fleet) through
+ * the real archive bytes, header, checksum and all, destroy it, and
+ * load the bytes into a freshly built replacement from `make`.
+ */
+template <class Model, class Make>
+std::unique_ptr<Model>
+resume(std::unique_ptr<Model> killed, const Make& make)
 {
-    hw::Chip chip = make_chip(sc);
-    const sim::SimConfig cfg = make_sim_config(sc, chip, macro_step);
-    RunOutput out;
-    out.plan_events = cfg.faults.events().size();
+    snap::Writer w;
+    killed->save(w);
+    killed.reset();
+    std::unique_ptr<Model> resumed = make();
+    snap::Reader r;
+    const snap::LoadStatus st = r.open(w.finalize());
+    PPM_ASSERT(st == snap::LoadStatus::kOk,
+               "in-memory snapshot failed validation");
+    resumed->load(r);
+    PPM_ASSERT(r.remaining() == 0, "snapshot has trailing bytes after load");
+    return resumed;
+}
 
+/** The recorder's CSV dump when the scenario is traced, else empty. */
+std::string
+traced_series(const Scenario& sc, sim::Simulation& s)
+{
+    if (!sc.trace)
+        return {};
+    std::ostringstream csv;
+    s.recorder().write_csv(csv);
+    return csv.str();
+}
+
+/**
+ * Run the scenario on one chip under `policy`.  With `kill_at` > 0
+ * the run is killed there and resumed in a fresh simulation: the
+ * telemetry stream spans both halves and everything else comes from
+ * the resumed one.  The market audit rides on uninterrupted PPM runs.
+ */
+RunOutput
+run_chip(const Scenario& sc, const std::string& policy, bool macro_step,
+         bool incremental, SimTime kill_at = 0)
+{
+    RunOutput out;
     std::ostringstream jsonl_os;
     metrics::JsonlSink jsonl(jsonl_os);
-    const bool stable_agents = lifetimes(sc).empty();
-    MarketAuditSink audit(stable_agents);
-
-    sim::Simulation simulation(
-        std::move(chip), make_specs(sc),
-        make_policy(sc, policy, incremental), cfg);
-    simulation.bus().add_sink(&jsonl);
-    if (policy == "PPM")
-        simulation.bus().add_sink(&audit);
-    out.summary = simulation.run();
-    out.jsonl = jsonl_os.str();
-    if (sc.trace) {
-        std::ostringstream csv;
-        simulation.recorder().write_csv(csv);
-        out.trace_csv = csv.str();
+    MarketAuditSink audit(lifetimes(sc).empty());
+    const auto make = [&] {
+        hw::Chip chip = make_chip(sc);
+        const sim::SimConfig cfg = make_sim_config(sc, chip, macro_step);
+        out.plan_events = cfg.faults.events().size();
+        auto s = std::make_unique<sim::Simulation>(
+            std::move(chip), make_specs(sc),
+            make_policy(sc, policy, incremental), cfg);
+        s->bus().add_sink(&jsonl);
+        return s;
+    };
+    std::unique_ptr<sim::Simulation> simulation = make();
+    if (kill_at > 0) {
+        simulation->run_until(kill_at);
+        simulation = resume(std::move(simulation), make);
+    } else if (policy == "PPM") {
+        simulation->bus().add_sink(&audit);
     }
+    out.summary = simulation->run();
+    out.jsonl = jsonl_os.str();
+    out.trace_csv = traced_series(sc, *simulation);
     out.audit_error = audit.first_error();
     return out;
 }
@@ -259,15 +290,6 @@ class FleetAuditSink final : public metrics::TraceSink
     std::string error_;
 };
 
-/** Everything one federated execution of the scenario produces. */
-struct FleetOutput {
-    sim::RunSummary combined;
-    fleet::FleetResult result; ///< Full result (fault counters etc.).
-    std::string fleet_jsonl;  ///< Fleet bus bytes (fleet.* series).
-    std::string chip0_jsonl;  ///< Shard 0's full telemetry stream.
-    std::string budget_error; ///< First FleetAuditSink failure.
-};
-
 /**
  * Build the `chips`-shard fleet configuration of the scenario.  Every
  * chip replicates the scenario's workload; chip governors are built
@@ -313,132 +335,49 @@ make_fleet_config(const Scenario& sc, int chips, int jobs,
     return fc;
 }
 
+/**
+ * Run the scenario as a `chips`-chip PPM fleet on `jobs` threads.
+ * With `kill_at` > 0 the fleet is killed at the first settlement
+ * barrier at or after it and resumed as run_chip() resumes a chip.
+ * The budget audit rides on uninterrupted, capped, healthy fleets: a
+ * failed chip's budget is withdrawn from settlement and a degraded
+ * chip's clamped, so the sum-to-total audit holds on no other.
+ */
 FleetOutput
 run_fleet(const Scenario& sc, int chips, int jobs, bool incremental,
-          bool fleet_faults = false)
+          bool fleet_faults, SimTime kill_at = 0)
 {
-    const bool capped = sc.tdp > 0.0;
-    const Watts total =
-        capped ? sc.tdp * static_cast<double>(chips) : 1e9;
-
     std::ostringstream fleet_os;
     std::ostringstream chip_os;
     metrics::JsonlSink fleet_sink(fleet_os);
     metrics::JsonlSink chip_sink(chip_os);
-    FleetAuditSink audit(total);
-    // A failed chip's budget is withdrawn from settlement (and a
-    // degraded chip's is clamped), so the sum-to-total audit only
-    // holds on healthy fleets.
-    const bool check_budget = capped && chips > 1 && !fleet_faults;
-
-    fleet::Fleet fleet(
-        make_fleet_config(sc, chips, jobs, incremental, fleet_faults));
-    fleet.bus().add_sink(&fleet_sink);
-    if (check_budget)
-        fleet.bus().add_sink(&audit);
-    fleet.shard(0).bus().add_sink(&chip_sink);
-
+    FleetAuditSink audit(sc.tdp * static_cast<double>(chips));
+    const bool check_budget =
+        kill_at == 0 && sc.tdp > 0.0 && chips > 1 && !fleet_faults;
+    const auto make = [&] {
+        auto f = std::make_unique<fleet::Fleet>(make_fleet_config(
+            sc, chips, jobs, incremental, fleet_faults));
+        f->bus().add_sink(&fleet_sink);
+        f->shard(0).bus().add_sink(&chip_sink);
+        return f;
+    };
+    std::unique_ptr<fleet::Fleet> federation = make();
+    if (kill_at > 0) {
+        while (federation->now() < kill_at && federation->run_epoch()) {
+        }
+        federation = resume(std::move(federation), make);
+    } else if (check_budget) {
+        federation->bus().add_sink(&audit);
+    }
     FleetOutput out;
-    out.result = fleet.run();
-    out.combined = out.result.combined;
-    out.fleet_jsonl = fleet_os.str();
-    out.chip0_jsonl = chip_os.str();
+    out.result = federation->run();
+    out.fleet.summary = out.result.combined;
+    out.fleet.jsonl = fleet_os.str();
+    out.chip0.summary = out.result.per_chip[0];
+    out.chip0.jsonl = chip_os.str();
+    out.chip0.trace_csv = traced_series(sc, federation->shard(0));
     if (check_budget)
         out.budget_error = audit.finish();
-    return out;
-}
-
-/**
- * Kill-and-resume execution of the scenario's PPM run: advance a
- * first simulation to `at`, snapshot it through the real archive
- * bytes (header, checksum and all), restore into a second freshly
- * constructed simulation and run that to the end.  The two telemetry
- * streams concatenate; the summary comes from the restored half.
- */
-RunOutput
-run_split(const Scenario& sc, bool incremental, SimTime at)
-{
-    RunOutput out;
-    snap::Writer w;
-    std::ostringstream os1;
-    {
-        hw::Chip chip = make_chip(sc);
-        const sim::SimConfig cfg = make_sim_config(sc, chip, true);
-        metrics::JsonlSink sink(os1);
-        sim::Simulation first(std::move(chip), make_specs(sc),
-                              make_policy(sc, "PPM", incremental),
-                              cfg);
-        first.bus().add_sink(&sink);
-        first.run_until(at);
-        first.save(w);
-    }
-    std::ostringstream os2;
-    hw::Chip chip = make_chip(sc);
-    const sim::SimConfig cfg = make_sim_config(sc, chip, true);
-    metrics::JsonlSink sink(os2);
-    sim::Simulation second(std::move(chip), make_specs(sc),
-                           make_policy(sc, "PPM", incremental),
-                           cfg);
-    second.bus().add_sink(&sink);
-    snap::Reader r;
-    const snap::LoadStatus st = r.open(w.finalize());
-    PPM_ASSERT(st == snap::LoadStatus::kOk,
-               "in-memory snapshot failed validation");
-    second.load(r);
-    PPM_ASSERT(r.remaining() == 0,
-               "snapshot has trailing bytes after load");
-    second.run_until(cfg.duration);
-    out.summary = second.finish();
-    out.jsonl = os1.str() + os2.str();
-    if (sc.trace) {
-        std::ostringstream csv;
-        second.recorder().write_csv(csv);
-        out.trace_csv = csv.str();
-    }
-    return out;
-}
-
-/**
- * Kill-and-resume execution of the federated scenario: run a first
- * fleet up to the last settlement barrier before `at`, snapshot,
- * restore into a second fleet and run to completion.
- */
-FleetOutput
-run_fleet_split(const Scenario& sc, int chips, bool incremental,
-                bool fleet_faults, SimTime at)
-{
-    FleetOutput out;
-    snap::Writer w;
-    std::ostringstream fleet_os1, chip_os1;
-    {
-        metrics::JsonlSink fleet_sink(fleet_os1);
-        metrics::JsonlSink chip_sink(chip_os1);
-        fleet::Fleet first(make_fleet_config(sc, chips, 1, incremental,
-                                             fleet_faults));
-        first.bus().add_sink(&fleet_sink);
-        first.shard(0).bus().add_sink(&chip_sink);
-        while (first.now() < at && first.run_epoch()) {
-        }
-        first.save(w);
-    }
-    std::ostringstream fleet_os2, chip_os2;
-    metrics::JsonlSink fleet_sink(fleet_os2);
-    metrics::JsonlSink chip_sink(chip_os2);
-    fleet::Fleet second(make_fleet_config(sc, chips, 1, incremental,
-                                          fleet_faults));
-    second.bus().add_sink(&fleet_sink);
-    second.shard(0).bus().add_sink(&chip_sink);
-    snap::Reader r;
-    const snap::LoadStatus st = r.open(w.finalize());
-    PPM_ASSERT(st == snap::LoadStatus::kOk,
-               "in-memory fleet snapshot failed validation");
-    second.load(r);
-    PPM_ASSERT(r.remaining() == 0,
-               "fleet snapshot has trailing bytes after load");
-    out.result = second.run();
-    out.combined = out.result.combined;
-    out.fleet_jsonl = fleet_os1.str() + fleet_os2.str();
-    out.chip0_jsonl = chip_os1.str() + chip_os2.str();
     return out;
 }
 
@@ -573,10 +512,44 @@ check_tdp_duty(const Scenario& sc, const std::string& policy,
 
 } // namespace
 
+std::string
+difference(const RunOutput& a, const RunOutput& b)
+{
+    if (summary_fingerprint(a.summary) != summary_fingerprint(b.summary))
+        return "summary fingerprints differ";
+    if (a.jsonl != b.jsonl)
+        return "telemetry streams differ (" +
+               std::to_string(a.jsonl.size()) + " vs " +
+               std::to_string(b.jsonl.size()) + " bytes)";
+    if (a.trace_csv != b.trace_csv)
+        return "traced series differ";
+    return {};
+}
+
+std::string
+difference(const FleetOutput& a, const FleetOutput& b)
+{
+    if (std::string d = difference(a.fleet, b.fleet); !d.empty())
+        return "fleet " + d;
+    if (std::string d = difference(a.chip0, b.chip0); !d.empty())
+        return "chip 0 " + d;
+    return {};
+}
+
 std::vector<Violation>
 check_scenario(const Scenario& sc)
 {
     std::vector<Violation> violations;
+    // A differential: `runs` must match byte for byte, and `diff`
+    // (a difference() result) names where they did not.
+    const auto expect_same = [&violations](const char* invariant,
+                                           const std::string& policy,
+                                           const std::string& diff,
+                                           const char* runs) {
+        if (!diff.empty())
+            violations.push_back(
+                {invariant, policy, diff + " between " + runs});
+    };
     Watts chip_peak = 0.0;
     {
         const hw::Chip chip = make_chip(sc);
@@ -589,34 +562,15 @@ check_scenario(const Scenario& sc)
     // once here, reused by each of them.
     RunOutput ppm;
     for (const char* policy : {"PPM", "HPM", "HL"}) {
-        RunOutput macro = run_once(sc, policy, true, sc.incremental);
-        const RunOutput tick = run_once(sc, policy, false, sc.incremental);
-
-        if (summary_fingerprint(macro.summary) !=
-            summary_fingerprint(tick.summary)) {
-            violations.push_back(
-                {"macro-vs-tick", policy,
-                 "summary fingerprints differ between macro-step "
-                 "and per-tick execution"});
-        } else if (macro.jsonl != tick.jsonl) {
-            violations.push_back(
-                {"macro-vs-tick", policy,
-                 "telemetry streams differ between macro-step and "
-                 "per-tick execution (" +
-                     std::to_string(macro.jsonl.size()) + " vs " +
-                     std::to_string(tick.jsonl.size()) + " bytes)"});
-        } else if (macro.trace_csv != tick.trace_csv) {
-            violations.push_back(
-                {"macro-vs-tick", policy,
-                 "traced time series differ between macro-step and "
-                 "per-tick execution"});
-        }
-
+        RunOutput macro = run_chip(sc, policy, true, sc.incremental);
+        expect_same("macro-vs-tick", policy,
+                    difference(macro, run_chip(sc, policy, false,
+                                               sc.incremental)),
+                    "macro-step and per-tick execution");
         if (!macro.audit_error.empty()) {
             violations.push_back(
                 {"market-budget", policy, macro.audit_error});
         }
-
         check_summary_sanity(sc, policy, macro, violations);
         check_fault_counters(sc, policy, macro, violations);
         check_tdp_duty(sc, policy, macro, chip_peak, violations);
@@ -625,120 +579,62 @@ check_scenario(const Scenario& sc)
     }
 
     // Incremental differential: the active-set engine must replay the
-    // full recompute bit for bit on EVERY scenario -- summary
-    // fingerprint (which embeds the market skip counters: the dirty
-    // bookkeeping is mode-invariant, so even the skip counts must
-    // match), the full telemetry stream, and the traced time series.
-    // A divergence here is a dirty-set bug: some entry skipped a
-    // recompute whose inputs had actually changed.
+    // full recompute bit for bit on EVERY scenario, skip counters in
+    // the fingerprint included (the dirty bookkeeping is
+    // mode-invariant).  A divergence here is a dirty-set bug: some
+    // entry skipped a recompute whose inputs had actually changed.
     {
-        const RunOutput other = run_once(sc, "PPM", true, !sc.incremental);
-        const RunOutput& inc = sc.incremental ? ppm : other;
-        const RunOutput& full = sc.incremental ? other : ppm;
-        if (summary_fingerprint(inc.summary) !=
-            summary_fingerprint(full.summary)) {
-            violations.push_back(
-                {"incremental", "PPM",
-                 "summary fingerprints differ between incremental "
-                 "and full clearing"});
-        } else if (inc.jsonl != full.jsonl) {
-            violations.push_back(
-                {"incremental", "PPM",
-                 "telemetry streams differ between incremental and "
-                 "full clearing (" +
-                     std::to_string(inc.jsonl.size()) + " vs " +
-                     std::to_string(full.jsonl.size()) + " bytes)"});
-        } else if (inc.trace_csv != full.trace_csv) {
-            violations.push_back(
-                {"incremental", "PPM",
-                 "traced time series differ between incremental and "
-                 "full clearing"});
-        }
+        const RunOutput other =
+            run_chip(sc, "PPM", true, !sc.incremental);
+        expect_same("incremental", "PPM",
+                    sc.incremental ? difference(ppm, other)
+                                   : difference(other, ppm),
+                    "incremental and full clearing");
     }
 
     // Fleet-single differential: a 1-chip fleet wrapping the exact
-    // PPM configuration must reproduce the plain run bit for bit --
-    // summary fingerprint AND the shard's full telemetry stream
+    // PPM configuration must reproduce the plain run bit for bit
     // (run_until slicing at the epoch barriers provably changes
     // nothing, and a 1-chip settlement never moves the budget).
-    {
-        const RunOutput& plain = ppm;
-        const FleetOutput single = run_fleet(sc, 1, 1, sc.incremental);
-        if (summary_fingerprint(single.combined) !=
-            summary_fingerprint(plain.summary)) {
-            violations.push_back(
-                {"fleet-single", "PPM",
-                 "1-chip fleet summary fingerprint differs from the "
-                 "plain simulation"});
-        } else if (single.chip0_jsonl != plain.jsonl) {
-            violations.push_back(
-                {"fleet-single", "PPM",
-                 "1-chip fleet telemetry stream differs from the "
-                 "plain simulation (" +
-                     std::to_string(single.chip0_jsonl.size()) +
-                     " vs " + std::to_string(plain.jsonl.size()) +
-                     " bytes)"});
-        }
-    }
+    expect_same("fleet-single", "PPM",
+                difference(run_fleet(sc, 1, 1, sc.incremental, false).chip0,
+                           ppm),
+                "a 1-chip fleet and the plain simulation");
 
-    // Federated invariants: jobs-count byte-determinism, repeat-run
-    // byte-determinism, and fleet budget conservation at every
-    // supervisor barrier.  The serial run (faulted, under chip-level
-    // faults) is the reference of the fleet snapshot differential.
+    // Federated invariants: jobs-count and repeat-run
+    // byte-determinism, fleet budget conservation at every supervisor
+    // barrier, and incremental clearing across epoch-barrier warm
+    // starts (budget retargets between settlements).  The serial run
+    // (faulted, under chip-level faults) is the reference of the
+    // fleet snapshot differential.
+    const int chips = sc.fleet_chips;
     FleetOutput serial;
     FleetOutput faulted;
-    if (sc.fleet_chips > 1) {
-        serial = run_fleet(sc, sc.fleet_chips, 1, sc.incremental);
-        const FleetOutput pooled =
-            run_fleet(sc, sc.fleet_chips, 3, sc.incremental);
-        if (summary_fingerprint(serial.combined) !=
-            summary_fingerprint(pooled.combined)) {
-            violations.push_back(
-                {"fleet-jobs", "PPM",
-                 "fleet summary fingerprints differ between jobs=1 "
-                 "and jobs=3"});
-        } else if (serial.fleet_jsonl != pooled.fleet_jsonl ||
-                   serial.chip0_jsonl != pooled.chip0_jsonl) {
-            violations.push_back(
-                {"fleet-jobs", "PPM",
-                 "fleet telemetry streams differ between jobs=1 and "
-                 "jobs=3"});
-        }
-        const FleetOutput again =
-            run_fleet(sc, sc.fleet_chips, 1, sc.incremental);
-        if (serial.fleet_jsonl != again.fleet_jsonl ||
-            serial.chip0_jsonl != again.chip0_jsonl ||
-            summary_fingerprint(serial.combined) !=
-                summary_fingerprint(again.combined)) {
-            violations.push_back(
-                {"fleet-determinism", "PPM",
-                 "two identical fleet runs produced different bytes"});
-        }
+    if (chips > 1) {
+        serial = run_fleet(sc, chips, 1, sc.incremental, false);
+        expect_same("fleet-jobs", "PPM",
+                    difference(serial, run_fleet(sc, chips, 3,
+                                                 sc.incremental, false)),
+                    "jobs=1 and jobs=3");
+        expect_same("fleet-determinism", "PPM",
+                    difference(serial, run_fleet(sc, chips, 1,
+                                                 sc.incremental, false)),
+                    "two identical fleet runs");
         if (!serial.budget_error.empty()) {
             violations.push_back(
                 {"fleet-budget", "PPM", serial.budget_error});
         }
-        // Fleet incremental differential: epoch-barrier warm starts
-        // (budget retargets via set_power_budget between settlements)
-        // must also replay bit for bit against full clearing.
-        const FleetOutput other =
-            run_fleet(sc, sc.fleet_chips, 1, !sc.incremental);
-        if (serial.fleet_jsonl != other.fleet_jsonl ||
-            serial.chip0_jsonl != other.chip0_jsonl ||
-            summary_fingerprint(serial.combined) !=
-                summary_fingerprint(other.combined)) {
-            violations.push_back(
-                {"fleet-incremental", "PPM",
-                 "fleet bytes differ between incremental and full "
-                 "clearing"});
-        }
+        expect_same("fleet-incremental", "PPM",
+                    difference(serial, run_fleet(sc, chips, 1,
+                                                 !sc.incremental, false)),
+                    "incremental and full clearing");
     }
 
     // Chip-level fault invariants: evacuation conservation (no task
     // is silently dropped by a chip failure), counter sanity, and
     // jobs-count byte-determinism of the faulted fleet.
-    if (sc.fleet_chips > 1 && sc.has_fleet_faults) {
-        faulted = run_fleet(sc, sc.fleet_chips, 1, sc.incremental, true);
+    if (chips > 1 && sc.has_fleet_faults) {
+        faulted = run_fleet(sc, chips, 1, sc.incremental, true);
         const fleet::FleetResult& fr = faulted.result;
         if (fr.evacuations != fr.evac_landed + fr.evac_pending_end) {
             violations.push_back(
@@ -762,59 +658,28 @@ check_scenario(const Scenario& sc)
                      std::to_string(fr.chip_failures) +
                      " failures were applied"});
         }
-        const FleetOutput pooled =
-            run_fleet(sc, sc.fleet_chips, 3, sc.incremental, true);
-        if (summary_fingerprint(faulted.combined) !=
-                summary_fingerprint(pooled.combined) ||
-            faulted.fleet_jsonl != pooled.fleet_jsonl ||
-            faulted.chip0_jsonl != pooled.chip0_jsonl) {
-            violations.push_back(
-                {"fleet-fault-jobs", "PPM",
-                 "faulted fleet bytes differ between jobs=1 and "
-                 "jobs=3"});
-        }
+        expect_same("fleet-fault-jobs", "PPM",
+                    difference(faulted, run_fleet(sc, chips, 3,
+                                                  sc.incremental, true)),
+                    "jobs=1 and jobs=3 under chip faults");
     }
 
     // Snapshot differential: a kill at snapshot_at followed by a
     // restore into a fresh process image must replay the exact
-    // trajectory -- summaries, telemetry streams (concatenated
-    // across the kill) and traced series byte for byte.
+    // trajectory, the telemetry streams concatenated across the kill.
     if (sc.snapshot_at > 0) {
-        const RunOutput& full = ppm;
-        const RunOutput split =
-            run_split(sc, sc.incremental, sc.snapshot_at);
-        if (summary_fingerprint(full.summary) !=
-            summary_fingerprint(split.summary)) {
-            violations.push_back(
-                {"snapshot-restore", "PPM",
-                 "summary fingerprints differ between the "
-                 "uninterrupted and the kill-and-resume run"});
-        } else if (full.jsonl != split.jsonl) {
-            violations.push_back(
-                {"snapshot-restore", "PPM",
-                 "telemetry streams differ across the snapshot (" +
-                     std::to_string(full.jsonl.size()) + " vs " +
-                     std::to_string(split.jsonl.size()) + " bytes)"});
-        } else if (full.trace_csv != split.trace_csv) {
-            violations.push_back(
-                {"snapshot-restore", "PPM",
-                 "traced time series differ across the snapshot"});
-        }
-        if (sc.fleet_chips > 1) {
-            const FleetOutput& ffull =
-                sc.has_fleet_faults ? faulted : serial;
-            const FleetOutput fsplit = run_fleet_split(
-                sc, sc.fleet_chips, sc.incremental,
-                sc.has_fleet_faults, sc.snapshot_at);
-            if (summary_fingerprint(ffull.combined) !=
-                    summary_fingerprint(fsplit.combined) ||
-                ffull.fleet_jsonl != fsplit.fleet_jsonl ||
-                ffull.chip0_jsonl != fsplit.chip0_jsonl) {
-                violations.push_back(
-                    {"fleet-snapshot-restore", "PPM",
-                     "fleet bytes differ between the uninterrupted "
-                     "and the kill-and-resume run"});
-            }
+        expect_same("snapshot-restore", "PPM",
+                    difference(ppm, run_chip(sc, "PPM", true,
+                                             sc.incremental,
+                                             sc.snapshot_at)),
+                    "the uninterrupted and the kill-and-resume run");
+        if (chips > 1) {
+            expect_same("fleet-snapshot-restore", "PPM",
+                        difference(sc.has_fleet_faults ? faulted : serial,
+                                   run_fleet(sc, chips, 1, sc.incremental,
+                                             sc.has_fleet_faults,
+                                             sc.snapshot_at)),
+                        "the uninterrupted and the kill-and-resume run");
         }
     }
     return violations;

@@ -5,22 +5,26 @@
  * A scenario is executed several ways -- every policy, macro-stepped
  * vs per-tick, and (for PPM) incremental vs full-recompute clearing,
  * fleet shards on one worker vs many, and snapshot restores -- and
- * the runs are compared byte-for-byte: the full-precision
- * RunSummary fingerprint, the JSONL telemetry stream (every market
- * round, every field), and the traced time series when the scenario
- * records them.  On top of the differentials, global invariants are
- * checked per run: market budget conservation round by round, summary
- * sanity (finite, fractions in range, energy/power consistency), and
- * fault-counter consistency (clean runs report zero fault activity;
- * faulty runs stay within the compiled plan).
+ * the runs are compared byte-for-byte by one comparator,
+ * difference(): the full-precision RunSummary fingerprint, the JSONL
+ * telemetry stream (every market round, every field), and the traced
+ * time series when the scenario records them; for a fleet, its
+ * combined summary and fleet stream, then chip 0's three parts.  On
+ * top of the differentials, global invariants are checked per run:
+ * market budget conservation round by round, summary sanity (finite,
+ * fractions in range, energy/power consistency), and fault-counter
+ * consistency (clean runs report zero fault activity; faulty runs
+ * stay within the compiled plan).
  */
 
 #ifndef PPM_FUZZ_CHECK_HH
 #define PPM_FUZZ_CHECK_HH
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
+#include "fleet/fleet.hh"
 #include "fuzz/scenario.hh"
 #include "sim/simulation.hh"
 
@@ -44,6 +48,37 @@ struct Violation {
 
 /** The comparison key of every differential (sim/simulation.hh). */
 using sim::summary_fingerprint;
+
+/** Everything one single-chip execution of a scenario produces. */
+struct RunOutput {
+    sim::RunSummary summary;
+    std::string jsonl;            ///< Full telemetry stream, bytes.
+    std::string trace_csv;        ///< Recorder dump; empty unless traced.
+    std::string audit_error;      ///< First market audit failure.
+    std::size_t plan_events = 0;  ///< Compiled fault windows.
+};
+
+/** Everything one federated execution of a scenario produces. */
+struct FleetOutput {
+    RunOutput fleet;  ///< Combined summary and the fleet bus stream.
+    RunOutput chip0;  ///< Shard 0's summary, stream and traced series.
+    fleet::FleetResult result;  ///< Fault and placement counters.
+    std::string budget_error;   ///< First fleet budget audit failure.
+};
+
+/**
+ * The first part in which two runs differ, with its evidence:
+ * "summary fingerprints differ", "telemetry streams differ (A vs B
+ * bytes)" or "traced series differ"; empty when the runs match byte
+ * for byte.
+ */
+std::string difference(const RunOutput& a, const RunOutput& b);
+
+/**
+ * The same for two fleets: the fleet's own parts first ("fleet
+ * ..."), then chip 0's ("chip 0 ...").
+ */
+std::string difference(const FleetOutput& a, const FleetOutput& b);
 
 /**
  * Execute `sc` differentially under every policy and return every

@@ -1,14 +1,14 @@
 #include "fuzz/scenario.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "common/rng.hh"
 #include "hw/power_model.hh"
 
@@ -101,49 +101,6 @@ to_ms(SimTime t)
     return static_cast<long>(t / kMillisecond);
 }
 
-/** Strict full-string parses; return false on any trailing garbage. */
-bool
-parse_u64(const std::string& s, std::uint64_t* out)
-{
-    if (s.empty())
-        return false;
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (errno != 0 || end != s.c_str() + s.size() || s[0] == '-')
-        return false;
-    *out = static_cast<std::uint64_t>(v);
-    return true;
-}
-
-bool
-parse_long(const std::string& s, long* out)
-{
-    if (s.empty())
-        return false;
-    errno = 0;
-    char* end = nullptr;
-    const long v = std::strtol(s.c_str(), &end, 10);
-    if (errno != 0 || end != s.c_str() + s.size())
-        return false;
-    *out = v;
-    return true;
-}
-
-bool
-parse_double(const std::string& s, double* out)
-{
-    if (s.empty())
-        return false;
-    errno = 0;
-    char* end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (errno != 0 || end != s.c_str() + s.size() || !std::isfinite(v))
-        return false;
-    *out = v;
-    return true;
-}
-
 bool
 parse_bool(const std::string& s, bool* out)
 {
@@ -197,18 +154,23 @@ parse_task_line(const std::string& value, TaskGene* g,
         parse_u64(f[7], &g->phase_seed) &&
         parse_long(f[8], &arrival_ms) &&
         parse_long(f[9], &departure_ms) && parse_long(f[10], &core);
-    if (!ok || priority < 1 || n_phases < 1 || arrival_ms < 0 ||
-        departure_ms < -1 || core < -1 || g->demand_little <= 0.0 ||
-        g->target_hr <= 0.0) {
+    constexpr long kIntMax = std::numeric_limits<int>::max();
+    SimTime arrival = 0;
+    SimTime departure = sim::SimConfig::Lifetime::kForever;
+    if (!ok || priority < 1 || priority > kIntMax || n_phases < 1 ||
+        n_phases > kIntMax || arrival_ms < 0 || departure_ms < -1 ||
+        core < -1 || core > kIntMax || g->demand_little <= 0.0 ||
+        g->target_hr <= 0.0 ||
+        !scale_time(arrival_ms, kMillisecond, &arrival) ||
+        (departure_ms >= 0 &&
+         !scale_time(departure_ms, kMillisecond, &departure))) {
         *error = "malformed task= line: " + value;
         return false;
     }
     g->priority = static_cast<int>(priority);
     g->n_phases = static_cast<int>(n_phases);
-    g->arrival = arrival_ms * kMillisecond;
-    g->departure = departure_ms < 0
-                       ? sim::SimConfig::Lifetime::kForever
-                       : departure_ms * kMillisecond;
+    g->arrival = arrival;
+    g->departure = departure;
     g->core = static_cast<CoreId>(core);
     return true;
 }
@@ -559,6 +521,12 @@ parse_scenario(const std::string& text, Scenario* out,
         const std::string key = line.substr(0, eq);
         const std::string value = line.substr(eq + 1);
         long l = 0;
+        // A count of milliseconds >= lo whose SimTime fits.
+        const auto ms = [&value](long lo, SimTime* dst) {
+            long n = 0;
+            return parse_long(value, &n) && n >= lo &&
+                   scale_time(n, kMillisecond, dst);
+        };
         bool ok = true;
         if (key == "seed") {
             ok = parse_u64(value, &sc.seed);
@@ -580,16 +548,13 @@ parse_scenario(const std::string& text, Scenario* out,
         } else if (key == "tdp") {
             ok = parse_double(value, &sc.tdp) && sc.tdp >= 0.0;
         } else if (key == "duration_ms") {
-            ok = parse_long(value, &l) && l >= 1;
-            sc.duration = l * kMillisecond;
+            ok = ms(1, &sc.duration);
         } else if (key == "warmup_ms") {
-            ok = parse_long(value, &l) && l >= 0;
-            sc.warmup = l * kMillisecond;
+            ok = ms(0, &sc.warmup);
         } else if (key == "trace") {
             ok = parse_bool(value, &sc.trace);
         } else if (key == "trace_period_ms") {
-            ok = parse_long(value, &l) && l >= 1;
-            sc.trace_period = l * kMillisecond;
+            ok = ms(1, &sc.trace_period);
         } else if (key == "clearing_jobs" || key == "clearing_grain" ||
                    key == "adaptive_step") {
             // Retired genes: older fixtures still carry them.
@@ -604,8 +569,7 @@ parse_scenario(const std::string& text, Scenario* out,
             ok = parse_bool(value, &sc.incremental);
         } else if (key == "snapshot_at_ms") {
             // Missing key (pre-snapshot fixtures) defaults to 0/off.
-            ok = parse_long(value, &l) && l >= 0;
-            sc.snapshot_at = l * kMillisecond;
+            ok = ms(0, &sc.snapshot_at);
         } else if (key == "fleet_faults") {
             // Missing key (pre-fault fixtures) defaults to off.
             ok = parse_bool(value, &sc.has_fleet_faults);
@@ -640,26 +604,22 @@ parse_scenario(const std::string& text, Scenario* out,
             ok = parse_double(value, &sc.faults.rate_per_min) &&
                  sc.faults.rate_per_min > 0.0;
         } else if (key == "fault_duration_ms") {
-            ok = parse_long(value, &l) && l >= 1;
-            sc.faults.mean_duration = l * kMillisecond;
+            ok = ms(1, &sc.faults.mean_duration);
         } else if (key == "fault_noise") {
             ok = parse_double(value, &sc.faults.noise_sigma_w) &&
                  sc.faults.noise_sigma_w >= 0.0;
         } else if (key == "fault_dvfs_delay_ms") {
-            ok = parse_long(value, &l) && l >= 0;
-            sc.faults.dvfs_delay = l * kMillisecond;
+            ok = ms(0, &sc.faults.dvfs_delay);
         } else if (key == "fault_stale_ms") {
-            ok = parse_long(value, &l) && l >= 0;
-            sc.faults.stale_age = l * kMillisecond;
+            ok = ms(0, &sc.faults.stale_age);
         } else if (key == "fault_staleness_ms") {
-            ok = parse_long(value, &l) && l >= 1;
-            sc.faults.staleness_bound = l * kMillisecond;
+            ok = ms(1, &sc.faults.staleness_bound);
         } else if (key == "fault_retries") {
-            ok = parse_long(value, &l) && l >= 0;
+            ok = parse_long(value, &l) && l >= 0 &&
+                 l <= std::numeric_limits<int>::max();
             sc.faults.max_retries = static_cast<int>(l);
         } else if (key == "fault_backoff_ms") {
-            ok = parse_long(value, &l) && l >= 1;
-            sc.faults.retry_backoff = l * kMillisecond;
+            ok = ms(1, &sc.faults.retry_backoff);
         } else if (key == "task") {
             TaskGene g;
             if (!parse_task_line(value, &g, error)) {

@@ -35,9 +35,9 @@ QosTracker::sample(const std::vector<workload::Task*>& tasks, SimTime now,
         // would each re-derive the windowed rate.
         const workload::HeartRateMonitor& h = tasks[i]->hrm();
         const double hr = h.heart_rate(now);
-        const bool b = hr < h.min_hr();
-        const bool o =
-            h.has_range() && (hr < h.min_hr() || hr > h.max_hr());
+        const RateBand band = h.band();
+        const bool b = band.below(hr);
+        const bool o = band.outside(hr);
         below_[i].add(b, dt);
         outside_[i].add(o, dt);
         any_b = any_b || b;

@@ -125,6 +125,23 @@ Scheduler::tasks_on(CoreId core) const
     return core_tasks_[static_cast<std::size_t>(core)];
 }
 
+CoreId
+Scheduler::least_loaded_core(ClusterId v) const
+{
+    CoreId best = kInvalidId;
+    std::size_t best_count = 0;
+    for (CoreId c : chip_->cluster(v).cores()) {
+        if (!chip_->core_online(c))
+            continue;
+        const std::size_t count = tasks_on(c).size();
+        if (best == kInvalidId || count < best_count) {
+            best = c;
+            best_count = count;
+        }
+    }
+    return best;
+}
+
 void
 Scheduler::set_active(TaskId t, bool active)
 {

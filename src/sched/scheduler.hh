@@ -60,6 +60,12 @@ class Scheduler
     const std::vector<TaskId>& tasks_on(CoreId core) const;
 
     /**
+     * The online core of cluster `v` with the fewest tasks (the
+     * lowest id on a tie), or kInvalidId when none is online.
+     */
+    CoreId least_loaded_core(ClusterId v) const;
+
+    /**
      * Move task `t` to `core` (sched_setaffinity).  Charges the
      * migration latency: the task receives no cycles until the
      * penalty elapses.  No-op if already there.  `cost_scale`

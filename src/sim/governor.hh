@@ -52,20 +52,14 @@ struct ClearingStats {
 };
 
 /**
- * Typed admission-control verdict.  kNone means "admit"; everything
- * else names the reason a task was turned away, surfaced on the
- * telemetry bus and in fleet placement decisions.
+ * Typed admission-control verdict.  kNone means "admit"; a rejection
+ * is counted on the telemetry bus and leaves a fleet's floating task
+ * to retry at the next barrier.
  */
 enum class AdmitReject {
     kNone = 0,       ///< Admitted.
     kEmergency,      ///< Local market over budget (emergency state).
-    kDeficit,        ///< Persistent clearing deficit (watchdog).
-    kChipFailed,     ///< Fleet: the target chip is failed.
-    kNoCapacity,     ///< Fleet: no surviving chip could take the task.
 };
-
-/** Name of an admission verdict ("ok" / "emergency" / ...). */
-const char* admit_reject_name(AdmitReject r);
 
 /** Base class for power-management policies. */
 class Governor

@@ -12,24 +12,6 @@
 namespace ppm::sim {
 
 const char*
-admit_reject_name(AdmitReject r)
-{
-    switch (r) {
-    case AdmitReject::kNone:
-        return "ok";
-    case AdmitReject::kEmergency:
-        return "emergency";
-    case AdmitReject::kDeficit:
-        return "deficit";
-    case AdmitReject::kChipFailed:
-        return "chip failed";
-    case AdmitReject::kNoCapacity:
-        return "no capacity";
-    }
-    return "?";
-}
-
-const char*
 horizon_cap_name(EngineStats::Cap cap)
 {
     switch (cap) {
@@ -609,12 +591,10 @@ Simulation::admit_task(const workload::TaskSpec& spec,
 TaskId
 Simulation::try_admit_task(const workload::TaskSpec& spec,
                            SimConfig::Lifetime life, double big_speedup,
-                           CoreId core, AdmitReject* why)
+                           CoreId core)
 {
     const AdmitReject verdict =
         initialized_ ? governor_->admission_check() : AdmitReject::kNone;
-    if (why != nullptr)
-        *why = verdict;
     if (verdict != AdmitReject::kNone) {
         bus_.count(admission_reject_id_);
         return kInvalidId;

@@ -316,15 +316,13 @@ class Simulation
     /**
      * Admission-controlled variant of admit_task(): consult the
      * governor (Governor::admission_check) first, and on rejection
-     * count it on the bus and return kInvalidId with the typed
-     * reason in `*why` (kNone on success).  The fleet placement
-     * layer and external submitters go through this; admit_task()
-     * remains the unconditional path (restores, tests).
+     * count it on the bus and return kInvalidId.  The fleet
+     * placement layer and external submitters go through this;
+     * admit_task() remains the unconditional path (restores, tests).
      */
     TaskId try_admit_task(const workload::TaskSpec& spec,
                           SimConfig::Lifetime life, double big_speedup,
-                          CoreId core = kInvalidId,
-                          AdmitReject* why = nullptr);
+                          CoreId core = kInvalidId);
 
     /**
      * Retarget task `t`'s departure time (fleet evacuation: the task

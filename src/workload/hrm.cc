@@ -48,16 +48,13 @@ HeartRateMonitor::supply(SimTime now) const
 bool
 HeartRateMonitor::below_range(SimTime now) const
 {
-    return heart_rate(now) < min_hr_;
+    return band().below(heart_rate(now));
 }
 
 bool
 HeartRateMonitor::outside_range(SimTime now) const
 {
-    if (!has_range())
-        return false;
-    const double hr = heart_rate(now);
-    return hr < min_hr_ || hr > max_hr_;
+    return band().outside(heart_rate(now));
 }
 
 bool

@@ -1,11 +1,11 @@
 #include "workload/trace.hh"
 
 #include <cctype>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 
 namespace ppm::workload {
 
@@ -43,13 +43,19 @@ load_demand_trace(std::istream& in)
         const std::size_t comma = t.find(',');
         if (comma == std::string::npos)
             fatal("trace line %d: expected 'time_s,demand_pu'", lineno);
-        char* end = nullptr;
-        const double time_s = std::strtod(t.c_str(), &end);
-        const double demand = std::strtod(t.c_str() + comma + 1, &end);
+        const std::string time_field = trim(t.substr(0, comma));
+        double time_s = 0.0;
+        double demand = 0.0;
+        if (!parse_double(time_field, &time_s) ||
+            !parse_double(trim(t.substr(comma + 1)), &demand))
+            fatal("trace line %d: expected 'time_s,demand_pu', got '%s'",
+                  lineno, t.c_str());
         if (time_s < 0.0 || demand < 0.0)
             fatal("trace line %d: negative time or demand", lineno);
         TracePoint p;
-        p.time = static_cast<SimTime>(time_s * kSecond);
+        if (!truncate_time(time_s, kSecond, &p.time))
+            fatal("trace line %d: time %s s is out of range", lineno,
+                  time_field.c_str());
         p.demand = demand;
         if (!trace.empty() && p.time <= trace.back().time) {
             fatal("trace line %d: times must be strictly increasing",

@@ -59,6 +59,8 @@ TEST(PpmFuzzCli, PrintScenarioExitsZero)
 TEST(PpmFuzzCli, UnknownFlagIsRejected)
 {
     EXPECT_EQ(run_cli("--count 3 --frobnicate"), 2);
+    // Shrinking is the default; only --no-shrink changes it.
+    EXPECT_EQ(run_cli("--count 3 --shrink"), 2);
 }
 
 TEST(PpmFuzzCli, NumericParsingIsStrict)
@@ -68,6 +70,7 @@ TEST(PpmFuzzCli, NumericParsingIsStrict)
     EXPECT_EQ(run_cli("--count 10x"), 2);
     EXPECT_EQ(run_cli("--count ''"), 2);
     EXPECT_EQ(run_cli("--seed -1"), 2);
+    EXPECT_EQ(run_cli("--seed ' -1'"), 2);
     EXPECT_EQ(run_cli("--seed abc"), 2);
     EXPECT_EQ(run_cli("--seed 99999999999999999999999"), 2);
     EXPECT_EQ(run_cli("--jobs -1"), 2);

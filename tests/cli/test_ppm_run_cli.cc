@@ -147,6 +147,16 @@ TEST(PpmRunCli, MalformedFaultSpecIsRejected)
     EXPECT_EQ(run_cli("--set l1 --seconds 1 --faults gamma_rays"), 2);
     EXPECT_EQ(run_cli("--set l1 --seconds 1 --faults sensor,rate=-1"),
               2);
+    // Seeds and retries are integers, and no value may overflow the
+    // type it lands in.
+    for (const char* spec :
+         {"sensor,seed=1e30", "sensor,retries=1.5", "sensor,retries=1e20",
+          "sensor,duration_ms=1e300"}) {
+        EXPECT_EQ(run_cli(std::string("--set l1 --seconds 1 --faults ") +
+                          spec),
+                  2)
+            << spec;
+    }
 }
 
 TEST(PpmRunCli, FaultedRunExitsZero)

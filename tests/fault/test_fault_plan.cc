@@ -64,9 +64,46 @@ TEST(FaultSpecParse, RejectsMalformedInput)
     EXPECT_FALSE(parse_fault_spec("sensor,seed=-1", &spec, &error));
     EXPECT_FALSE(parse_fault_spec("sensor,duration_ms=0", &spec,
                                   &error));
+    // Values their type cannot hold: seeds and retries are integers,
+    // and a time's microseconds must fit SimTime.
+    for (const char* text :
+         {"sensor,seed=1e30", "sensor,seed=7.0", "sensor,seed=7x",
+          "sensor,seed=18446744073709551616", "sensor,seed= 7",
+          "sensor,retries=1.5", "sensor,retries=1e20",
+          "sensor,retries=2147483648", "sensor,retries=-1",
+          "sensor,duration_ms=1e300", "sensor,backoff_ms=1e16",
+          "sensor,stale_ms=9223372036854776", "sensor,rate=12x",
+          "sensor,noise_w=inf"}) {
+        error.clear();
+        EXPECT_FALSE(parse_fault_spec(text, &spec, &error)) << text;
+        EXPECT_FALSE(error.empty()) << text;
+    }
     // No class enabled.
     EXPECT_FALSE(parse_fault_spec("seed=4,rate=8", &spec, &error));
     EXPECT_FALSE(parse_fault_spec("", &spec, &error));
+}
+
+TEST(FaultSpecParse, SeedsAndRetriesAreExactIntegers)
+{
+    FaultSpec spec;
+    std::string error;
+    // 2^53 + 1: a double would silently round it to 2^53.
+    ASSERT_TRUE(parse_fault_spec("sensor,seed=9007199254740993", &spec,
+                                 &error))
+        << error;
+    EXPECT_EQ(spec.seed, 9007199254740993u);
+    ASSERT_TRUE(parse_fault_spec("sensor,seed=18446744073709551615",
+                                 &spec, &error))
+        << error;
+    EXPECT_EQ(spec.seed, 18446744073709551615u);
+    ASSERT_TRUE(parse_fault_spec("sensor,retries=2147483647", &spec,
+                                 &error))
+        << error;
+    EXPECT_EQ(spec.max_retries, 2147483647);
+    // Fractional ms times still parse.
+    ASSERT_TRUE(parse_fault_spec("sensor,delay_ms=0.5", &spec, &error))
+        << error;
+    EXPECT_EQ(spec.dvfs_delay, 500);
 }
 
 TEST(FaultSpecParse, FailureLeavesOutputUntouched)

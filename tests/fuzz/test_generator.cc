@@ -140,6 +140,19 @@ TEST(ScenarioParser, RejectsMalformedInput)
     rejects("duration_ms=1000\nwarmup_ms=100\ntask=1,100\n");
     rejects("duration_ms=1000\nwarmup_ms=100\n"
             "task=1,nan,1.5,20,0,1,0,0,0,-1,-1\n");
+    // Times whose microseconds overflow SimTime (2^63 us is about
+    // 9223372036854776 ms).
+    rejects("duration_ms=9223372036854776\n"
+            "task=1,100,1.5,20,0,1,0,0,0,-1,-1\n");
+    rejects("duration_ms=1000\nwarmup_ms=100\n"
+            "task=1,100,1.5,20,0,1,0,0,9223372036854776,-1,-1\n");
+    rejects("duration_ms=1000\nwarmup_ms=100\nfault_retries=2147483648\n"
+            "task=1,100,1.5,20,0,1,0,0,0,-1,-1\n");
+    // A priority that an int cast would wrap to 1.
+    rejects("duration_ms=1000\nwarmup_ms=100\n"
+            "task=4294967297,100,1.5,20,0,1,0,0,0,-1,-1\n");
+    // A negative seed is not a huge one.
+    rejects("seed= -1\ntask=1,100,1.5,20,0,1,0,0,0,-1,-1\n");
 }
 
 TEST(ScenarioParser, AcceptsCommentsAndRoundTripOutput)

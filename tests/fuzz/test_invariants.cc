@@ -4,7 +4,8 @@
  * bit-sensitive key (identical summaries fingerprint identically, any
  * field change -- including a 1-ulp float change and the fault
  * counters -- changes it), simple clean scenarios really check clean,
- * check_scenario is deterministic, and every checked-in fixture under
+ * check_scenario is deterministic, the comparator of its differentials
+ * names every part that differs, and every checked-in fixture under
  * tests/fuzz/fixtures/ stays fixed (each one is a shrunken reproducer
  * of a bug this invariant suite once caught).
  */
@@ -69,6 +70,64 @@ TEST(SummaryFingerprint, SensitiveToEveryKindOfField)
     s = sample_summary();
     s.governor = "HL";
     EXPECT_NE(summary_fingerprint(s), base);
+}
+
+/** A run output with every compared part non-empty. */
+RunOutput
+sample_output()
+{
+    RunOutput out;
+    out.summary = sample_summary();
+    out.jsonl = "{\"type\":\"market_round\",\"t\":32000}\n";
+    out.trace_csv = "time_s,series,value\n0.1,chip_power,1.5\n";
+    return out;
+}
+
+/** `text` with its byte `i` changed. */
+std::string
+flip_byte(std::string text, std::size_t i)
+{
+    text.at(i) ^= 1;
+    return text;
+}
+
+/**
+ * The comparator is the oracle of every differential, so a planted
+ * change in any part it compares must be reported, and named: a
+ * difference() that always said "equal" would leave every clean
+ * fixture clean.
+ */
+TEST(Difference, NamesEachPlantedChange)
+{
+    const RunOutput base = sample_output();
+    EXPECT_EQ(difference(base, sample_output()), "");
+
+    RunOutput run = base;
+    run.summary.avg_power = std::nextafter(run.summary.avg_power, 2.0);
+    EXPECT_EQ(difference(base, run), "summary fingerprints differ");
+
+    run = base;
+    run.jsonl = flip_byte(run.jsonl, 5);
+    const std::string n = std::to_string(base.jsonl.size());
+    EXPECT_EQ(difference(base, run),
+              "telemetry streams differ (" + n + " vs " + n + " bytes)");
+
+    run = base;
+    run.trace_csv = flip_byte(run.trace_csv, run.trace_csv.size() - 2);
+    EXPECT_EQ(difference(base, run), "traced series differ");
+
+    FleetOutput fleet;
+    fleet.fleet = base;
+    fleet.chip0 = base;
+    EXPECT_EQ(difference(fleet, fleet), "");
+    FleetOutput other = fleet;
+    other.fleet.jsonl = flip_byte(other.fleet.jsonl, 0);
+    EXPECT_EQ(difference(fleet, other),
+              "fleet telemetry streams differ (" + n + " vs " + n +
+                  " bytes)");
+    other = fleet;
+    other.chip0.trace_csv = flip_byte(other.chip0.trace_csv, 0);
+    EXPECT_EQ(difference(fleet, other), "chip 0 traced series differ");
 }
 
 /** A small, fault-free, single-phase scenario that must be clean. */

@@ -58,9 +58,20 @@ TEST(TraceDeath, RejectsNonZeroStart)
 
 TEST(TraceDeath, RejectsMalformedRow)
 {
-    std::istringstream in("0;100\n");
-    EXPECT_EXIT(load_demand_trace(in), ::testing::ExitedWithCode(1),
-                "expected");
+    // No comma; trailing garbage on either field; a third column;
+    // 1e400, which strtod reads as infinity.
+    for (const char* rows :
+         {"0;100\n", "0,100\n0.5x,200\n", "0,100x\n", "0,100,7\n",
+          "0,100\n1e400,200\n"}) {
+        std::istringstream in(rows);
+        EXPECT_EXIT(load_demand_trace(in), ::testing::ExitedWithCode(1),
+                    "expected")
+            << rows;
+    }
+    // Finite, but 1e13 s is more microseconds than SimTime holds.
+    std::istringstream huge("0,100\n1e13,200\n");
+    EXPECT_EXIT(load_demand_trace(huge), ::testing::ExitedWithCode(1),
+                "line 2: time 1e13 s is out of range");
 }
 
 TEST(TraceDeath, MissingFileIsFatal)

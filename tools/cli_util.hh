@@ -13,6 +13,7 @@
 #ifndef PPM_TOOLS_CLI_UTIL_HH
 #define PPM_TOOLS_CLI_UTIL_HH
 
+#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdint>
@@ -72,7 +73,8 @@ parse_int(const char* prog, const char* flag, const char* text)
 inline std::uint64_t
 parse_u64(const char* prog, const char* flag, const char* text)
 {
-    if (text[0] == '-')
+    // strtoull skips leading whitespace and negates a '-' into range.
+    if (std::isdigit(static_cast<unsigned char>(text[0])) == 0)
         bad_arg(prog, flag, "expects a non-negative integer", text);
     errno = 0;
     char* end = nullptr;

@@ -246,8 +246,6 @@ main(int argc, char** argv)
             if (jobs < 0)
                 cli::bad_arg("ppm_fuzz", "--jobs",
                              "expects an integer >= 0", text);
-        } else if (arg == "--shrink") {
-            do_shrink = true;
         } else if (arg == "--no-shrink") {
             do_shrink = false;
         } else if (arg == "--max-violations") {
