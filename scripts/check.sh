@@ -73,6 +73,15 @@ for policy in PPM HPM HL; do
         --snapshot-at 15000 > /dev/null
     cmp /tmp/ppm_macro.snap /tmp/ppm_tick.snap
 done
+# HL rests through its wakes while the chip sits at a bulk fixed
+# point (with no sink attached), and its timers lag until the next
+# tick or save catches them up.  150 s into m2 lies inside such a
+# stretch, so the archive saved there must match the per-tick one.
+./build/tools/ppm_run --policy HL --set m2 --seconds 300 \
+    --snapshot-out /tmp/ppm_macro.snap --snapshot-at 150000 > /dev/null
+./build/tools/ppm_run --policy HL --set m2 --seconds 300 --per-tick \
+    --snapshot-out /tmp/ppm_tick.snap --snapshot-at 150000 > /dev/null
+cmp /tmp/ppm_macro.snap /tmp/ppm_tick.snap
 # The engine counters go to stderr only, and name the span path; the
 # span path must take HRM-window samples in closed form, or the
 # byte checks above only exercised its one-by-one fallback.
@@ -80,6 +89,11 @@ done
     --engine-stats > /dev/null 2> /tmp/ppm_engine.txt
 grep -q " span_ticks=[1-9]" /tmp/ppm_engine.txt
 grep -q " span_window_closed=[1-9]" /tmp/ppm_engine.txt
+# HL must rest somewhere in a minute of m2, or the checks above never
+# ran past a wake.
+./build/tools/ppm_run --policy HL --set m2 --seconds 60 \
+    --engine-stats > /dev/null 2> /tmp/ppm_engine.txt
+grep -q " rest_intervals=[1-9]" /tmp/ppm_engine.txt
 rm -f /tmp/ppm_macro.csv /tmp/ppm_tick.csv /tmp/ppm_macro.snap \
     /tmp/ppm_tick.snap /tmp/ppm_engine.txt
 
@@ -251,8 +265,20 @@ cmake --build build-tsan --parallel "$(nproc)" --target ppm_fuzz
 # the hardened-market tests under ASan+UBSan.
 cmake -B build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DPPM_ASAN=ON
 cmake --build build-asan --parallel "$(nproc)" --target test_fault \
-    test_market test_hw test_fleet test_snapshot test_common
+    test_market test_hw test_fleet test_snapshot test_common ppm_run
 ./build-asan/tests/test_fault > /dev/null
+# Times that overflow the simulated clock are refused with exit 2
+# before any conversion could overflow (UBSan would abort with 1).
+for args in "--seconds 1e300" "--seconds 1e13" "--seconds 9223372036854" \
+    "--fleet 2 --fleet-epoch 9223372036854775807" \
+    "--snapshot-out /tmp/ppm_x.snap --snapshot-at 9223372036854775807" \
+    "--snapshot-out /tmp/ppm_x.snap --snapshot-every 9223372036854775807"
+do
+    status=0
+    # shellcheck disable=SC2086 # word-split the flag list on purpose.
+    ./build-asan/tools/ppm_run --set l1 $args > /dev/null 2>&1 || status=$?
+    [[ "$status" -eq 2 ]]
+done
 # The span kernel's closed form does int64 ulp arithmetic on bit casts
 # and shifts, and its hit masks shift by tick index: UBSan checks
 # every shift and signed overflow on the window and helper tests.

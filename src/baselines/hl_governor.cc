@@ -8,6 +8,23 @@
 
 namespace ppm::baselines {
 
+namespace {
+
+/** `next` after the per-tick wakes on ticks before `now` (catch_up()). */
+SimTime
+caught_up(SimTime next, SimTime period, SimTime now, SimTime dt)
+{
+    while (next < now) {
+        const SimTime wake = now - (now - next) / dt * dt;
+        if (wake == now)
+            break;  // Due on this very tick.
+        next = wake + period;
+    }
+    return next;
+}
+
+} // namespace
+
 HlGovernor::HlGovernor(HlConfig cfg) : cfg_(cfg)
 {
     PPM_ASSERT(cfg_.up_threshold > cfg_.down_threshold,
@@ -25,6 +42,7 @@ HlGovernor::init(sim::Simulation& sim)
             little_ = cl.id();
     }
     PPM_ASSERT(little_ != kInvalidId, "HL needs a LITTLE cluster");
+    sim_ = &sim;
     // ondemand starts at the lowest frequency.
     for (ClusterId v = 0; v < sim.chip().num_clusters(); ++v)
         sim.chip().cluster(v).set_level(0);
@@ -41,10 +59,11 @@ HlGovernor::init(sim::Simulation& sim)
     }
 }
 
-void
+bool
 HlGovernor::schedule(sim::Simulation& sim, SimTime now)
 {
     auto& sched = sim.scheduler();
+    bool requested = false;
     // Activeness-threshold migrations (heterogeneity-aware part).
     // An active task moves up "at the first opportunity" (Section
     // 5.3); the policy never consults the big cluster's load, which
@@ -57,14 +76,14 @@ HlGovernor::schedule(sim::Simulation& sim, SimTime now)
             const CoreId cur = sched.core_of(t->id());
             const ClusterId v = sim.chip().cluster_of(cur);
             const double load = sched.task_load(t->id());
-            if (v == little_ && load > cfg_.up_threshold) {
-                const CoreId dst = sched.least_loaded_core(big_);
-                if (dst != kInvalidId)
-                    sim.request_migration(t->id(), dst, now);
-            } else if (v == big_ && load < cfg_.down_threshold) {
-                const CoreId dst = sched.least_loaded_core(little_);
-                if (dst != kInvalidId)
-                    sim.request_migration(t->id(), dst, now);
+            CoreId dst = kInvalidId;
+            if (v == little_ && load > cfg_.up_threshold)
+                dst = sched.least_loaded_core(big_);
+            else if (v == big_ && load < cfg_.down_threshold)
+                dst = sched.least_loaded_core(little_);
+            if (dst != kInvalidId) {
+                sim.request_migration(t->id(), dst, now);
+                requested = true;
             }
         }
     }
@@ -94,14 +113,18 @@ HlGovernor::schedule(sim::Simulation& sim, SimTime now)
         // A reference into the live list: front() is read before
         // the migration changes it.
         const auto& heavy = sched.tasks_on(max_core);
-        if (heavy.size() >= sched.tasks_on(min_core).size() + 2)
+        if (heavy.size() >= sched.tasks_on(min_core).size() + 2) {
             sim.request_migration(heavy.front(), min_core, now);
+            requested = true;
+        }
     }
+    return requested;
 }
 
-void
+bool
 HlGovernor::run_ondemand(sim::Simulation& sim)
 {
+    bool requested = false;
     const bool traced = sim.bus().enabled();
     if (traced)
         epoch_event_.begin(sim.now());
@@ -114,15 +137,16 @@ HlGovernor::run_ondemand(sim::Simulation& sim)
             max_util = std::max(max_util,
                                 sim.scheduler().core_utilization(c));
         }
-        if (max_util > cfg_.ondemand_up) {
-            // Kernel ondemand: jump straight to the maximum frequency.
-            sim.request_level(v, cl.vf().levels() - 1);
-        } else {
-            // Then relax to the lowest frequency that keeps the
-            // utilization below the threshold.
-            const Pu needed = max_util * cl.supply() / cfg_.ondemand_up;
-            sim.request_level(v, cl.vf().level_for_demand(needed));
-        }
+        // Kernel ondemand: jump straight to the maximum frequency,
+        // then relax to the lowest frequency that keeps the
+        // utilization below the threshold.
+        const int level = max_util > cfg_.ondemand_up
+            ? cl.vf().levels() - 1
+            : cl.vf().level_for_demand(max_util * cl.supply() /
+                                       cfg_.ondemand_up);
+        if (level != cl.level())
+            requested = true;
+        sim.request_level(v, level);
         if (traced) {
             const std::string* k =
                 &cluster_keys_[static_cast<std::size_t>(v) * 2];
@@ -132,6 +156,7 @@ HlGovernor::run_ondemand(sim::Simulation& sim)
     }
     if (traced)
         sim.bus().event(epoch_event_.finish());
+    return requested;
 }
 
 void
@@ -188,9 +213,16 @@ HlGovernor::quiescent(const sim::Simulation& sim) const
 }
 
 void
+HlGovernor::catch_up(SimTime now, SimTime dt) const
+{
+    next_sched_ = caught_up(next_sched_, cfg_.sched_period, now, dt);
+    next_dvfs_ = caught_up(next_dvfs_, cfg_.dvfs_period, now, dt);
+}
+
+void
 HlGovernor::tick(sim::Simulation& sim, SimTime now, SimTime dt)
 {
-    (void)dt;
+    catch_up(now, dt);
     const Watts w = guard_.read_chip_instantaneous(sim.sensors(), now);
     guard_.update_safe_mode(now);
     if (guard_.safe_mode()) {
@@ -209,22 +241,35 @@ HlGovernor::tick(sim::Simulation& sim, SimTime now, SimTime dt)
         return;
     }
     // TDP emergency: power down the big cluster for good.
+    bool requested = false;
     if (!big_killed_ && big_ != kInvalidId && w > cfg_.tdp) {
         kill_big_cluster(sim, now);
+        requested = true;
     }
-    if (now >= next_sched_) {
+    const bool sched_due = now >= next_sched_;
+    const bool dvfs_due = now >= next_dvfs_;
+    if (sched_due) {
         next_sched_ = now + cfg_.sched_period;
-        schedule(sim, now);
+        requested |= schedule(sim, now);
     }
-    if (now >= next_dvfs_) {
+    if (dvfs_due) {
         next_dvfs_ = now + cfg_.dvfs_period;
-        run_ondemand(sim);
+        requested |= run_ondemand(sim);
     }
+    // Both decisions read this state and left it alone, so until it
+    // changes every wake would do the same.  The grant needs no
+    // injector (requests go through its fault windows) and no bus
+    // sink (every DVFS wake emits an epoch event).
+    if (sched_due && dvfs_due && !requested &&
+        sim.fault_injector() == nullptr && !sim.bus().enabled())
+        sim.rest_until_change();
 }
 
 void
 HlGovernor::save(snap::Writer& w) const
 {
+    if (sim_ != nullptr)
+        catch_up(sim_->now(), sim_->config().tick);
     w(*this);
 }
 

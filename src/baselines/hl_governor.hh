@@ -18,6 +18,14 @@
  *  - Under a TDP cap (the paper's 4 W experiment), the big cluster is
  *    switched off outright once chip power exceeds the cap, after
  *    evacuating its tasks to LITTLE.
+ *
+ * At a tick where both decisions ran and neither requested anything
+ * (no migration, no level change, no kill), HL grants the engine rest
+ * (sim::Simulation::rest_until_change()) on runs without a fault
+ * injector and with the telemetry bus disabled: until the chip leaves
+ * that steady state, every later wake would decide the same nothing,
+ * so the engine may run past them.  tick() and save() catch the
+ * timers up over the skipped wakes (catch_up()).
  */
 
 #ifndef PPM_BASELINES_HL_GOVERNOR_HH
@@ -65,7 +73,11 @@ class HlGovernor : public sim::Governor
     void init(sim::Simulation& sim) override;
     void tick(sim::Simulation& sim, SimTime now, SimTime dt) override;
 
-    /** HL acts on the earlier of its scheduling and DVFS timers. */
+    /**
+     * HL acts on the earlier of its scheduling and DVFS timers.  After
+     * a rest the timers may lie before `now` until the next tick()
+     * catches them up.
+     */
     SimTime next_wake(SimTime now) const override
     {
         (void)now;
@@ -125,7 +137,8 @@ class HlGovernor : public sim::Governor
 
     /**
      * Snapshot field list: the retargeted budget, timers, the
-     * big-kill latch and the sensor guard.
+     * big-kill latch and the sensor guard.  save() catches the timers
+     * up first, so a save inside a rest writes the per-tick values.
      */
     template <class A>
     void visit(A& a)
@@ -135,11 +148,25 @@ class HlGovernor : public sim::Governor
     }
 
   private:
-    /** Activeness-threshold migrations plus intra-cluster balancing. */
-    void schedule(sim::Simulation& sim, SimTime now);
+    /**
+     * Activeness-threshold migrations plus intra-cluster balancing.
+     * @return whether it requested a migration.
+     */
+    bool schedule(sim::Simulation& sim, SimTime now);
 
-    /** Per-cluster ondemand frequency selection. */
-    void run_ondemand(sim::Simulation& sim);
+    /**
+     * Per-cluster ondemand frequency selection.
+     * @return whether it requested a level other than the current one.
+     */
+    bool run_ondemand(sim::Simulation& sim);
+
+    /**
+     * Apply the per-tick timer recurrence for every wake that fell on
+     * a tick before `now` (ticks sit at now - k*dt): each woke at the
+     * first tick at or after its timer and re-armed it one period
+     * later.  A no-op unless a rest skipped those ticks.
+     */
+    void catch_up(SimTime now, SimTime dt) const;
 
     /** Kill the big cluster after evacuating it (TDP emergency). */
     void kill_big_cluster(sim::Simulation& sim, SimTime now);
@@ -147,8 +174,10 @@ class HlGovernor : public sim::Governor
     HlConfig cfg_;
     ClusterId little_ = kInvalidId;
     ClusterId big_ = kInvalidId;
-    SimTime next_sched_ = 0;
-    SimTime next_dvfs_ = 0;
+    const sim::Simulation* sim_ = nullptr;  ///< Kept from init() for save().
+    // Mutable: the const save() catches them up (catch_up()).
+    mutable SimTime next_sched_ = 0;
+    mutable SimTime next_dvfs_ = 0;
     bool big_killed_ = false;
 
     /** Sensor fallback + safe-mode tracking (inert on clean runs). */

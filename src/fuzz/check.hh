@@ -3,8 +3,10 @@
  * Differential execution and invariant checking of one fuzz scenario.
  *
  * A scenario is executed several ways -- every policy, macro-stepped
- * vs per-tick, and (for PPM) incremental vs full-recompute clearing,
- * fleet shards on one worker vs many, and snapshot restores -- and
+ * vs per-tick (for HL also with no sink attached, the only way it
+ * rests through its wakes), and (for PPM) incremental vs
+ * full-recompute clearing, fleet shards on one worker vs many, and
+ * snapshot restores -- and
  * the runs are compared byte-for-byte by one comparator,
  * difference(): the full-precision RunSummary fingerprint, the JSONL
  * telemetry stream (every market round, every field), and the traced

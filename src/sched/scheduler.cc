@@ -348,11 +348,11 @@ Scheduler::begin_replay(SimTime now, SimTime dt)
 {
     PPM_ASSERT(dt > 0, "tick must be positive");
     if (replay_cache_reusable(dt)) {
-        replay_cache_hit_ = true;  // The cached slots are still exact.
-        restore_replay_observables();
+        restore_replay_observables();  // The cached slots are still exact.
         return true;
     }
-    replay_cache_hit_ = false;
+    // A latched verdict belongs to the slots it was checked on.
+    replay_steady_hold_ = false;
     replay_alpha_ = 1.0 - std::exp(-to_seconds(dt) / kLoadTauSeconds);
     replay_slots_.clear();
     for (CoreId c = 0; c < chip_->num_cores(); ++c) {
@@ -432,11 +432,11 @@ Scheduler::replay_bulk_ready(SimTime now, SimTime dt) const
     // windows and re-apply fixed-point EWMA updates, neither of which
     // changes a bit of the checked state.  Structural mutations
     // invalidate the slot cache (the next begin_replay() misses and
-    // clears replay_cache_hit_), and any tick that runs the full
-    // water-fill instead of a cached replay drops the verdict
-    // directly (see tick()) -- necessary because the cache can
-    // re-validate after a supply excursion without ever missing.
-    if (replay_steady_hold_ && replay_cache_hit_)
+    // drops the verdict), and any tick that runs the full water-fill
+    // instead of a cached replay drops it too (see tick()) --
+    // necessary because the cache can re-validate after a supply
+    // excursion without ever missing.
+    if (replay_steady_hold_)
         return true;
     replay_steady_hold_ = false;
     for (const ReplaySlot& s : replay_slots_) {

@@ -129,6 +129,13 @@ class Scheduler
      */
     bool replay_bulk_ready(SimTime now, SimTime dt) const;
 
+    /**
+     * Whether a bulk verdict is latched.  It always belongs to the
+     * current slot cache: a begin_replay() miss or a tick() that runs
+     * the water-fill drops it.
+     */
+    bool bulk_latched() const { return replay_steady_hold_; }
+
     /** Apply `n` replay ticks at once (after replay_bulk_ready()). */
     void replay_bulk(long n, SimTime dt);
 
@@ -198,7 +205,6 @@ class Scheduler
             rebuild_core_lists();
             replay_cache_valid_ = false;
             replay_steady_hold_ = false;
-            replay_cache_hit_ = false;
         }
     }
 
@@ -324,7 +330,6 @@ class Scheduler
     SimTime replay_dt_ = 0;
     std::vector<Pu> replay_supplies_;
     std::vector<double> replay_core_util_;  ///< core_util_ at cache time.
-    bool replay_cache_hit_ = false;  ///< Last begin_replay() reused.
     mutable bool replay_steady_hold_ = false;  ///< Cached bulk verdict.
 };
 

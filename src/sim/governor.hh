@@ -84,7 +84,10 @@ class Governor
      * The macro-stepping engine skips governor polling strictly
      * before this time.  The conservative default -- wake every tick
      * -- keeps governors that poll unconditionally exact; periodic
-     * governors override it with their next epoch edge.
+     * governors override it with their next epoch edge.  While a
+     * rest grant holds (Simulation::rest_until_change()) the engine
+     * also skips polling past this time, so until its next tick()
+     * catches its timers up a governor may report a time before `now`.
      */
     virtual SimTime next_wake(SimTime now) const { return now; }
 

@@ -227,6 +227,10 @@ Simulation::step()
         ++stats_.cache_hits;
     else
         ++stats_.cache_misses;
+    // A rest grant holds only on the slots and the latched bulk
+    // verdict it was given on; a slot-cache miss drops the verdict.
+    if (!scheduler_->bulk_latched())
+        rest_ = false;
     ++stats_.step_ticks;
     record_power(dt);
     const bool over_tdp =
@@ -287,17 +291,22 @@ Simulation::quiescent_ticks() const
     // The interval is the tightest cap; on a tie the cap listed first
     // in EngineStats::Cap is the one reported.
     Horizon h{ceil_div(config_.duration - now_, dt),
-              EngineStats::kDuration};
+              EngineStats::kDuration, ceil_div(wake - now_, dt)};
     const auto cap = [&h](long ticks, EngineStats::Cap why) {
-        if (ticks < h.ticks || (ticks == h.ticks && why < h.cap))
-            h = {ticks, why};
+        if (ticks < h.ticks || (ticks == h.ticks && why < h.cap)) {
+            h.ticks = ticks;
+            h.cap = why;
+        }
     };
     // Replayed ticks start at now_, now_ + dt, ..., now_ + (n-1)*dt
     // and the interval closes at now_ + n*dt.  Each cap below keeps
     // one class of per-tick side effects provably inert:
     //  - run end: do not step past the configured duration;
     //  - governor: every replayed tick start stays < wake, so a
-    //    period-driven tick() would have returned immediately;
+    //    period-driven tick() would have returned immediately; under a
+    //    rest grant its wakes are no-ops too, so the cap is left out
+    //    (advance_quiescent() refuses the interval if the chip turns
+    //    out not to be at rest);
     //  - lifetimes: no arrival/departure edge inside (now_, now_+n*dt],
     //    so the scheduler's active set and the QoS alive mask are
     //    both constant AND equal to their interval-start values (the
@@ -320,7 +329,8 @@ Simulation::quiescent_ticks() const
     // bound, so slicing a run into epochs never changes what runs.
     if (stop_at_ < config_.duration)
         cap(ceil_div(stop_at_ - now_, dt), EngineStats::kRunUntil);
-    cap(ceil_div(wake - now_, dt), EngineStats::kWake);
+    if (!rest_)
+        cap(h.wake, EngineStats::kWake);
     for (const auto& life : config_.lifetimes) {
         // >= not >: an edge landing exactly at now_ has not been
         // applied yet (apply_lifetimes() runs at the *start* of the
@@ -387,6 +397,19 @@ Simulation::advance_quiescent(const Horizon& h)
     else
         ++stats_.cache_misses;
 
+    // A rest grant holds only on the slots and the latched bulk
+    // verdict it was given on: a miss drops the verdict, and a
+    // latched hit is a bulk interval.  Once voided, an interval that
+    // reaches past the wake is refused, side-effect free like the
+    // power veto below, and the next step() lets the governor wake.
+    if (rest_ && !scheduler_->bulk_latched()) {
+        rest_ = false;
+        if (h.ticks > h.wake) {
+            ++stats_.rest_refused;
+            return;
+        }
+    }
+
     // One power evaluation, mirroring record_power()'s arithmetic so
     // the per-cluster watts -- and the cluster-order chip sum -- come
     // out bit-identical to what every replayed tick would recompute.
@@ -418,6 +441,7 @@ Simulation::advance_quiescent(const Horizon& h)
     // bit-identically, so bailing out here is side-effect free).
     if (!governor_->quiescent_at_power(chip_w)) {
         ++stats_.power_vetoes;
+        rest_ = false;
         return;
     }
 
@@ -426,6 +450,8 @@ Simulation::advance_quiescent(const Horizon& h)
     // before the sensor state advances past the interval.
     governor_->replay_quiescent(*this, power_scratch_, n);
     ++stats_.closed_by[h.cap];
+    if (h.ticks > h.wake)
+        ++stats_.rest_intervals;
 
     // Fault-activity is constant over the interval: every window edge
     // is a horizon bound, so no fault starts or ends inside it.
@@ -713,6 +739,7 @@ Simulation::load(snap::Reader& r)
 {
     r(*this);
     stats_ = {};  // The engine counters are not state (EngineStats).
+    rest_ = false;
 }
 
 } // namespace ppm::sim

@@ -253,6 +253,12 @@ struct EngineStats {
     long cache_hits = 0;    ///< Slot-cache lookups (every boundary tick
     long cache_misses = 0;  ///< and interval start): reused / refilled.
     long power_vetoes = 0;  ///< Intervals refused by quiescent_at_power().
+    /** Bulk intervals that ran past a governor wake under a rest grant
+     *  (Simulation::rest_until_change()). */
+    long rest_intervals = 0;
+    /** Intervals refused because a rest grant was voided at their
+     *  start while a governor wake fell inside them. */
+    long rest_refused = 0;
 };
 
 /** Short name of a horizon cap: "wake", "lifetime", ... */
@@ -297,6 +303,21 @@ class Simulation
 
     /** Advance exactly one tick (for fine-grained tests). */
     void step();
+
+    /**
+     * Rest grant, called by a governor from tick() when the wake it
+     * just ran requested nothing: its wakes are no-ops for as long as
+     * the chip stays at rest, i.e. in the bulk steady state it was
+     * granted in.  While the grant holds, a bulk interval runs past
+     * the governor's wakes (quiescent_ticks() leaves out only the
+     * wake cap); the governor catches its timers up when it next
+     * ticks or saves.  The engine voids the grant at the first sign
+     * of change: a boundary step that misses the slot cache or runs
+     * without a latched bulk verdict, or an interval whose
+     * begin_replay() misses, that is not bulk, or that a power veto
+     * refuses.  Not state: snapshots leave it out and load() drops it.
+     */
+    void rest_until_change() { rest_ = true; }
 
     /**
      * Admit one task mid-run (cross-chip placement at a fleet
@@ -484,19 +505,22 @@ class Simulation
     /** Sample traces if due. */
     void sample_traces();
 
-    /** A quiescent interval: its length and the cap that closed it. */
+    /** A quiescent interval: its length, the cap that closed it and
+     *  the ticks to the governor's next wake (a rest grant leaves that
+     *  cap out, so `ticks` may exceed `wake`). */
     struct Horizon {
         long ticks = 0;
         EngineStats::Cap cap = EngineStats::kDuration;
+        long wake = 0;
     };
 
     /**
      * Number of ticks from now() during which every per-tick action
      * other than {scheduler advance, power/energy/thermal accounting,
      * QoS sampling} is provably a no-op: the governor sleeps until
-     * its next wake time, no task arrives, departs, unblocks or
-     * crosses a phase boundary, no trace sample is due and the warmup
-     * edge is not reached.  0 ticks when the next tick must run the
+     * its next wake time (or rests past it, see rest_until_change()),
+     * no task arrives, departs, unblocks or crosses a phase boundary,
+     * no trace sample is due and the warmup edge is not reached.  0 ticks when the next tick must run the
      * full step() path.
      */
     Horizon quiescent_ticks() const;
@@ -554,6 +578,7 @@ class Simulation
     SimTime warmup_end_ = 0;
     bool warmup_snapshotted_ = false;
     EngineStats stats_;  ///< Side channel; deliberately not in visit().
+    bool rest_ = false;  ///< rest_until_change() grant; not in visit().
 
     // Interned trace handles, resolved once at construction so the
     // per-tick and per-sample paths never rebuild series names.

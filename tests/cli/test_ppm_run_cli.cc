@@ -140,6 +140,24 @@ TEST(PpmRunCli, NumericParsingIsStrict)
     EXPECT_EQ(run_cli("--set l1 --seconds 1 --tdp nan"), 2);
     // Empty value.
     EXPECT_EQ(run_cli("--set l1 --seconds 1 --tdp ''"), 2);
+    // Leading whitespace: the whole argument must be the number.
+    EXPECT_EQ(run_cli("--set l1 --seconds 1 --tdp ' 4'"), 2);
+    EXPECT_EQ(run_cli("--set l1 --seconds 1 --seed ' -1'"), 2);
+    // Times that do not fit the simulated clock's microseconds, where
+    // the conversion would overflow.
+    EXPECT_EQ(run_cli("--set l1 --seconds 1e300"), 2);
+    EXPECT_EQ(run_cli("--set l1 --seconds 1e13"), 2);
+    // Fits, but not with the 100 s the workload is generated past it.
+    EXPECT_EQ(run_cli("--set l1 --seconds 9223372036854"), 2);
+    EXPECT_EQ(run_cli("--set l1 --seconds 1 --fleet 2 "
+                      "--fleet-epoch 9223372036854775807"),
+              2);
+    EXPECT_EQ(run_cli("--set l1 --seconds 1 --snapshot-out /tmp/x "
+                      "--snapshot-at 9223372036854775807"),
+              2);
+    EXPECT_EQ(run_cli("--set l1 --seconds 1 --snapshot-out /tmp/x "
+                      "--snapshot-every 9223372036854775807"),
+              2);
 }
 
 TEST(PpmRunCli, MalformedFaultSpecIsRejected)

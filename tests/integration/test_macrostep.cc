@@ -19,11 +19,13 @@
 
 #include "baselines/hl_governor.hh"
 #include "baselines/hpm_governor.hh"
+#include "experiment/experiment.hh"
 #include "hw/platform.hh"
 #include "market/ppm_governor.hh"
 #include "sim/simulation.hh"
 #include "snapshot/archive.hh"
 #include "tests/test_util.hh"
+#include "workload/sets.hh"
 
 namespace ppm {
 namespace {
@@ -145,6 +147,26 @@ TEST(Macrostep, WarmupEdgeInsideGovernorEpoch)
     }
 }
 
+/** Where two runs' snapshot payloads differ; empty when they match. */
+std::string
+payload_difference(const sim::Simulation& a, const sim::Simulation& b)
+{
+    snap::Writer wa;
+    snap::Writer wb;
+    a.save(wa);
+    b.save(wb);
+    const std::string& x = wa.payload();
+    const std::string& y = wb.payload();
+    if (x == y)
+        return {};
+    std::size_t first = 0;
+    while (first < x.size() && first < y.size() && x[first] == y[first])
+        ++first;
+    return "payloads of " + std::to_string(x.size()) + " and " +
+           std::to_string(y.size()) + " bytes first differ at byte " +
+           std::to_string(first);
+}
+
 /**
  * Advance the scenario macro-stepped and per tick through run_until()
  * and require identical snapshot payloads at 1.3 s, 3.7 s and 4.999 s.
@@ -165,21 +187,8 @@ expect_archives_match_per_tick(const sim::SimConfig& base,
                                  4999 * kMillisecond}) {
             macro.run_until(at);
             tick.run_until(at);
-            snap::Writer wm;
-            snap::Writer wt;
-            macro.save(wm);
-            tick.save(wt);
-            const std::string& a = wm.payload();
-            const std::string& b = wt.payload();
-            std::size_t first = 0;
-            while (first < a.size() && first < b.size() &&
-                   a[first] == b[first])
-                ++first;
-            EXPECT_TRUE(a == b)
-                << what << ", " << policy << " at " << at
-                << " us: payloads of "
-                << a.size() << " and " << b.size()
-                << " bytes first differ at byte " << first;
+            EXPECT_EQ(payload_difference(macro, tick), "")
+                << what << ", " << policy << " at " << at << " us";
         }
     }
 }
@@ -232,9 +241,11 @@ TEST(Macrostep, EngineStatsAccountForEveryTick)
         EXPECT_EQ(st.closed_by[sim::EngineStats::kWarmup], 1) << policy;
         EXPECT_EQ(st.closed_by[sim::EngineStats::kLifetime], 1) << policy;
         // Every boundary tick and every interval start looks up the
-        // slot cache once.
+        // slot cache once; an interval start ends in a replay, a power
+        // veto or a refused rest.
         EXPECT_EQ(st.cache_hits + st.cache_misses,
-                  st.step_ticks + closed + st.power_vetoes)
+                  st.step_ticks + closed + st.power_vetoes +
+                      st.rest_refused)
             << policy;
 
         // A restored run counts from the restore, not from zero time.
@@ -256,6 +267,60 @@ TEST(Macrostep, EngineStatsAccountForEveryTick)
         tick.run();
         EXPECT_EQ(tick.engine_stats().step_ticks, ticks) << policy;
         EXPECT_EQ(counted_ticks(tick.engine_stats()), ticks) << policy;
+    }
+}
+
+TEST(Macrostep, HlRestMatchesPerTick)
+{
+    // HL on m2 sits at a bitwise fixed point for about eight
+    // stretches of 2.5-17 s in the first minute, and rests through its
+    // wakes there.  The rest must take far fewer intervals than the
+    // per-tick loop takes wakes, yet leave the same summary, and the
+    // same archive at three saves inside the first stretch, where HL's
+    // timers lag behind until save() catches them up.
+    const auto& set = workload::workload_set("m2");
+    for (const Watts tdp : {1e9, 4.0}) {
+        experiment::RunParams p;
+        p.policy = "HL";
+        p.tdp = tdp;
+        p.duration = 60 * kSecond;
+        const auto build = [&p, &set] {
+            return experiment::make_simulation(
+                workload::instantiate(set, p.seed, p.priority,
+                                      p.duration + 100 * kSecond),
+                workload::big_speedups(set), p);
+        };
+        p.macro_step = true;
+        const auto macro = build();
+        p.macro_step = false;
+        const auto tick = build();
+        // The per-tick loop, counting the ticks at which HL wakes.
+        long wakes = 0;
+        const auto tick_until = [&tick, &wakes](SimTime stop) {
+            while (tick->now() < stop) {
+                if (tick->governor().next_wake(tick->now()) <= tick->now())
+                    ++wakes;
+                tick->step();
+            }
+        };
+        for (const SimTime at : {5300 * kMillisecond, 11717 * kMillisecond,
+                                 17001 * kMillisecond}) {
+            macro->run_until(at);
+            tick_until(at);
+            EXPECT_LT(macro->governor().next_wake(at), at)
+                << tdp << " W: the save at " << at
+                << " us is not inside a rest";
+            EXPECT_EQ(payload_difference(*macro, *tick), "")
+                << tdp << " W at " << at << " us";
+        }
+        const std::string macro_fp = sim::summary_fingerprint(macro->run());
+        tick_until(p.duration);
+        EXPECT_EQ(macro_fp, sim::summary_fingerprint(tick->finish()))
+            << tdp << " W";
+        const sim::EngineStats& st = macro->engine_stats();
+        EXPECT_GT(st.rest_intervals, 0) << tdp << " W";
+        EXPECT_LT(2 * (st.bulk_intervals + st.span_intervals), wakes)
+            << tdp << " W";
     }
 }
 

@@ -1,24 +1,22 @@
 /**
  * @file
- * Strict numeric argument parsing shared by the command-line tools
- * (ppm_run, ppm_fuzz).
- *
- * Every helper enforces the full exit-2 CLI contract: the complete
- * argument must parse (no trailing garbage), the value must be
- * representable (out-of-range input is an error, not a silent clamp
- * to HUGE_VAL/LONG_MAX), and floating-point values must be finite
- * ("inf"/"nan" are valid strtod input but never valid knob values).
+ * Numeric argument parsing shared by the command-line tools (ppm_run,
+ * ppm_fuzz): thin wrappers over the strict parses in common/parse.hh
+ * that turn a refused value into the exit-2 CLI contract.  The whole
+ * argument must parse (no leading whitespace, no trailing garbage),
+ * the value must fit its type (out-of-range input is an error, not a
+ * silent clamp), and floating-point values must be finite ("inf" and
+ * "nan" are valid strtod input but never valid knob values).
  */
 
 #ifndef PPM_TOOLS_CLI_UTIL_HH
 #define PPM_TOOLS_CLI_UTIL_HH
 
-#include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+
+#include "common/parse.hh"
 
 namespace ppm::cli {
 
@@ -32,58 +30,34 @@ bad_arg(const char* prog, const char* flag, const char* why,
     std::exit(2);
 }
 
-/**
- * Parse a finite double; rejects empty input, trailing garbage,
- * overflow/underflow (ERANGE) and non-finite values.
- */
+/** A finite double (ppm::parse_double), or exit 2. */
 inline double
 parse_number(const char* prog, const char* flag, const char* text)
 {
-    errno = 0;
-    char* end = nullptr;
-    const double v = std::strtod(text, &end);
-    if (end == text || *end != '\0')
-        bad_arg(prog, flag, "expects a number", text);
-    if (errno == ERANGE)
-        bad_arg(prog, flag, "is out of range", text);
-    if (!std::isfinite(v))
+    double v = 0.0;
+    if (!ppm::parse_double(text, &v))
         bad_arg(prog, flag, "expects a finite number", text);
     return v;
 }
 
-/**
- * Parse a long; rejects empty input, trailing garbage and values
- * outside the representable range (strtol clamps to LONG_MIN/MAX and
- * sets ERANGE -- a clamped knob is a wrong knob).
- */
+/** A long (ppm::parse_long), or exit 2. */
 inline long
 parse_int(const char* prog, const char* flag, const char* text)
 {
-    errno = 0;
-    char* end = nullptr;
-    const long v = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0')
-        bad_arg(prog, flag, "expects an integer", text);
-    if (errno == ERANGE)
-        bad_arg(prog, flag, "is out of range", text);
+    long v = 0;
+    if (!ppm::parse_long(text, &v))
+        bad_arg(prog, flag, "expects an integer that fits a long", text);
     return v;
 }
 
-/** Parse an unsigned 64-bit integer (seeds); same strictness. */
+/** An unsigned 64-bit integer (ppm::parse_u64; seeds), or exit 2. */
 inline std::uint64_t
 parse_u64(const char* prog, const char* flag, const char* text)
 {
-    // strtoull skips leading whitespace and negates a '-' into range.
-    if (std::isdigit(static_cast<unsigned char>(text[0])) == 0)
-        bad_arg(prog, flag, "expects a non-negative integer", text);
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0')
-        bad_arg(prog, flag, "expects a non-negative integer", text);
-    if (errno == ERANGE)
-        bad_arg(prog, flag, "is out of range", text);
-    return static_cast<std::uint64_t>(v);
+    std::uint64_t v = 0;
+    if (!ppm::parse_u64(text, &v))
+        bad_arg(prog, flag, "expects a non-negative 64-bit integer", text);
+    return v;
 }
 
 } // namespace ppm::cli

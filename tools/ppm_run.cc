@@ -79,10 +79,12 @@
  * ticks and intervals per advance path (boundary step, bulk, span),
  * HRM-window samples the span path took in closed form and one by
  * one, replay intervals by the horizon cap that closed them,
- * slot-cache hits and misses, and power vetoes.  A fleet prints one line per
- * chip.  The counters differ between macro-stepped and --per-tick
- * runs by design, so they never reach stdout; a restored run counts
- * from the restore.  It reports one run, so --avg-seeds rejects it.
+ * slot-cache hits and misses, power vetoes, and bulk intervals that
+ * ran past a governor wake under a rest grant or were refused when
+ * the grant broke.  A fleet prints one line per chip.  The counters
+ * differ between macro-stepped and --per-tick runs by design, so they
+ * never reach stdout; a restored run counts from the restore.  It
+ * reports one run, so --avg-seeds rejects it.
  *
  * --avg-seeds N runs N seeds (seed, +100, +200, ...) and prints the
  * cross-seed aggregate (see experiment::aggregate_summaries); --jobs
@@ -117,12 +119,14 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
 
 #include "cli_util.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "common/table.hh"
 #include "experiment/experiment.hh"
 #include "fault/fault.hh"
@@ -179,11 +183,14 @@ usage(const char* argv0)
         "values; a mismatch exits 2 naming the flag); --snapshot-every\n"
         "MS saves periodically while running to completion.\n"
         "--engine-stats prints the engine's tick, interval, span-window,\n"
-        "horizon-cap, slot-cache and power-veto counters to stderr after\n"
-        "the run (one line per chip with --fleet).\n",
+        "horizon-cap, slot-cache, power-veto and rest counters to stderr\n"
+        "after the run (one line per chip with --fleet).\n",
         argv0);
     std::exit(2);
 }
+
+/** Workloads are generated this far past the run's end. */
+constexpr ppm::SimTime kWorkloadSlack = 100 * ppm::kSecond;
 
 /** Exit-2 helpers with this tool's name baked in (see cli_util.hh:
  *  strict full-string parsing, range checking, finite-only doubles). */
@@ -203,6 +210,20 @@ long
 parse_int(const char* flag, const char* text)
 {
     return ppm::cli::parse_int("ppm_run", flag, text);
+}
+
+/** Flag `text`, a positive integer of milliseconds, as a SimTime.
+ *  Exit 2 with `why` below 1, or when it does not fit the clock. */
+ppm::SimTime
+parse_millis(const char* flag, const char* text, const char* why)
+{
+    const long ms = parse_int(flag, text);
+    ppm::SimTime t = 0;
+    if (ms < 1)
+        bad_arg(flag, why, text);
+    if (!ppm::scale_time(ms, ppm::kMillisecond, &t))
+        bad_arg(flag, "is too long for the simulated clock", text);
+    return t;
 }
 
 /**
@@ -257,6 +278,8 @@ print_engine_stats(const std::string& label, const ppm::sim::EngineStats& st)
     add("cache_hits", st.cache_hits);
     add("cache_misses", st.cache_misses);
     add("power_vetoes", st.power_vetoes);
+    add("rest_intervals", st.rest_intervals);
+    add("rest_refused", st.rest_refused);
     std::fprintf(stderr, "%s\n", line.c_str());
 }
 
@@ -326,7 +349,11 @@ main(int argc, char** argv)
             const double seconds = parse_number("--seconds", text);
             if (seconds <= 0.0)
                 bad_arg("--seconds", "expects a positive duration", text);
-            params.duration = static_cast<SimTime>(seconds * kSecond);
+            if (!truncate_time(seconds, kSecond, &params.duration) ||
+                params.duration >
+                    std::numeric_limits<SimTime>::max() - kWorkloadSlack)
+                bad_arg("--seconds", "is too long for the simulated clock",
+                        text);
         } else if (arg == "--seed") {
             const char* text = next();
             const long seed = parse_int("--seed", text);
@@ -392,32 +419,21 @@ main(int argc, char** argv)
                         text);
             fleet_opts_given = true;
         } else if (arg == "--fleet-epoch") {
-            const char* text = next();
-            const long ms = parse_int("--fleet-epoch", text);
-            if (ms < 1)
-                bad_arg("--fleet-epoch",
-                        "expects a positive epoch in milliseconds", text);
-            fleet_epoch = ms * kMillisecond;
+            fleet_epoch =
+                parse_millis("--fleet-epoch", next(),
+                             "expects a positive epoch in milliseconds");
             fleet_opts_given = true;
         } else if (arg == "--snapshot-out") {
             snap_out = next();
         } else if (arg == "--snapshot-in") {
             snap_in = next();
         } else if (arg == "--snapshot-at") {
-            const char* text = next();
-            const long ms = parse_int("--snapshot-at", text);
-            if (ms < 1)
-                bad_arg("--snapshot-at",
-                        "expects a positive time in milliseconds", text);
-            snap_at = ms * kMillisecond;
+            snap_at = parse_millis("--snapshot-at", next(),
+                                   "expects a positive time in milliseconds");
         } else if (arg == "--snapshot-every") {
-            const char* text = next();
-            const long ms = parse_int("--snapshot-every", text);
-            if (ms < 1)
-                bad_arg("--snapshot-every",
-                        "expects a positive period in milliseconds",
-                        text);
-            snap_every = ms * kMillisecond;
+            snap_every =
+                parse_millis("--snapshot-every", next(),
+                             "expects a positive period in milliseconds");
         } else if (arg == "--csv") {
             csv_summary = true;
         } else if (arg == "--engine-stats") {
@@ -663,7 +679,7 @@ main(int argc, char** argv)
             fleet::ChipWorkload wl;
             wl.specs = workload::instantiate(
                 set, chip_seed, params.priority,
-                params.duration + 100 * kSecond);
+                params.duration + kWorkloadSlack);
             fc.workloads.push_back(std::move(wl));
         }
         // Absent --jobs (or --jobs 1) the shards step inline, which
@@ -721,7 +737,7 @@ main(int argc, char** argv)
         // flags and then overwrites its dynamic state from the file.
         const auto simulation = experiment::make_simulation(
             workload::instantiate(set, params.seed, params.priority,
-                                  params.duration + 100 * kSecond),
+                                  params.duration + kWorkloadSlack),
             workload::big_speedups(set), params);
         if (!snap_in.empty())
             restore_or_die(*simulation);
