@@ -82,6 +82,23 @@ done
 ./build/tools/ppm_run --policy HL --set m2 --seconds 300 --per-tick \
     --snapshot-out /tmp/ppm_tick.snap --snapshot-at 150000 > /dev/null
 cmp /tmp/ppm_macro.snap /tmp/ppm_tick.snap
+# An interval leaves the sensors reading its own power, as its last
+# tick does.  Near 300 ms into m2 under HPM an interval's water-fill
+# differs from its boundary tick's (a migration charge ends inside
+# that tick), so the archive saved there holds the interval's
+# reading; and a capped fleet's barriers read it into the
+# supervisor's budgets (a 100-ms epoch is no multiple of HPM's 32-ms
+# wake).
+./build/tools/ppm_run --policy HPM --set m2 --seconds 2 \
+    --snapshot-out /tmp/ppm_macro.snap --snapshot-at 300 > /dev/null
+./build/tools/ppm_run --policy HPM --set m2 --seconds 2 --per-tick \
+    --snapshot-out /tmp/ppm_tick.snap --snapshot-at 300 > /dev/null
+cmp /tmp/ppm_macro.snap /tmp/ppm_tick.snap
+./build/tools/ppm_run --policy HPM --set m2 --seconds 1 --tdp 4 \
+    --fleet 4 --fleet-epoch 100 --csv > /tmp/ppm_macro.csv
+./build/tools/ppm_run --policy HPM --set m2 --seconds 1 --tdp 4 \
+    --fleet 4 --fleet-epoch 100 --csv --per-tick > /tmp/ppm_tick.csv
+cmp /tmp/ppm_macro.csv /tmp/ppm_tick.csv
 # The engine counters go to stderr only, and name the span path; the
 # span path must take HRM-window samples in closed form, or the
 # byte checks above only exercised its one-by-one fallback.

@@ -185,10 +185,10 @@ HlGovernor::replay_quiescent(const sim::Simulation& sim,
         return;
     // Every replayed tick's read is clean (fault edges bound the
     // interval), so only the *last* read's value survives in the
-    // guard.  That read sees the sensors as record_power() left them
-    // one tick earlier: the interval's own constant power when the
-    // interval spans >= 2 ticks, the pre-interval value (the last
-    // stepped tick's era) when n == 1.
+    // guard.  That read sees the sensors as the previous tick left
+    // them: the interval's own constant power when the interval spans
+    // >= 2 ticks, the pre-interval value (the last stepped tick's
+    // era) when n == 1.
     replay_good_.resize(cluster_power.size());
     for (std::size_t v = 0; v < cluster_power.size(); ++v) {
         replay_good_[v] = n >= 2

@@ -16,24 +16,14 @@ SensorBank::SensorBank(int num_clusters)
 }
 
 void
-SensorBank::record(ClusterId v, Watts watts, SimTime duration)
+SensorBank::record(ClusterId v, Watts watts, SimTime tick, long n)
 {
     PPM_ASSERT(v >= 0 && v < num_clusters(), "cluster channel out of range");
-    PPM_ASSERT(duration >= 0, "negative duration");
+    PPM_ASSERT(tick >= 0 && n >= 0, "negative duration");
     auto idx = static_cast<std::size_t>(v);
     instantaneous_[idx] = watts;
-    energy_[idx] += watts * to_seconds(duration);
-    elapsed_[idx] += duration;
-}
-
-void
-SensorBank::advance(ClusterId v, Joules energy_per_tick, SimTime tick,
-                    long n)
-{
-    PPM_ASSERT(v >= 0 && v < num_clusters(), "cluster channel out of range");
-    PPM_ASSERT(tick >= 0 && n >= 0, "negative advance");
-    auto idx = static_cast<std::size_t>(v);
-    energy_[idx] = add_repeated(energy_[idx], 0.0, energy_per_tick, n);
+    energy_[idx] =
+        add_repeated(energy_[idx], 0.0, watts * to_seconds(tick), n);
     elapsed_[idx] += n * tick;
 }
 

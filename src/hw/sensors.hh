@@ -23,25 +23,16 @@ class SensorBank
     explicit SensorBank(int num_clusters);
 
     /**
-     * Record that cluster `v` drew `watts` for `duration`.  Each
-     * channel accumulates its own elapsed time, so channels may be
-     * recorded in any order or at different rates without corrupting
-     * one another's averaging windows.
+     * Record that cluster `v` drew `watts` for `n` ticks of `tick`
+     * each, and make `watts` its instantaneous reading.  The energy
+     * takes one addition of watts * tick per tick, through
+     * add_repeated() (closed form wherever that is exact), so n ticks
+     * in one call give the bits of n calls of one tick.  Each channel
+     * accumulates its own elapsed time, so channels may be recorded
+     * in any order or at different rates without corrupting one
+     * another's averaging windows.
      */
-    void record(ClusterId v, Watts watts, SimTime duration);
-
-    /**
-     * Apply `n` ticks of constant power in one call: bit-identical to
-     * n record() calls whose per-tick energy increment is
-     * `energy_per_tick` (the caller hoists watts * to_seconds(tick)
-     * out of the loop).  The n additions go through add_repeated(),
-     * which takes them in closed form wherever that is exact and one
-     * by one elsewhere.  Leaves the instantaneous reading untouched --
-     * the boundary record() that preceded a quiescent interval
-     * already stored it.
-     */
-    void advance(ClusterId v, Joules energy_per_tick, SimTime tick,
-                 long n);
+    void record(ClusterId v, Watts watts, SimTime tick, long n);
 
     /** Most recent instantaneous power reading of cluster `v`. */
     Watts instantaneous(ClusterId v) const;

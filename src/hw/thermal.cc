@@ -29,31 +29,6 @@ ThermalModel::set_cycle_threshold(double kelvin)
 }
 
 void
-ThermalModel::step(const std::vector<Watts>& cluster_power, SimTime dt)
-{
-    PPM_ASSERT(cluster_power.size() == temp_.size(),
-               "power vector size mismatch");
-    PPM_ASSERT(dt >= 0, "negative dt");
-    const double dt_s = to_seconds(dt);
-    for (std::size_t v = 0; v < temp_.size(); ++v) {
-        const auto& n = params_.nodes[v];
-        // Non-finite power (corrupted upstream) must not poison the
-        // temperature state; treat it as zero draw.
-        const double p = std::isfinite(cluster_power[v])
-                             ? std::max(0.0, cluster_power[v])
-                             : 0.0;
-        const double target =
-            params_.ambient_c + p * n.resistance_k_per_w;
-        const double tau = n.resistance_k_per_w * n.capacitance_j_per_k;
-        // Exact exponential step (stable for any dt).
-        const double decay = std::exp(-dt_s / tau);
-        temp_[v] = target + (temp_[v] - target) * decay;
-    }
-
-    observe_extremes(max_temperature());
-}
-
-void
 ThermalModel::observe_extremes(double hottest)
 {
     peak_ = std::max(peak_, hottest);
@@ -89,6 +64,8 @@ ThermalModel::advance(const std::vector<Watts>& cluster_power,
     adv_decay_.resize(temp_.size());
     for (std::size_t v = 0; v < temp_.size(); ++v) {
         const auto& node = params_.nodes[v];
+        // Non-finite power (corrupted upstream) must not poison the
+        // temperature state; treat it as zero draw.
         const double p = std::isfinite(cluster_power[v])
                              ? std::max(0.0, cluster_power[v])
                              : 0.0;
@@ -96,6 +73,7 @@ ThermalModel::advance(const std::vector<Watts>& cluster_power,
             params_.ambient_c + p * node.resistance_k_per_w;
         const double tau =
             node.resistance_k_per_w * node.capacitance_j_per_k;
+        // Exact exponential step (stable for any dt).
         adv_decay_[v] = std::exp(-dt_s / tau);
     }
     for (long i = 0; i < n; ++i) {

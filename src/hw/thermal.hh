@@ -39,19 +39,13 @@ class ThermalModel
     explicit ThermalModel(ThermalParams params);
 
     /**
-     * Advance the model by `dt` with `cluster_power[v]` watts drawn
-     * by each cluster during the step.
-     */
-    void step(const std::vector<Watts>& cluster_power, SimTime dt);
-
-    /**
-     * Advance the model by `n` steps of `dt` at constant power:
-     * bit-identical to n step() calls (the per-node relaxation target
-     * and decay factor are hoisted -- they are recomputed to the same
-     * bits every step anyway).  Stops integrating early once the
-     * temperatures and the peak/cycle detector reach their joint
-     * fixed point, which for the exponential map is guaranteed to be
-     * stable under further steps.
+     * Advance the model by `n` steps of `dt` with `cluster_power[v]`
+     * watts drawn by each cluster throughout: each step relaxes every
+     * node exactly, then folds the hottest reading into the peak and
+     * cycle detector, so n steps in one call give the bits of n calls
+     * of one step.  Stops integrating early once the temperatures and
+     * the detector reach their joint fixed point, which for the
+     * exponential map is stable under further steps.
      */
     void advance(const std::vector<Watts>& cluster_power, SimTime dt,
                  long n);

@@ -292,7 +292,6 @@ Scheduler::distribute(CoreId core, const std::vector<TaskId>& ids,
         if (runnable_now)
             runnable_frac = g + 1e-6 >= want ? share : 1.0;
         e.load_ewma += alpha * (runnable_frac - e.load_ewma);
-        e.share_ewma += alpha * (share - e.share_ewma);
     }
     core_util_[static_cast<std::size_t>(core)] =
         capacity > 0.0 ? std::min(1.0, used_total / capacity) : 0.0;
@@ -368,17 +367,16 @@ Scheduler::begin_replay(SimTime now, SimTime dt)
             ReplaySlot s;
             s.task = e.task;
             s.entry = static_cast<std::size_t>(ids[i]);
-            s.granted = g;
             s.beats = g / e.task->work_per_hb(cls);
             s.supplied = g / kCyclesPerPuSecond;
             e.supply_last = g / kCyclesPerPuSecond / to_seconds(dt);
             s.supply_last = e.supply_last;
-            s.share = capacity > 0.0 ? g / capacity : 0.0;
+            const double share = capacity > 0.0 ? g / capacity : 0.0;
             const bool runnable_now = e.blocked_until <= now;
             const Cycles want = wf_want_[i];
             s.runnable_frac = 0.0;
             if (runnable_now)
-                s.runnable_frac = g + 1e-6 >= want ? s.share : 1.0;
+                s.runnable_frac = g + 1e-6 >= want ? share : 1.0;
             replay_slots_.push_back(s);
         }
         core_util_[static_cast<std::size_t>(c)] =
@@ -417,10 +415,9 @@ void
 Scheduler::replay_tick(SimTime now, SimTime dt)
 {
     for (const ReplaySlot& s : replay_slots_) {
-        s.task->replay_advance(now, dt, s.granted, s.beats, s.supplied);
+        s.task->replay_advance(now, dt, s.beats, s.supplied);
         Entry& e = entries_[s.entry];
         e.load_ewma += replay_alpha_ * (s.runnable_frac - e.load_ewma);
-        e.share_ewma += replay_alpha_ * (s.share - e.share_ewma);
     }
 }
 
@@ -441,16 +438,12 @@ Scheduler::replay_bulk_ready(SimTime now, SimTime dt) const
     replay_steady_hold_ = false;
     for (const ReplaySlot& s : replay_slots_) {
         const Entry& e = entries_[s.entry];
-        // Both EWMAs must be at their floating-point fixed point:
-        // one more update step must reproduce the same bits.
+        // The load EWMA must be at its floating-point fixed point: one
+        // more update step must reproduce the same bits.
         if (!bit_equal(
                 e.load_ewma +
                     replay_alpha_ * (s.runnable_frac - e.load_ewma),
                 e.load_ewma))
-            return false;
-        if (!bit_equal(
-                e.share_ewma + replay_alpha_ * (s.share - e.share_ewma),
-                e.share_ewma))
             return false;
         if (!s.task->replay_steady(now, dt, s.beats, s.supplied))
             return false;
@@ -463,7 +456,7 @@ void
 Scheduler::replay_bulk(long n, SimTime dt)
 {
     for (const ReplaySlot& s : replay_slots_)
-        s.task->replay_bulk(n, dt, s.granted, s.beats);
+        s.task->replay_bulk(n, dt);
 }
 
 long
@@ -475,7 +468,7 @@ Scheduler::replay_span(long n, SimTime now, SimTime dt, SpanHits* hits)
     long iterated = 0;
     for (const ReplaySlot& s : replay_slots_) {
         iterated += s.task->replay_span(
-            n, now, dt, s.granted, s.beats, s.supplied,
+            n, now, dt, s.beats, s.supplied,
             hits != nullptr ? hits + s.entry : nullptr);
     }
     replay_ewma_bulk(n);
@@ -490,7 +483,6 @@ Scheduler::replay_ewma_bulk(long n)
             Entry& e = entries_[s.entry];
             e.load_ewma +=
                 replay_alpha_ * (s.runnable_frac - e.load_ewma);
-            e.share_ewma += replay_alpha_ * (s.share - e.share_ewma);
         }
     }
 }
@@ -507,12 +499,6 @@ double
 Scheduler::task_load(TaskId t) const
 {
     return entry(t).load_ewma;
-}
-
-double
-Scheduler::task_cpu_share(TaskId t) const
-{
-    return entry(t).share_ewma;
 }
 
 Pu

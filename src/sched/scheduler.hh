@@ -101,11 +101,12 @@ class Scheduler
 
     /**
      * Prepare replay of a quiescent interval starting at `now`: run
-     * the water-fill once and cache the per-task grant, beats and
-     * share values.  Valid while placements, nice values, activity,
-     * blocked states, phases and cluster supplies stay unchanged --
-     * under those conditions tick() would recompute exactly these
-     * values every tick, so replay_tick() can reuse them bit-for-bit.
+     * the water-fill once and cache the per-task beats, supply and
+     * runnable fraction.  Valid while placements, nice values,
+     * activity, blocked states, phases and cluster supplies stay
+     * unchanged -- under those conditions tick() would recompute
+     * exactly these values every tick, so replay_tick() can reuse
+     * them bit-for-bit.
      * @return true when the previous plan was still exact (a
      *         slot-cache hit), false when the water-fill ran.
      */
@@ -159,18 +160,12 @@ class Scheduler
     /** Busy fraction of `core` during the last tick, in [0, 1]. */
     double core_utilization(CoreId core) const;
 
-    /** Per-core busy fractions of the last tick, indexed by core id. */
-    const std::vector<double>& utilizations() const { return core_util_; }
-
     /**
      * PELT-like runnable fraction of the task (EWMA, ~100 ms time
      * constant).  CPU-bound tasks saturate at 1; self-pacing or
      * blocked tasks decay.  Consumed by the HL baseline.
      */
     double task_load(TaskId t) const;
-
-    /** EWMA of the fraction of its core's capacity the task received. */
-    double task_cpu_share(TaskId t) const;
 
     /** Supply in PU the task received during the last tick. */
     Pu task_supply_last(TaskId t) const;
@@ -217,14 +212,13 @@ class Scheduler
         bool active = true;
         SimTime blocked_until = 0;
         double load_ewma = 0.0;
-        double share_ewma = 0.0;
         Pu supply_last = 0.0;
 
         template <class A>
         void visit(A& a)
         {
             a(core, nice, weight, active, blocked_until, load_ewma,
-              share_ewma, supply_last);
+              supply_last);
         }
     };
 
@@ -232,11 +226,9 @@ class Scheduler
     struct ReplaySlot {
         workload::Task* task = nullptr;
         std::size_t entry = 0;     ///< Index into entries_.
-        Cycles granted = 0.0;      ///< Cycles granted per tick.
         double beats = 0.0;        ///< Heartbeats emitted per tick.
         double supplied = 0.0;     ///< PU-seconds supplied per tick.
         double runnable_frac = 0.0;
-        double share = 0.0;
         Pu supply_last = 0.0;      ///< Entry's supply_last per tick.
         int phase_idx = 0;         ///< Task phase at cache time.
     };
@@ -278,7 +270,7 @@ class Scheduler
     void rebuild_core_lists();
 
     /**
-     * The load/share EWMA updates of `n` replay ticks, nothing else.
+     * The load EWMA updates of `n` replay ticks, nothing else.
      * Each entry's update sequence is exactly the per-tick one; the
      * independent per-entry chains run in lockstep for throughput.
      */

@@ -136,8 +136,8 @@ class Governor
      * would fall back to a different last-good than the per-tick run.
      * Called after quiescent()/quiescent_at_power() have approved the
      * interval and before the sensor state advances, with the
-     * interval's per-cluster watts (the value record_power() writes
-     * on every replayed tick).  Implementations must reproduce the
+     * interval's per-cluster watts (the reading every replayed tick
+     * leaves in the sensors).  Implementations must reproduce the
      * per-tick end state bit-exactly.  Default: epoch-gated governors
      * observe nothing between wakes.
      */

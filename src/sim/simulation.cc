@@ -156,20 +156,41 @@ Simulation::apply_lifetimes()
     }
 }
 
-void
-Simulation::record_power(SimTime dt)
+Watts
+Simulation::evaluate_power()
 {
     power_scratch_.clear();
+    Watts chip_w = 0.0;
     for (const auto& cl : chip_.clusters()) {
         util_scratch_.clear();
         for (CoreId c : cl.cores())
             util_scratch_.push_back(scheduler_->core_utilization(c));
-        const Watts w =
-            hw::PowerModel::cluster_power(chip_, cl.id(), util_scratch_);
-        sensors_.record(cl.id(), w, dt);
-        power_scratch_.push_back(w);
+        power_scratch_.push_back(
+            hw::PowerModel::cluster_power(chip_, cl.id(), util_scratch_));
+        chip_w += power_scratch_.back();
     }
-    thermal_->step(power_scratch_, dt);
+    return chip_w;
+}
+
+void
+Simulation::advance_platform(long n)
+{
+    const SimTime dt = config_.tick;
+    for (const auto& cl : chip_.clusters())
+        sensors_.record(cl.id(),
+                        power_scratch_[static_cast<std::size_t>(cl.id())],
+                        dt, n);
+    thermal_->advance(power_scratch_, dt, n);
+    const bool over =
+        sensors_.instantaneous_chip() > config_.tdp_for_metrics;
+    over_tdp_.add(over, n * dt);
+    // The post-warmup counter covers exactly the QoS window (the
+    // tracker counts ticks with now + dt >= warmup; an interval lies
+    // wholly before the edge or wholly past it).
+    if (now_ + dt >= config_.warmup)
+        over_tdp_post_.add(over, n * dt);
+    if (injector_ != nullptr && injector_->any_fault_active(now_))
+        over_tdp_fault_.add(over, n * dt);
 }
 
 void
@@ -232,16 +253,8 @@ Simulation::step()
     if (!scheduler_->bulk_latched())
         rest_ = false;
     ++stats_.step_ticks;
-    record_power(dt);
-    const bool over_tdp =
-        sensors_.instantaneous_chip() > config_.tdp_for_metrics;
-    over_tdp_.add(over_tdp, dt);
-    // The post-warmup counter covers exactly the QoS window (the
-    // tracker counts ticks with now + dt >= warmup).
-    if (now_ + dt >= config_.warmup)
-        over_tdp_post_.add(over_tdp, dt);
-    if (injector_ != nullptr && injector_->any_fault_active(now_))
-        over_tdp_fault_.add(over_tdp, dt);
+    evaluate_power();
+    advance_platform(1);
 
     // Count V-F transitions.
     for (std::size_t v = 0; v < last_levels_.size(); ++v) {
@@ -410,24 +423,9 @@ Simulation::advance_quiescent(const Horizon& h)
         }
     }
 
-    // One power evaluation, mirroring record_power()'s arithmetic so
-    // the per-cluster watts -- and the cluster-order chip sum -- come
-    // out bit-identical to what every replayed tick would recompute.
-    power_scratch_.clear();
-    energy_inc_scratch_.clear();
-    for (const auto& cl : chip_.clusters()) {
-        util_scratch_.clear();
-        for (CoreId c : cl.cores())
-            util_scratch_.push_back(scheduler_->core_utilization(c));
-        const Watts w =
-            hw::PowerModel::cluster_power(chip_, cl.id(), util_scratch_);
-        power_scratch_.push_back(w);
-        energy_inc_scratch_.push_back(w * to_seconds(dt));
-    }
-    Watts chip_w = 0.0;
-    for (Watts w : power_scratch_)
-        chip_w += w;
-    const bool over = chip_w > config_.tdp_for_metrics;
+    // One power evaluation: every replayed tick would recompute the
+    // same watts from the same utilizations.
+    const Watts chip_w = evaluate_power();
 
     // The governor's quiescent() verdict predates this water-fill, so
     // it compared against the *last executed tick's* power.  When a
@@ -453,10 +451,13 @@ Simulation::advance_quiescent(const Horizon& h)
     if (h.ticks > h.wake)
         ++stats_.rest_intervals;
 
-    // Fault-activity is constant over the interval: every window edge
-    // is a horizon bound, so no fault starts or ends inside it.
-    const bool fault_active =
-        injector_ != nullptr && injector_->any_fault_active(now_);
+    // The sensors, thermal nodes and TDP duty cycles see constant
+    // inputs and are read by nothing inside the interval, so they take
+    // its n ticks in one update from its first tick: fault activity is
+    // constant too (every fault edge is a horizon bound), and the
+    // sensors end reading the interval's power, as its last tick
+    // leaves them.
+    advance_platform(n);
 
     // Lifetime mask: constant over the interval by construction.
     const std::vector<bool>* mask = nullptr;
@@ -490,24 +491,6 @@ Simulation::advance_quiescent(const Horizon& h)
         ++stats_.span_intervals;
         stats_.span_ticks += n;
     }
-
-    // The sensors, thermal nodes and TDP duty cycles see constant
-    // inputs and are read by nothing inside the interval, so each
-    // takes its n per-tick updates in one call (per-object op
-    // sequences unchanged): the duty cycles add n*dt at once, the
-    // sensor energies go through add_repeated(), and the thermal RC
-    // nodes, a multiplicative recurrence, loop n times.
-    const auto num_clusters =
-        static_cast<std::size_t>(chip_.num_clusters());
-    for (std::size_t v = 0; v < num_clusters; ++v)
-        sensors_.advance(static_cast<ClusterId>(v),
-                         energy_inc_scratch_[v], dt, n);
-    thermal_->advance(power_scratch_, dt, n);
-    over_tdp_.add(over, n * dt);
-    if (post_warmup)
-        over_tdp_post_.add(over, n * dt);
-    if (fault_active)
-        over_tdp_fault_.add(over, n * dt);
 }
 
 void

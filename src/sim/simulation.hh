@@ -496,8 +496,20 @@ class Simulation
         }
     };
 
-    /** Record per-cluster power for the elapsed tick. */
-    void record_power(SimTime dt);
+    /**
+     * The power model at the scheduler's current utilizations: fills
+     * power_scratch_ with each cluster's watts and returns their
+     * cluster-order sum, the chip power the sensors will then read.
+     */
+    Watts evaluate_power();
+
+    /**
+     * The one platform update: `n` ticks from now() at power_scratch_
+     * into the sensors (which then read that power), the thermal
+     * nodes and the three TDP duty cycles.  step() calls it for its
+     * tick and advance_quiescent() once for a whole interval.
+     */
+    void advance_platform(long n);
 
     /** Apply lifetime windows to the scheduler's active flags. */
     void apply_lifetimes();
@@ -592,11 +604,9 @@ class Simulation
     std::vector<metrics::SeriesId> task_norm_hr_ids_;  ///< "<name>_norm_hr".
 
     // Reusable per-tick scratch (capacity kept across ticks).
-    std::vector<Watts> power_scratch_;    ///< record_power: per cluster.
-    std::vector<double> util_scratch_;    ///< record_power: per core.
+    std::vector<Watts> power_scratch_;    ///< evaluate_power: per cluster.
+    std::vector<double> util_scratch_;    ///< evaluate_power: per core.
     std::vector<bool> alive_scratch_;     ///< step: lifetime mask.
-    std::vector<Joules> energy_inc_scratch_;  ///< advance_quiescent:
-                                              ///< per-cluster J/tick.
     /** replay_span: one block's below/outside masks per task, indexed
      *  by task id; sized at construction and admit_task(). */
     std::vector<SpanHits> span_hits_;

@@ -75,9 +75,11 @@ namespace ppm::snap {
  * objective, the round report's two excess norms and each cluster
  * control's step accumulator and last direction); version 5 drops the
  * fleet deficit watchdog's state (the per-chip deficit streaks and the
- * trip count).
+ * trip count); version 6 drops per-task state that nothing read (the
+ * scheduler's CPU-share EWMA and each task's heartbeat and cycle
+ * totals).
  */
-inline constexpr std::uint32_t kFormatVersion = 5;
+inline constexpr std::uint32_t kFormatVersion = 6;
 
 static_assert(std::is_same_v<std::int64_t, long> &&
                   std::is_same_v<std::uint64_t, std::size_t>,

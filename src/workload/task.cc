@@ -84,20 +84,16 @@ void
 Task::advance(SimTime now, SimTime dt, Cycles granted, hw::CoreClass cls)
 {
     PPM_ASSERT(granted >= 0.0, "granted cycles must be non-negative");
-    const double beats = granted / work_per_hb(cls);
-    total_hb_ += beats;
-    total_cycles_ += granted;
     // Supply in PU-seconds: cycles / 1e6.
-    hrm_.record(now + dt, beats, granted / kCyclesPerPuSecond);
+    hrm_.record(now + dt, granted / work_per_hb(cls),
+                granted / kCyclesPerPuSecond);
     advance_phase_clock(dt);
 }
 
 void
-Task::replay_advance(SimTime now, SimTime dt, Cycles granted,
-                     double beats, double supplied_pu_seconds)
+Task::replay_advance(SimTime now, SimTime dt, double beats,
+                     double supplied_pu_seconds)
 {
-    total_hb_ += beats;
-    total_cycles_ += granted;
     hrm_.record(now + dt, beats, supplied_pu_seconds);
     advance_phase_clock(dt);
 }
@@ -110,11 +106,9 @@ Task::replay_steady(SimTime now, SimTime dt, double beats,
 }
 
 long
-Task::replay_span(long n, SimTime now, SimTime dt, Cycles granted,
-                  double beats, double supplied_pu_seconds, SpanHits* hits)
+Task::replay_span(long n, SimTime now, SimTime dt, double beats,
+                  double supplied_pu_seconds, SpanHits* hits)
 {
-    total_hb_ = add_repeated(total_hb_, 0.0, beats, n);
-    total_cycles_ = add_repeated(total_cycles_, 0.0, granted, n);
     const long iterated =
         hrm_.record_span(now + dt, dt, n, beats, supplied_pu_seconds, hits);
     advance_phase_clock(n * dt);
@@ -122,10 +116,8 @@ Task::replay_span(long n, SimTime now, SimTime dt, Cycles granted,
 }
 
 void
-Task::replay_bulk(long n, SimTime dt, Cycles granted, double beats)
+Task::replay_bulk(long n, SimTime dt)
 {
-    total_hb_ = add_repeated(total_hb_, 0.0, beats, n);
-    total_cycles_ = add_repeated(total_cycles_, 0.0, granted, n);
     hrm_.advance_steady(n * dt);
     advance_phase_clock(n * dt);
 }

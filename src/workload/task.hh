@@ -104,13 +104,12 @@ class Task
      * (granted / work_per_hb and granted / kCyclesPerPuSecond,
      * hoisted out of a quiescent interval where they are constant).
      */
-    void replay_advance(SimTime now, SimTime dt, Cycles granted,
-                        double beats, double supplied_pu_seconds);
+    void replay_advance(SimTime now, SimTime dt, double beats,
+                        double supplied_pu_seconds);
 
     /**
      * `n` replay_advance() calls over [now, now + n*dt) at once, bit
-     * for bit: the running totals take their n additions through
-     * add_repeated(), both HRM windows advance through
+     * for bit: both HRM windows advance through
      * HeartRateMonitor::record_span, and the phase clock moves by
      * n*dt.  When `hits` is not null, bit k of its masks is set by
      * heart_rate(now + (k+1)*dt), the rate at the k-th tick's end,
@@ -118,28 +117,24 @@ class Task
      * span, as for replay_bulk().
      * @return the HRM window samples replayed one by one.
      */
-    long replay_span(long n, SimTime now, SimTime dt, Cycles granted,
-                     double beats, double supplied_pu_seconds,
-                     SpanHits* hits);
+    long replay_span(long n, SimTime now, SimTime dt, double beats,
+                     double supplied_pu_seconds, SpanHits* hits);
 
     /**
-     * True when `n` further replay_advance() calls with these cached
+     * True when further replay_advance() calls with these cached
      * values would leave the task's observable floating-point state
-     * (heart rate, supply, totals trajectory endpoints) reproducible
-     * by replay_bulk(): both HRM windows are at their uniform
-     * steady-state fixed point.
+     * (heart rate, supply) reproducible by replay_bulk(): both HRM
+     * windows are at their uniform steady-state fixed point.
      */
     bool replay_steady(SimTime now, SimTime dt, double beats,
                        double supplied_pu_seconds) const;
 
     /**
      * `n` replay_advance() calls at the steady state, bit for bit: the
-     * running totals take their n additions through add_repeated(),
-     * the steady HRM windows shift in O(1) and the phase clock
-     * advances in closed form.  Caller must have established
-     * replay_steady().
+     * steady HRM windows shift in O(1) and the phase clock advances in
+     * closed form.  Caller must have established replay_steady().
      */
-    void replay_bulk(long n, SimTime dt, Cycles granted, double beats);
+    void replay_bulk(long n, SimTime dt);
 
     /** Time left in the current phase. */
     SimTime phase_remaining() const;
@@ -166,23 +161,17 @@ class Task
      */
     Pu true_demand(hw::CoreClass cls) const;
 
-    /** Total heartbeats emitted so far. */
-    double total_heartbeats() const { return total_hb_; }
-
-    /** Total cycles consumed so far. */
-    Cycles total_cycles() const { return total_cycles_; }
-
     /** Measured heart rate at `now` (hb/s over the HRM window). */
     double heart_rate(SimTime now) const { return hrm_.heart_rate(now); }
 
     /** Index of the current phase. */
     int phase_index() const { return phase_idx_; }
 
-    /** Dynamic state only (phase clock, totals, HRM windows). */
+    /** Dynamic state only (phase clock, HRM windows). */
     template <class A>
     void visit(A& a)
     {
-        a(hrm_, phase_idx_, time_in_phase_, total_hb_, total_cycles_);
+        a(hrm_, phase_idx_, time_in_phase_);
     }
 
   private:
@@ -196,8 +185,6 @@ class Task
     HeartRateMonitor hrm_;
     int phase_idx_ = 0;
     SimTime time_in_phase_ = 0;
-    double total_hb_ = 0.0;
-    Cycles total_cycles_ = 0.0;
 };
 
 } // namespace ppm::workload

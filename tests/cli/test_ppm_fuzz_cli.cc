@@ -74,6 +74,8 @@ TEST(PpmFuzzCli, NumericParsingIsStrict)
     EXPECT_EQ(run_cli("--seed abc"), 2);
     EXPECT_EQ(run_cli("--seed 99999999999999999999999"), 2);
     EXPECT_EQ(run_cli("--jobs -1"), 2);
+    // Past INT_MAX: refused while parsing, never narrowed to 2.
+    EXPECT_EQ(run_cli("--count 3 --jobs 4294967298"), 2);
     EXPECT_EQ(run_cli("--max-violations 0"), 2);
     EXPECT_EQ(run_cli("--print-scenario -1"), 2);
 }

@@ -158,6 +158,14 @@ TEST(PpmRunCli, NumericParsingIsStrict)
     EXPECT_EQ(run_cli("--set l1 --seconds 1 --snapshot-out /tmp/x "
                       "--snapshot-every 9223372036854775807"),
               2);
+    // Counts past INT_MAX are refused, not narrowed: 2^32 + 2 would
+    // wrap to 2.  Each of these exits while parsing, before a run.
+    EXPECT_EQ(run_cli("--set l1 --seconds 1 --fleet 4294967298"), 2);
+    EXPECT_EQ(run_cli("--set l1 --seconds 1 --avg-seeds 4294967298"), 2);
+    EXPECT_EQ(run_cli("--set l1 --seconds 1 --priority 4294967298"), 2);
+    EXPECT_EQ(run_cli("--set l1 --seconds 1 --fleet 2 "
+                      "--jobs 4294967298"),
+              2);
 }
 
 TEST(PpmRunCli, MalformedFaultSpecIsRejected)

@@ -29,7 +29,7 @@ TEST(Thermal, SteadyStateIsAmbientPlusPR)
     // 4 W x 10 K/W -> +40 K; run long past the 10 s time constant.
     ThermalModel m(one_node());
     for (int i = 0; i < 100000; ++i)
-        m.step({4.0}, kMillisecond);
+        m.advance({4.0}, kMillisecond, 1);
     EXPECT_NEAR(m.temperature(0), 70.0, 0.1);
 }
 
@@ -37,7 +37,7 @@ TEST(Thermal, TimeConstantIs63PercentAtTau)
 {
     ThermalModel m(one_node(10.0, 1.0));  // tau = 10 s.
     for (int i = 0; i < 10000; ++i)
-        m.step({4.0}, kMillisecond);
+        m.advance({4.0}, kMillisecond, 1);
     // After exactly tau, 63.2% of the 40 K rise.
     EXPECT_NEAR(m.temperature(0), 30.0 + 40.0 * 0.632, 0.2);
 }
@@ -46,9 +46,9 @@ TEST(Thermal, CoolsBackToAmbient)
 {
     ThermalModel m(one_node());
     for (int i = 0; i < 50000; ++i)
-        m.step({4.0}, kMillisecond);
+        m.advance({4.0}, kMillisecond, 1);
     for (int i = 0; i < 100000; ++i)
-        m.step({0.0}, kMillisecond);
+        m.advance({0.0}, kMillisecond, 1);
     EXPECT_NEAR(m.temperature(0), 30.0, 0.1);
     // The peak remembers the hot phase.
     EXPECT_NEAR(m.peak_temperature(), 70.0, 0.5);
@@ -58,7 +58,7 @@ TEST(Thermal, LargeStepIsStable)
 {
     // The exponential integrator must not overshoot for dt >> tau.
     ThermalModel m(one_node());
-    m.step({4.0}, 1000 * kSecond);
+    m.advance({4.0}, 1000 * kSecond, 1);
     EXPECT_NEAR(m.temperature(0), 70.0, 1e-6);
 }
 
@@ -69,9 +69,9 @@ TEST(Thermal, CountsThermalCycles)
     // Alternate hot/cold long enough for >3 K swings.
     for (int cycle = 0; cycle < 5; ++cycle) {
         for (int i = 0; i < 5000; ++i)
-            m.step({6.0}, kMillisecond);
+            m.advance({6.0}, kMillisecond, 1);
         for (int i = 0; i < 5000; ++i)
-            m.step({0.5}, kMillisecond);
+            m.advance({0.5}, kMillisecond, 1);
     }
     EXPECT_GE(m.thermal_cycles(), 4);
     EXPECT_LE(m.thermal_cycles(), 5);
@@ -81,7 +81,7 @@ TEST(Thermal, SteadyPowerCausesNoCycles)
 {
     ThermalModel m(one_node());
     for (int i = 0; i < 100000; ++i)
-        m.step({3.0}, kMillisecond);
+        m.advance({3.0}, kMillisecond, 1);
     EXPECT_EQ(m.thermal_cycles(), 0);
 }
 
@@ -91,7 +91,7 @@ TEST(Thermal, Tc2DefaultsMatchEnvelope)
     ASSERT_EQ(m.num_nodes(), 2);
     // Peak powers: LITTLE ~2 W, big ~6.2 W.
     for (int i = 0; i < 200000; ++i)
-        m.step({2.0, 6.2}, kMillisecond);
+        m.advance({2.0, 6.2}, kMillisecond, 1);
     EXPECT_NEAR(m.temperature(0), 54.0, 1.0);
     EXPECT_NEAR(m.temperature(1), 79.6, 1.0);
 }

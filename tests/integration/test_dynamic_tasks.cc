@@ -32,9 +32,10 @@ TEST(DynamicTasks, InactiveTaskReceivesNoCycles)
     chip.cluster(0).set_level(7);
     for (SimTime t = 0; t < kSecond; t += kMillisecond)
         sched.tick(t, kMillisecond);
-    EXPECT_DOUBLE_EQ(b.total_cycles(), 0.0);
+    // The supply windows are one second: the run's every grant.
+    EXPECT_DOUBLE_EQ(b.hrm().supply(kSecond), 0.0);
     // The active co-runner absorbs the whole core.
-    EXPECT_NEAR(a.total_cycles(), 1000.0 * kCyclesPerPuSecond, 1e6);
+    EXPECT_NEAR(a.hrm().supply(kSecond), 1000.0, 1.0);
     EXPECT_TRUE(sched.tasks_on(0).size() == 1);
 }
 
@@ -46,10 +47,11 @@ TEST(DynamicTasks, ReactivationRestoresScheduling)
     sched.add_task(&a, 0);
     sched.set_active(0, false);
     sched.tick(0, kMillisecond);
-    EXPECT_DOUBLE_EQ(a.total_cycles(), 0.0);
+    // Both ticks lie inside one supply window.
+    EXPECT_DOUBLE_EQ(a.hrm().supply(kMillisecond), 0.0);
     sched.set_active(0, true);
     sched.tick(kMillisecond, kMillisecond);
-    EXPECT_GT(a.total_cycles(), 0.0);
+    EXPECT_GT(a.hrm().supply(2 * kMillisecond), 0.0);
 }
 
 TEST(DynamicTasks, MarketExcludesDepartedAgent)
@@ -127,25 +129,31 @@ TEST(DynamicTasks, LifetimesDriveActivation)
     sim::Simulation sim(
         hw::tc2_chip(), specs,
         std::make_unique<market::PpmGovernor>(gov_cfg), cfg);
+    // The visitor's PU-seconds so far: its supply window is one
+    // second, so reading it at each whole second sums every grant.
+    double visitor = 0.0;
+    const auto run_to = [&sim, &visitor](SimTime stop) {
+        while (sim.now() < stop) {
+            sim.step();
+            if (sim.now() % kSecond == 0)
+                visitor += sim.tasks()[1]->hrm().supply(sim.now());
+        }
+    };
     // Run to t = 5 s: the visitor has not arrived.
-    while (sim.now() < 5 * kSecond)
-        sim.step();
+    run_to(5 * kSecond);
     EXPECT_FALSE(sim.task_alive(1));
     EXPECT_FALSE(sim.scheduler().active(1));
-    EXPECT_DOUBLE_EQ(sim.tasks()[1]->total_cycles(), 0.0);
+    EXPECT_DOUBLE_EQ(visitor, 0.0);
     // t = 15 s: the visitor runs.
-    while (sim.now() < 15 * kSecond)
-        sim.step();
+    run_to(15 * kSecond);
     EXPECT_TRUE(sim.scheduler().active(1));
-    EXPECT_GT(sim.tasks()[1]->total_cycles(), 0.0);
+    EXPECT_GT(visitor, 0.0);
     // t = 21 s: departed; capture progress and verify it freezes.
-    while (sim.now() < 21 * kSecond)
-        sim.step();
+    run_to(21 * kSecond);
     EXPECT_FALSE(sim.scheduler().active(1));
-    const Cycles at_departure = sim.tasks()[1]->total_cycles();
-    while (sim.now() < 25 * kSecond)
-        sim.step();
-    EXPECT_DOUBLE_EQ(sim.tasks()[1]->total_cycles(), at_departure);
+    const double at_departure = visitor;
+    run_to(25 * kSecond);
+    EXPECT_DOUBLE_EQ(visitor, at_departure);
 }
 
 TEST(DynamicTasks, QosExcludesDepartedTasks)

@@ -9,6 +9,8 @@
  * epoch) and trace-capped horizons.  The archive cases compare the
  * complete snapshot payload, so every HRM window's run structure,
  * ring capacity and running sum must match too, not just the summary.
+ * A federated fleet must match too: its barriers read the chips'
+ * sensors between intervals.
  */
 
 #include <sstream>
@@ -20,6 +22,7 @@
 #include "baselines/hl_governor.hh"
 #include "baselines/hpm_governor.hh"
 #include "experiment/experiment.hh"
+#include "fleet/fleet.hh"
 #include "hw/platform.hh"
 #include "market/ppm_governor.hh"
 #include "sim/simulation.hh"
@@ -208,6 +211,90 @@ TEST(Macrostep, ArchiveBytesMatchPerTick)
     expect_archives_match_per_tick(off_grid, "off-grid warmup");
 }
 
+/** The m2 set's run under `p`, built as ppm_run builds it. */
+std::unique_ptr<sim::Simulation>
+m2_simulation(const experiment::RunParams& p)
+{
+    const auto& set = workload::workload_set("m2");
+    return experiment::make_simulation(
+        workload::instantiate(set, p.seed, p.priority,
+                              p.duration + 100 * kSecond),
+        workload::big_speedups(set), p);
+}
+
+TEST(Macrostep, IntervalLeavesTheSensorsAtItsPower)
+{
+    // HPM on m2, uncapped: around 300 ms an interval's water-fill
+    // differs from its boundary tick's (a task whose migration charge
+    // ends inside the boundary tick runs again from the interval's
+    // first tick), so the interval runs at another power than the
+    // boundary tick.  Its last replayed tick leaves the sensors
+    // reading that power, and the archives saved there hold the
+    // readings.  Each save gets runs of its own, as ppm_run's
+    // --snapshot-at does: a run_until() stop splits an interval and
+    // the step after it refreshes the sensors.
+    experiment::RunParams p;
+    p.policy = "HPM";
+    p.duration = 2 * kSecond;
+    for (const SimTime at :
+         {290 * kMillisecond, 300 * kMillisecond, 320 * kMillisecond}) {
+        p.macro_step = true;
+        const auto macro = m2_simulation(p);
+        p.macro_step = false;
+        const auto tick = m2_simulation(p);
+        macro->run_until(at);
+        tick->run_until(at);
+        EXPECT_EQ(payload_difference(*macro, *tick), "") << at << " us";
+    }
+}
+
+/** ppm_run's fleet of 4 chips on m2 under HPM at 4 W each, with a
+ *  100-ms supervisor epoch, for 1 s. */
+fleet::FleetResult
+capped_m2_fleet(bool macro_step)
+{
+    const auto& set = workload::workload_set("m2");
+    const std::vector<double> speedups = workload::big_speedups(set);
+    fleet::FleetConfig fc;
+    fc.chips = 4;
+    fc.epoch = 100 * kMillisecond;
+    fc.supervisor.total_budget = 4 * 4.0;
+    fc.sim.duration = kSecond;
+    fc.sim.tdp_for_metrics = 4.0;
+    fc.sim.macro_step = macro_step;
+    for (int c = 0; c < fc.chips; ++c) {
+        fleet::ChipWorkload wl;
+        wl.specs = workload::instantiate(
+            set, c == 0 ? 42 : experiment::cell_seed(42, 777, c), 1,
+            fc.sim.duration + 100 * kSecond);
+        fc.workloads.push_back(std::move(wl));
+    }
+    fc.make_chip = [](int) { return hw::tc2_chip(); };
+    fc.make_governor = [&speedups](int, Watts budget) {
+        return experiment::make_governor("HPM", budget, speedups);
+    };
+    fleet::Fleet fleet(std::move(fc));
+    return fleet.run();
+}
+
+TEST(Macrostep, CappedFleetMatchesPerTick)
+{
+    // The settlement barrier reads each chip's instantaneous power
+    // into the supervisor's budgets.  A 100-ms epoch is no multiple of
+    // HPM's 32-ms wake, so barriers fall where an interval ended, and
+    // the interval must leave the reading the per-tick loop leaves.
+    const fleet::FleetResult macro = capped_m2_fleet(true);
+    const fleet::FleetResult tick = capped_m2_fleet(false);
+    EXPECT_EQ(sim::summary_fingerprint(macro.combined),
+              sim::summary_fingerprint(tick.combined));
+    ASSERT_EQ(macro.per_chip.size(), tick.per_chip.size());
+    for (std::size_t c = 0; c < macro.per_chip.size(); ++c) {
+        EXPECT_EQ(sim::summary_fingerprint(macro.per_chip[c]),
+                  sim::summary_fingerprint(tick.per_chip[c]))
+            << "chip " << c;
+    }
+}
+
 /** Ticks the engine advanced, by the paths EngineStats counts. */
 long
 counted_ticks(const sim::EngineStats& st)
@@ -278,22 +365,15 @@ TEST(Macrostep, HlRestMatchesPerTick)
     // per-tick loop takes wakes, yet leave the same summary, and the
     // same archive at three saves inside the first stretch, where HL's
     // timers lag behind until save() catches them up.
-    const auto& set = workload::workload_set("m2");
     for (const Watts tdp : {1e9, 4.0}) {
         experiment::RunParams p;
         p.policy = "HL";
         p.tdp = tdp;
         p.duration = 60 * kSecond;
-        const auto build = [&p, &set] {
-            return experiment::make_simulation(
-                workload::instantiate(set, p.seed, p.priority,
-                                      p.duration + 100 * kSecond),
-                workload::big_speedups(set), p);
-        };
         p.macro_step = true;
-        const auto macro = build();
+        const auto macro = m2_simulation(p);
         p.macro_step = false;
-        const auto tick = build();
+        const auto tick = m2_simulation(p);
         // The per-tick loop, counting the ticks at which HL wakes.
         long wakes = 0;
         const auto tick_until = [&tick, &wakes](SimTime stop) {

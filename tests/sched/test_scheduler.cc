@@ -19,18 +19,43 @@ class SchedulerTest : public ::testing::Test
         tasks_.push_back(std::make_unique<workload::Task>(
             static_cast<TaskId>(tasks_.size()), spec));
         sched_.add_task(tasks_.back().get(), core);
+        cycles_.push_back(0.0);
         return *tasks_.back();
+    }
+
+    /** One tick, adding each task's grant to cycles(). */
+    void tick(SimTime now, SimTime dt)
+    {
+        sched_.tick(now, dt);
+        for (std::size_t t = 0; t < tasks_.size(); ++t) {
+            cycles_[t] += sched_.task_supply_last(static_cast<TaskId>(t)) *
+                          kCyclesPerPuSecond * to_seconds(dt);
+        }
     }
 
     void run(SimTime from, SimTime until, SimTime dt = kMillisecond)
     {
         for (SimTime t = from; t < until; t += dt)
-            sched_.tick(t, dt);
+            tick(t, dt);
+    }
+
+    /** Cycles task `t` was granted over the ticks so far. */
+    Cycles cycles(TaskId t) const
+    {
+        return cycles_[static_cast<std::size_t>(t)];
+    }
+
+    /** Task `t`'s share of core `c` over the last second of ticks. */
+    double share(TaskId t, CoreId c, SimTime now) const
+    {
+        return tasks_[static_cast<std::size_t>(t)]->hrm().supply(now) /
+               chip_.core_supply(c);
     }
 
     hw::Chip chip_;
     Scheduler sched_;
     std::vector<std::unique_ptr<workload::Task>> tasks_;
+    std::vector<Cycles> cycles_;
 };
 
 TEST_F(SchedulerTest, SingleGreedyTaskConsumesWholeCore)
@@ -39,8 +64,7 @@ TEST_F(SchedulerTest, SingleGreedyTaskConsumesWholeCore)
     chip_.cluster(0).set_level(7);  // 1000 PU.
     run(0, kSecond);
     // A greedy task alone eats the entire supply regardless of demand.
-    EXPECT_NEAR(tasks_[0]->total_cycles(), 1000.0 * kCyclesPerPuSecond,
-                1e6);
+    EXPECT_NEAR(cycles(0), 1000.0 * kCyclesPerPuSecond, 1e6);
     EXPECT_NEAR(sched_.core_utilization(0), 1.0, 1e-9);
 }
 
@@ -50,10 +74,8 @@ TEST_F(SchedulerTest, EqualWeightsSplitEvenly)
     add(test::steady_spec("b", 1, 600.0), 0);
     chip_.cluster(0).set_level(7);
     run(0, kSecond);
-    EXPECT_NEAR(tasks_[0]->total_cycles(), tasks_[1]->total_cycles(),
-                1e3);
-    EXPECT_NEAR(tasks_[0]->total_cycles(),
-                500.0 * kCyclesPerPuSecond, 1e6);
+    EXPECT_NEAR(cycles(0), cycles(1), 1e3);
+    EXPECT_NEAR(cycles(0), 500.0 * kCyclesPerPuSecond, 1e6);
 }
 
 TEST_F(SchedulerTest, NiceWeightsSkewShares)
@@ -64,8 +86,7 @@ TEST_F(SchedulerTest, NiceWeightsSkewShares)
     sched_.set_nice(1, 5);  // weight 335 vs 1024.
     chip_.cluster(0).set_level(7);
     run(0, kSecond);
-    const double ratio =
-        tasks_[0]->total_cycles() / tasks_[1]->total_cycles();
+    const double ratio = cycles(0) / cycles(1);
     EXPECT_NEAR(ratio, 1024.0 / 335.0, 0.01);
 }
 
@@ -79,10 +100,8 @@ TEST_F(SchedulerTest, SelfPacedTaskReturnsSlack)
     chip_.cluster(0).set_level(7);
     run(0, kSecond);
     // Paced task: 20 hb/s * (200/20) PU-s per hb = 200 PU-seconds.
-    EXPECT_NEAR(tasks_[0]->total_cycles(),
-                200.0 * kCyclesPerPuSecond, 2e6);
-    EXPECT_NEAR(tasks_[1]->total_cycles(),
-                800.0 * kCyclesPerPuSecond, 2e6);
+    EXPECT_NEAR(cycles(0), 200.0 * kCyclesPerPuSecond, 2e6);
+    EXPECT_NEAR(cycles(1), 800.0 * kCyclesPerPuSecond, 2e6);
 }
 
 TEST_F(SchedulerTest, SelfPacedAloneIdlesCore)
@@ -98,7 +117,7 @@ TEST_F(SchedulerTest, MigrationChargesPenalty)
     add(test::steady_spec("t", 1, 500.0), 0);
     chip_.cluster(0).set_level(7);
     run(0, 100 * kMillisecond);
-    const Cycles before = tasks_[0]->total_cycles();
+    const Cycles before = cycles(0);
     // Cross-cluster migration at min LITTLE frequency costs 2.16 ms.
     chip_.cluster(0).set_level(0);
     const SimTime cost = sched_.migrate(0, 3, 100 * kMillisecond);
@@ -106,11 +125,11 @@ TEST_F(SchedulerTest, MigrationChargesPenalty)
     EXPECT_EQ(sched_.core_of(0), 3);
     EXPECT_EQ(sched_.migrations(), 1);
     // The task is blocked during the penalty: tick 2 ms, no progress.
-    sched_.tick(100 * kMillisecond, 2 * kMillisecond);
-    EXPECT_DOUBLE_EQ(tasks_[0]->total_cycles(), before);
+    tick(100 * kMillisecond, 2 * kMillisecond);
+    EXPECT_DOUBLE_EQ(cycles(0), before);
     // After the penalty elapses it runs on the big core.
     run(103 * kMillisecond, 203 * kMillisecond);
-    EXPECT_GT(tasks_[0]->total_cycles(), before);
+    EXPECT_GT(cycles(0), before);
 }
 
 TEST_F(SchedulerTest, MigrateToSameCoreIsFree)
@@ -135,7 +154,7 @@ TEST_F(SchedulerTest, GatedClusterStarvesTasks)
     add(test::steady_spec("t", 1, 500.0), 0);
     chip_.cluster(0).set_powered(false);
     run(0, 100 * kMillisecond);
-    EXPECT_DOUBLE_EQ(tasks_[0]->total_cycles(), 0.0);
+    EXPECT_DOUBLE_EQ(cycles(0), 0.0);
     EXPECT_DOUBLE_EQ(sched_.core_utilization(0), 0.0);
 }
 
@@ -145,7 +164,7 @@ TEST_F(SchedulerTest, LoadSignalSaturatesForGreedyTask)
     chip_.cluster(0).set_level(7);
     run(0, kSecond);
     EXPECT_GT(sched_.task_load(0), 0.99);
-    EXPECT_GT(sched_.task_cpu_share(0), 0.99);
+    EXPECT_GT(share(0, 0, kSecond), 0.99);
 }
 
 TEST_F(SchedulerTest, CpuShareReflectsContention)
@@ -154,8 +173,8 @@ TEST_F(SchedulerTest, CpuShareReflectsContention)
     add(test::steady_spec("b", 1, 900.0), 0);
     chip_.cluster(0).set_level(7);
     run(0, kSecond);
-    EXPECT_NEAR(sched_.task_cpu_share(0), 0.5, 0.02);
-    EXPECT_NEAR(sched_.task_cpu_share(1), 0.5, 0.02);
+    EXPECT_NEAR(share(0, 0, kSecond), 0.5, 0.02);
+    EXPECT_NEAR(share(1, 0, kSecond), 0.5, 0.02);
     // Both remain fully runnable.
     EXPECT_GT(sched_.task_load(0), 0.99);
 }
@@ -179,8 +198,9 @@ TEST_F(SchedulerTest, BigCoreRunsFasterPerHeartbeat)
     chip_.cluster(0).set_level(7);  // 1000 PU.
     chip_.cluster(1).set_level(3);  // 800 PU.
     run(0, kSecond);
-    const double hb_little = tasks_[0]->total_heartbeats();
-    const double hb_big = tasks_[1]->total_heartbeats();
+    // The heart-rate window is one second: the run's every beat.
+    const double hb_little = tasks_[0]->heart_rate(kSecond);
+    const double hb_big = tasks_[1]->heart_rate(kSecond);
     // LITTLE: 1000 PU / (500/20) -> 40 hb; big: 800 / (250/20) -> 64.
     EXPECT_NEAR(hb_little, 40.0, 0.5);
     EXPECT_NEAR(hb_big, 64.0, 0.5);

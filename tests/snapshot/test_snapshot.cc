@@ -493,9 +493,9 @@ TEST(Archive, PayloadLayoutPinned)
     // sensor guards; tracing's recorder series and bus histograms;
     // and the fleet's supervisor, rosters, evacuation queue and
     // mid-run admission logs.
-    EXPECT_EQ(single_chip_layout("PPM"), "59820:871caa464c9be4a3");
-    EXPECT_EQ(single_chip_layout("HPM"), "13748:0c050d007b455e9e");
-    EXPECT_EQ(single_chip_layout("HL"), "3948:e11255300855a5a6");
+    EXPECT_EQ(single_chip_layout("PPM"), "59748:f5ef2c5973702493");
+    EXPECT_EQ(single_chip_layout("HPM"), "13676:79f52a9d08ea88ff");
+    EXPECT_EQ(single_chip_layout("HL"), "3876:bbb31d40177acb1f");
 
     std::ostringstream os;
     metrics::JsonlSink sink(os);
@@ -506,7 +506,7 @@ TEST(Archive, PayloadLayoutPinned)
     ASSERT_GT(f.bus().counter("fleet.evacuations"), 0);
     snap::Writer w;
     f.save(w);
-    EXPECT_EQ(layout_of(w), "13579:6f4c5bae0efd6b9f");
+    EXPECT_EQ(layout_of(w), "13219:1e0e67117f67aaf3");
 }
 
 TEST(SnapshotRestore, SimulationLoadRejectsWrongShape)

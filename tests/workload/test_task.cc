@@ -27,15 +27,16 @@ TEST(Task, HeartbeatsFromGrantedCycles)
 {
     Task t(0, two_phase_spec());
     t.advance(0, kSecond, 5e6, hw::CoreClass::kLittle);
-    EXPECT_DOUBLE_EQ(t.total_heartbeats(), 5.0);
-    EXPECT_DOUBLE_EQ(t.total_cycles(), 5e6);
+    // One tick of one second: the HRM windows hold exactly its sample.
+    EXPECT_DOUBLE_EQ(t.heart_rate(kSecond), 5.0);
+    EXPECT_DOUBLE_EQ(t.hrm().supply(kSecond) * kCyclesPerPuSecond, 5e6);
 }
 
 TEST(Task, BigCoreCostsLess)
 {
     Task t(0, two_phase_spec());
     t.advance(0, kSecond, 5e6, hw::CoreClass::kBig);
-    EXPECT_DOUBLE_EQ(t.total_heartbeats(), 10.0);
+    EXPECT_DOUBLE_EQ(t.heart_rate(kSecond), 10.0);
 }
 
 TEST(Task, PhaseAdvancesByWallClock)

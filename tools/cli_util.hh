@@ -12,6 +12,7 @@
 #ifndef PPM_TOOLS_CLI_UTIL_HH
 #define PPM_TOOLS_CLI_UTIL_HH
 
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -48,6 +49,22 @@ parse_int(const char* prog, const char* flag, const char* text)
     if (!ppm::parse_long(text, &v))
         bad_arg(prog, flag, "expects an integer that fits a long", text);
     return v;
+}
+
+/** An int of at least `min`, or exit 2: a value past INT_MAX is
+ *  refused, never narrowed. */
+inline int
+parse_int_from(const char* prog, const char* flag, const char* text,
+               int min)
+{
+    const long v = parse_int(prog, flag, text);
+    if (v < min || v > INT_MAX) {
+        char why[64];
+        std::snprintf(why, sizeof why, "expects an integer from %d to %d",
+                      min, INT_MAX);
+        bad_arg(prog, flag, why, text);
+    }
+    return static_cast<int>(v);
 }
 
 /** An unsigned 64-bit integer (ppm::parse_u64; seeds), or exit 2. */

@@ -240,12 +240,7 @@ main(int argc, char** argv)
         } else if (arg == "--seed") {
             base_seed = cli::parse_u64("ppm_fuzz", "--seed", next());
         } else if (arg == "--jobs") {
-            const char* text = next();
-            jobs = static_cast<int>(
-                cli::parse_int("ppm_fuzz", "--jobs", text));
-            if (jobs < 0)
-                cli::bad_arg("ppm_fuzz", "--jobs",
-                             "expects an integer >= 0", text);
+            jobs = cli::parse_int_from("ppm_fuzz", "--jobs", next(), 0);
         } else if (arg == "--no-shrink") {
             do_shrink = false;
         } else if (arg == "--max-violations") {

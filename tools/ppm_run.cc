@@ -212,6 +212,12 @@ parse_int(const char* flag, const char* text)
     return ppm::cli::parse_int("ppm_run", flag, text);
 }
 
+int
+parse_int_from(const char* flag, const char* text, int min)
+{
+    return ppm::cli::parse_int_from("ppm_run", flag, text, min);
+}
+
 /** Flag `text`, a positive integer of milliseconds, as a SimTime.
  *  Exit 2 with `why` below 1, or when it does not fit the clock. */
 ppm::SimTime
@@ -361,11 +367,7 @@ main(int argc, char** argv)
                 bad_arg("--seed", "expects a non-negative integer", text);
             params.seed = static_cast<std::uint64_t>(seed);
         } else if (arg == "--priority") {
-            const char* text = next();
-            const long prio = parse_int("--priority", text);
-            if (prio < 1)
-                bad_arg("--priority", "expects an integer >= 1", text);
-            params.priority = static_cast<int>(prio);
+            params.priority = parse_int_from("--priority", next(), 1);
         } else if (arg == "--online") {
             params.online_speedup = true;
         } else if (arg == "--per-tick") {
@@ -385,15 +387,9 @@ main(int argc, char** argv)
                 return 2;
             }
         } else if (arg == "--avg-seeds") {
-            const char* text = next();
-            avg_seeds = static_cast<int>(parse_int("--avg-seeds", text));
-            if (avg_seeds < 1)
-                bad_arg("--avg-seeds", "expects an integer >= 1", text);
+            avg_seeds = parse_int_from("--avg-seeds", next(), 1);
         } else if (arg == "--jobs") {
-            const char* text = next();
-            jobs = static_cast<int>(parse_int("--jobs", text));
-            if (jobs < 0)
-                bad_arg("--jobs", "expects an integer >= 0", text);
+            jobs = parse_int_from("--jobs", next(), 0);
             jobs_given = true;
         } else if (arg == "--trace") {
             trace_path = next();
@@ -405,11 +401,7 @@ main(int argc, char** argv)
             if (stream_format != "csv" && stream_format != "jsonl")
                 usage(argv[0]);
         } else if (arg == "--fleet") {
-            const char* text = next();
-            const long n = parse_int("--fleet", text);
-            if (n < 1)
-                bad_arg("--fleet", "expects an integer >= 1", text);
-            fleet_chips = static_cast<int>(n);
+            fleet_chips = parse_int_from("--fleet", next(), 1);
             fleet_mode = true;
         } else if (arg == "--fleet-budget") {
             const char* text = next();
