@@ -1,8 +1,8 @@
 /**
  * @file
  * Hot-path microbenchmarks: the per-tick cost of `Simulation::step()`
- * end-to-end, `Scheduler::tick()`, the `TraceBus` record paths, and
- * one `Market::round()` at the paper's Table-7 chip shapes.  Every
+ * end-to-end, `Scheduler::tick()` and one `Market::round()` at the
+ * paper's Table-7 chip shapes.  Every
  * later change compares against the JSON this benchmark emits
  * (scripts/bench_hotpath.sh -> BENCH_hotpath.json); the acceptance
  * bar for hot-path work is tracked on the BM_SimulationStep
@@ -162,32 +162,6 @@ BM_SchedulerTick(benchmark::State& state)
                    " tasks=" + std::to_string(tasks));
 }
 
-/** String-keyed TraceBus sample: the compatibility path. */
-void
-BM_TraceBusSampleString(benchmark::State& state)
-{
-    metrics::TraceBus bus;
-    bus.add_sink(std::make_unique<NullSink>());
-    const std::string series = "cluster0_mhz";
-    SimTime t = 0;
-    for (auto _ : state) {
-        bus.sample(series, t, 1.5);
-        t += kMillisecond;
-    }
-}
-
-/** String-keyed counter bump: map lookup per record. */
-void
-BM_TraceBusCountString(benchmark::State& state)
-{
-    metrics::TraceBus bus;
-    bus.add_sink(std::make_unique<NullSink>());
-    const std::string name = "vf_steps_cluster0";
-    for (auto _ : state)
-        bus.count(name);
-    benchmark::DoNotOptimize(bus.counter(name));
-}
-
 /** One market round at the Table-7 16-task shape. */
 void
 BM_MarketRound(benchmark::State& state)
@@ -238,8 +212,6 @@ BENCHMARK(BM_SchedulerTick)
     ->Args({2, 4, 2})
     ->Args({4, 8, 4})
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_TraceBusSampleString);
-BENCHMARK(BM_TraceBusCountString);
 BENCHMARK(BM_MarketRound)
     ->ArgNames({"v", "c", "t"})
     ->Args({2, 4, 2})

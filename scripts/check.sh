@@ -37,6 +37,11 @@ rm -f /tmp/ppm_bench_hotpath.json
 ./build/tools/ppm_run --set l1 --seconds 5 \
     --trace-out=/tmp/ppm_check.csv > /dev/null
 ./build/tools/trace_stats /tmp/ppm_check.csv > /dev/null
+# Every cell is read strictly: a line with a non-numeric cell is
+# skipped with a warning, not read as 0.
+printf 'time_s,series,value\n1.0,x,abc\n2.0,x,4\n' > /tmp/ppm_check.csv
+./build/tools/trace_stats /tmp/ppm_check.csv 2>&1 > /dev/null \
+    | grep -q "warning: skipping malformed line 2"
 rm -f /tmp/ppm_check.jsonl /tmp/ppm_check.csv
 
 # Macro-stepping equivalence smoke: the event-horizon engine must be
@@ -106,6 +111,11 @@ cmp /tmp/ppm_macro.csv /tmp/ppm_tick.csv
     --engine-stats > /dev/null 2> /tmp/ppm_engine.txt
 grep -q " span_ticks=[1-9]" /tmp/ppm_engine.txt
 grep -q " span_window_closed=[1-9]" /tmp/ppm_engine.txt
+# The per-tick loop is the reference: it never looks up the slot
+# cache.
+./build/tools/ppm_run --policy HPM --set m2 --seconds 10 --per-tick \
+    --engine-stats > /dev/null 2> /tmp/ppm_engine.txt
+grep -q " cache_hits=0 cache_misses=0 " /tmp/ppm_engine.txt
 # HL must rest somewhere in a minute of m2, or the checks above never
 # ran past a wake.
 ./build/tools/ppm_run --policy HL --set m2 --seconds 60 \

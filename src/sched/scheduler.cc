@@ -297,32 +297,12 @@ Scheduler::distribute(CoreId core, const std::vector<TaskId>& ids,
         capacity > 0.0 ? std::min(1.0, used_total / capacity) : 0.0;
 }
 
-bool
+void
 Scheduler::tick(SimTime now, SimTime dt)
 {
     PPM_ASSERT(dt > 0, "tick must be positive");
-    // A valid replay cache means this tick's water-fill would
-    // reproduce the cached grants bit-for-bit (begin_replay() and
-    // replay_tick() decompose tick() without reordering any
-    // floating-point operation), so skip straight to the advance.
-    if (replay_cache_reusable(dt)) {
-        restore_replay_observables();
-        replay_tick(now, dt);
-        return true;
-    }
-    // This tick's samples may differ from the cached slots (that is
-    // why the cache was not reusable), so any latched steady verdict
-    // is broken: the HRM windows pick up extra runs and the EWMAs
-    // leave their fixed points.  The slot cache itself can later
-    // *re-validate* without a begin_replay() miss -- e.g. a DVFS or
-    // safe-mode excursion returns the cluster supply to the cached
-    // value -- so the verdict must be dropped here, not merely on
-    // cache rebuild, or replay_bulk_ready() would skip verification
-    // and bulk-advance non-steady windows.
-    replay_steady_hold_ = false;
     for (CoreId c = 0; c < chip_->num_cores(); ++c)
         distribute(c, core_tasks_[static_cast<std::size_t>(c)], now, dt);
-    return false;
 }
 
 bool
@@ -346,10 +326,8 @@ bool
 Scheduler::begin_replay(SimTime now, SimTime dt)
 {
     PPM_ASSERT(dt > 0, "tick must be positive");
-    if (replay_cache_reusable(dt)) {
-        restore_replay_observables();  // The cached slots are still exact.
-        return true;
-    }
+    if (replay_cache_reusable(dt))
+        return true;  // The cached slots and observables are still exact.
     // A latched verdict belongs to the slots it was checked on.
     replay_steady_hold_ = false;
     replay_alpha_ = 1.0 - std::exp(-to_seconds(dt) / kLoadTauSeconds);
@@ -370,7 +348,6 @@ Scheduler::begin_replay(SimTime now, SimTime dt)
             s.beats = g / e.task->work_per_hb(cls);
             s.supplied = g / kCyclesPerPuSecond;
             e.supply_last = g / kCyclesPerPuSecond / to_seconds(dt);
-            s.supply_last = e.supply_last;
             const double share = capacity > 0.0 ? g / capacity : 0.0;
             const bool runnable_now = e.blocked_until <= now;
             const Cycles want = wf_want_[i];
@@ -398,17 +375,8 @@ Scheduler::begin_replay(SimTime now, SimTime dt)
         replay_supplies_.push_back(cl.supply());
     for (ReplaySlot& s : replay_slots_)
         s.phase_idx = s.task->phase_index();
-    replay_core_util_ = core_util_;
     replay_cache_valid_ = true;
     return false;
-}
-
-void
-Scheduler::restore_replay_observables()
-{
-    core_util_ = replay_core_util_;
-    for (const ReplaySlot& s : replay_slots_)
-        entries_[s.entry].supply_last = s.supply_last;
 }
 
 void
@@ -427,15 +395,11 @@ Scheduler::replay_bulk_ready(SimTime now, SimTime dt) const
     // A steady verdict persists while the slot cache keeps hitting:
     // bulk advances and cached boundary ticks only shift the steady
     // windows and re-apply fixed-point EWMA updates, neither of which
-    // changes a bit of the checked state.  Structural mutations
-    // invalidate the slot cache (the next begin_replay() misses and
-    // drops the verdict), and any tick that runs the full water-fill
-    // instead of a cached replay drops it too (see tick()) --
-    // necessary because the cache can re-validate after a supply
-    // excursion without ever missing.
+    // changes a bit of the checked state.  Any change to the
+    // water-fill's inputs makes the next begin_replay() miss, which
+    // rebuilds the slots and drops the verdict.
     if (replay_steady_hold_)
         return true;
-    replay_steady_hold_ = false;
     for (const ReplaySlot& s : replay_slots_) {
         const Entry& e = entries_[s.entry];
         // The load EWMA must be at its floating-point fixed point: one

@@ -92,23 +92,28 @@ class Scheduler
     bool active(TaskId t) const;
 
     /**
-     * Run one scheduling tick over [now, now+dt): distribute each
-     * core's cycles, advance all tasks, update load signals.
-     * @return true when the cached replay plan served the tick (a
-     *         slot-cache hit), false when the water-fill ran.
+     * The per-tick reference: run one scheduling tick over
+     * [now, now+dt) -- water-fill every core, advance all tasks,
+     * update load signals.  It never reads or writes replay state, so
+     * a scheduler is stepped either by tick() alone or by
+     * begin_replay() + replay_tick() alone.
      */
-    bool tick(SimTime now, SimTime dt);
+    void tick(SimTime now, SimTime dt);
 
     /**
-     * Prepare replay of a quiescent interval starting at `now`: run
-     * the water-fill once and cache the per-task beats, supply and
-     * runnable fraction.  Valid while placements, nice values,
-     * activity, blocked states, phases and cluster supplies stay
-     * unchanged -- under those conditions tick() would recompute
-     * exactly these values every tick, so replay_tick() can reuse
-     * them bit-for-bit.
-     * @return true when the previous plan was still exact (a
-     *         slot-cache hit), false when the water-fill ran.
+     * The slot-cache lookup of a tick or a quiescent interval
+     * starting at `now`.  On a miss it runs the water-fill once,
+     * publishes the observables tick() would (core utilizations and
+     * each task's last supply), and caches the per-task beats, supply
+     * and runnable fraction.  The cache stays exact while placements,
+     * nice values, activity, blocked states, phases and cluster
+     * supplies stay unchanged -- under those conditions tick() would
+     * recompute exactly these values every tick, so replay_tick() can
+     * reuse them bit-for-bit.  Every miss rebuilds, so the cache
+     * always holds the latest water-fill and the observables belong
+     * to it on a hit.
+     * @return true when the cached plan was still exact (a hit),
+     *         false when the water-fill ran.
      */
     bool begin_replay(SimTime now, SimTime dt);
 
@@ -123,8 +128,7 @@ class Scheduler
      * True when further replay ticks are floating-point fixed points
      * for all load signals and HRM windows, so replay_bulk() may be
      * substituted for per-tick replay with bit-identical results.
-     * The verdict is cached: while the slot cache keeps being reused
-     * (begin_replay() hits) and boundary ticks run through it, a
+     * The verdict is cached: while begin_replay() keeps hitting, a
      * steady state provably persists, so the fixed points are only
      * re-verified after a cache miss.
      */
@@ -132,8 +136,7 @@ class Scheduler
 
     /**
      * Whether a bulk verdict is latched.  It always belongs to the
-     * current slot cache: a begin_replay() miss or a tick() that runs
-     * the water-fill drops it.
+     * current slot cache: a begin_replay() miss drops it.
      */
     bool bulk_latched() const { return replay_steady_hold_; }
 
@@ -229,22 +232,8 @@ class Scheduler
         double beats = 0.0;        ///< Heartbeats emitted per tick.
         double supplied = 0.0;     ///< PU-seconds supplied per tick.
         double runnable_frac = 0.0;
-        Pu supply_last = 0.0;      ///< Entry's supply_last per tick.
         int phase_idx = 0;         ///< Task phase at cache time.
     };
-
-    /**
-     * Re-publish the observables a full distribute() pass would
-     * write -- core_util_ and each entry's supply_last -- from the
-     * cached slot set.  Must run on every cache hit: a miss leaves
-     * the cache in place, so a later tick can hit a cache built in an
-     * older (but input-identical) era while the observables still
-     * hold the most recent miss's values.  Without the restore,
-     * governors and the power model read utilizations from the wrong
-     * era -- and hit/miss sequences differ between per-tick and
-     * macro-stepped execution, breaking bit-exactness.
-     */
-    void restore_replay_observables();
 
     /**
      * True when the slots cached by the previous begin_replay() are
@@ -321,7 +310,6 @@ class Scheduler
     bool replay_all_unblocked_ = false;
     SimTime replay_dt_ = 0;
     std::vector<Pu> replay_supplies_;
-    std::vector<double> replay_core_util_;  ///< core_util_ at cache time.
     mutable bool replay_steady_hold_ = false;  ///< Cached bulk verdict.
 };
 

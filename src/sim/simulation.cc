@@ -244,14 +244,12 @@ Simulation::step()
     if (injector_ != nullptr)
         injector_->tick(now_);
     governor_->tick(*this, now_, dt);
-    if (scheduler_->tick(now_, dt))
-        ++stats_.cache_hits;
-    else
-        ++stats_.cache_misses;
-    // A rest grant holds only on the slots and the latched bulk
-    // verdict it was given on; a slot-cache miss drops the verdict.
-    if (!scheduler_->bulk_latched())
-        rest_ = false;
+    if (config_.macro_step) {
+        look_up_slots();
+        scheduler_->replay_tick(now_, dt);
+    } else {
+        scheduler_->tick(now_, dt);
+    }
     ++stats_.step_ticks;
     evaluate_power();
     advance_platform(1);
@@ -274,17 +272,34 @@ Simulation::step()
     }
 
     now_ += dt;
-    if (config_.lifetimes.empty()) {
-        qos_.sample(task_views_, now_, dt, config_.warmup);
-    } else {
-        alive_scratch_.assign(task_views_.size(), false);
-        for (TaskId t = 0; t < static_cast<TaskId>(task_views_.size());
-             ++t)
-            alive_scratch_[static_cast<std::size_t>(t)] = task_alive(t);
-        qos_.sample(task_views_, now_, dt, config_.warmup,
-                    &alive_scratch_);
-    }
+    qos_.sample(task_views_, now_, dt, config_.warmup, alive_mask());
     sample_traces();
+}
+
+bool
+Simulation::look_up_slots()
+{
+    if (scheduler_->begin_replay(now_, config_.tick))
+        ++stats_.cache_hits;
+    else
+        ++stats_.cache_misses;
+    // A rest grant holds only on the slots and the latched bulk
+    // verdict it was given on, and a miss drops the verdict.
+    if (!rest_ || scheduler_->bulk_latched())
+        return false;
+    rest_ = false;
+    return true;
+}
+
+const std::vector<bool>*
+Simulation::alive_mask()
+{
+    if (config_.lifetimes.empty())
+        return nullptr;
+    alive_scratch_.assign(task_views_.size(), false);
+    for (TaskId t = 0; t < static_cast<TaskId>(task_views_.size()); ++t)
+        alive_scratch_[static_cast<std::size_t>(t)] = task_alive(t);
+    return &alive_scratch_;
 }
 
 Simulation::Horizon
@@ -404,23 +419,13 @@ Simulation::advance_quiescent(const Horizon& h)
     const SimTime dt = config_.tick;
     // One water-fill for the whole interval: its inputs (placements,
     // nice weights, active set, blocked states, phases, V-F levels)
-    // are exactly what quiescent_ticks() held constant.
-    if (scheduler_->begin_replay(now_, dt))
-        ++stats_.cache_hits;
-    else
-        ++stats_.cache_misses;
-
-    // A rest grant holds only on the slots and the latched bulk
-    // verdict it was given on: a miss drops the verdict, and a
-    // latched hit is a bulk interval.  Once voided, an interval that
-    // reaches past the wake is refused, side-effect free like the
-    // power veto below, and the next step() lets the governor wake.
-    if (rest_ && !scheduler_->bulk_latched()) {
-        rest_ = false;
-        if (h.ticks > h.wake) {
-            ++stats_.rest_refused;
-            return;
-        }
+    // are exactly what quiescent_ticks() held constant.  When the
+    // lookup voids the rest grant, an interval that reaches past the
+    // wake is refused, side-effect free like the power veto below,
+    // and the next step() lets the governor wake.
+    if (look_up_slots() && h.ticks > h.wake) {
+        ++stats_.rest_refused;
+        return;
     }
 
     // One power evaluation: every replayed tick would recompute the
@@ -434,9 +439,10 @@ Simulation::advance_quiescent(const Horizon& h)
     // interval runs at a different power, and a per-tick side
     // condition keyed on power -- HL's TDP kill -- could fire on the
     // first replayed tick.  Re-confirm with the interval's true power
-    // and fall back to per-tick execution on a veto (begin_replay()
-    // above only refreshed scheduler caches, which step() recomputes
-    // bit-identically, so bailing out here is side-effect free).
+    // and fall back to per-tick execution on a veto (the lookup above
+    // only refreshed the slot cache and the observables it writes,
+    // which step()'s lookup at this same tick finds bit-identical, so
+    // bailing out here is side-effect free).
     if (!governor_->quiescent_at_power(chip_w)) {
         ++stats_.power_vetoes;
         rest_ = false;
@@ -460,14 +466,7 @@ Simulation::advance_quiescent(const Horizon& h)
     advance_platform(n);
 
     // Lifetime mask: constant over the interval by construction.
-    const std::vector<bool>* mask = nullptr;
-    if (!config_.lifetimes.empty()) {
-        alive_scratch_.assign(task_views_.size(), false);
-        for (TaskId t = 0; t < static_cast<TaskId>(task_views_.size());
-             ++t)
-            alive_scratch_[static_cast<std::size_t>(t)] = task_alive(t);
-        mask = &alive_scratch_;
-    }
+    const std::vector<bool>* mask = alive_mask();
 
     // The warmup cap makes every tick of a pre-warmup interval end
     // before the edge, and the step() that takes the warmup snapshot

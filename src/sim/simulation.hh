@@ -250,8 +250,9 @@ struct EngineStats {
     long span_window_closed = 0;
     long span_window_iterated = 0;
     long closed_by[kNumCaps] = {};  ///< Replay intervals by closing cap.
-    long cache_hits = 0;    ///< Slot-cache lookups (every boundary tick
-    long cache_misses = 0;  ///< and interval start): reused / refilled.
+    long cache_hits = 0;    ///< Slot-cache lookups (every macro-stepped
+    long cache_misses = 0;  ///< boundary tick and interval start; none
+                            ///< per tick): reused / rebuilt.
     long power_vetoes = 0;  ///< Intervals refused by quiescent_at_power().
     /** Bulk intervals that ran past a governor wake under a rest grant
      *  (Simulation::rest_until_change()). */
@@ -312,10 +313,10 @@ class Simulation
      * the governor's wakes (quiescent_ticks() leaves out only the
      * wake cap); the governor catches its timers up when it next
      * ticks or saves.  The engine voids the grant at the first sign
-     * of change: a boundary step that misses the slot cache or runs
-     * without a latched bulk verdict, or an interval whose
-     * begin_replay() misses, that is not bulk, or that a power veto
-     * refuses.  Not state: snapshots leave it out and load() drops it.
+     * of change: a slot-cache lookup, a boundary step's or an
+     * interval's, that leaves no latched bulk verdict (a miss drops
+     * it), or an interval that a power veto refuses.  Not state:
+     * snapshots leave it out and load() drops it.
      */
     void rest_until_change() { rest_ = true; }
 
@@ -514,6 +515,21 @@ class Simulation
     /** Apply lifetime windows to the scheduler's active flags. */
     void apply_lifetimes();
 
+    /**
+     * The QoS lifetime mask at now() (task_alive() per task, in
+     * alive_scratch_), or null when the run has no lifetime windows.
+     */
+    const std::vector<bool>* alive_mask();
+
+    /**
+     * The macro-stepped engine's one slot-cache lookup
+     * (Scheduler::begin_replay() at now()), for a boundary step and
+     * for an interval start: counts the hit or miss and voids a rest
+     * grant that the lookup leaves without a latched bulk verdict.
+     * @return true when it voided a grant.
+     */
+    bool look_up_slots();
+
     /** Sample traces if due. */
     void sample_traces();
 
@@ -606,7 +622,7 @@ class Simulation
     // Reusable per-tick scratch (capacity kept across ticks).
     std::vector<Watts> power_scratch_;    ///< evaluate_power: per cluster.
     std::vector<double> util_scratch_;    ///< evaluate_power: per core.
-    std::vector<bool> alive_scratch_;     ///< step: lifetime mask.
+    std::vector<bool> alive_scratch_;     ///< alive_mask(): lifetime mask.
     /** replay_span: one block's below/outside masks per task, indexed
      *  by task id; sized at construction and admit_task(). */
     std::vector<SpanHits> span_hits_;

@@ -347,13 +347,16 @@ TEST(Macrostep, EngineStatsAccountForEveryTick)
                   ticks - 3 * kSecond / cfg.tick)
             << policy;
 
-        // The per-tick loop steps every tick at the boundary.
+        // The per-tick loop steps every tick at the boundary, through
+        // Scheduler::tick() alone: it makes no slot-cache lookup.
         cfg.macro_step = false;
         sim::Simulation tick(hw::tc2_chip(), specs(), make_policy(policy),
                              cfg);
         tick.run();
-        EXPECT_EQ(tick.engine_stats().step_ticks, ticks) << policy;
-        EXPECT_EQ(counted_ticks(tick.engine_stats()), ticks) << policy;
+        const sim::EngineStats& ts = tick.engine_stats();
+        EXPECT_EQ(ts.step_ticks, ticks) << policy;
+        EXPECT_EQ(counted_ticks(ts), ticks) << policy;
+        EXPECT_EQ(ts.cache_hits + ts.cache_misses, 0) << policy;
     }
 }
 

@@ -1,5 +1,8 @@
 /** @file Unit tests for the proportional-share scheduler substrate. */
 
+#include <bit>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "hw/platform.hh"
@@ -204,6 +207,101 @@ TEST_F(SchedulerTest, BigCoreRunsFasterPerHeartbeat)
     // LITTLE: 1000 PU / (500/20) -> 40 hb; big: 800 / (250/20) -> 64.
     EXPECT_NEAR(hb_little, 40.0, 0.5);
     EXPECT_NEAR(hb_big, 64.0, 0.5);
+}
+
+/** The bit pattern of `x`, so comparisons tell 0.0 from -0.0. */
+std::uint64_t
+bits(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
+TEST_F(SchedulerTest, ReplayStepMatchesTick)
+{
+    // The macro-stepped engine steps a boundary tick through the slot
+    // cache (begin_replay() + replay_tick()), the per-tick loop through
+    // tick().  Two schedulers running the same tasks, one stepped each
+    // way, must publish the same bits after every tick, across a level
+    // change and back, a nice change, a migration (its charge blocks
+    // the task) and a task going inactive.
+    hw::Chip replay_chip = hw::tc2_chip();
+    Scheduler replay(&replay_chip, {});
+    std::vector<std::unique_ptr<workload::Task>> replay_tasks;
+    const workload::TaskSpec specs[] = {
+        test::steady_spec("greedy", 1, 900.0),
+        test::steady_spec("paced", 2, 200.0, 1.6, 20.0, 20.0),
+        test::steady_spec("big", 1, 500.0, 2.0)};
+    const CoreId cores[] = {0, 0, 3};
+    for (std::size_t i = 0; i < 3; ++i) {
+        add(specs[i], cores[i]);
+        replay_tasks.push_back(std::make_unique<workload::Task>(
+            static_cast<TaskId>(i), specs[i]));
+        replay.add_task(replay_tasks.back().get(), cores[i]);
+    }
+    const auto set_level = [&](ClusterId v, int level) {
+        chip_.cluster(v).set_level(level);
+        replay_chip.cluster(v).set_level(level);
+    };
+    set_level(0, 7);
+    set_level(1, 3);
+
+    const SimTime dt = kMillisecond;
+    SimTime now = 0;
+    // `ticks` ticks both ways; returns the slot-cache misses.
+    const auto step = [&](int ticks) {
+        int misses = 0;
+        for (int i = 0; i < ticks; ++i, now += dt) {
+            sched_.tick(now, dt);
+            if (!replay.begin_replay(now, dt))
+                ++misses;
+            replay.replay_tick(now, dt);
+            for (CoreId c = 0; c < chip_.num_cores(); ++c) {
+                EXPECT_EQ(bits(sched_.core_utilization(c)),
+                          bits(replay.core_utilization(c)))
+                    << "core " << c << " at " << now;
+            }
+            for (TaskId t = 0; t < 3; ++t) {
+                const workload::Task& a = sched_.task(t);
+                const workload::Task& b = replay.task(t);
+                EXPECT_EQ(bits(sched_.task_supply_last(t)),
+                          bits(replay.task_supply_last(t)))
+                    << "task " << t << " at " << now;
+                EXPECT_EQ(bits(sched_.task_load(t)),
+                          bits(replay.task_load(t)))
+                    << "task " << t << " at " << now;
+                EXPECT_EQ(bits(a.hrm().heart_rate(now + dt)),
+                          bits(b.hrm().heart_rate(now + dt)))
+                    << "task " << t << " at " << now;
+                EXPECT_EQ(bits(a.hrm().supply(now + dt)),
+                          bits(b.hrm().supply(now + dt)))
+                    << "task " << t << " at " << now;
+            }
+        }
+        return misses;
+    };
+
+    EXPECT_EQ(step(50), 1);
+    set_level(0, 4);
+    EXPECT_EQ(step(30), 1);
+    // The supply returns to the first plan's, but the cache holds the
+    // latest plan, so the lookup misses and rebuilds.
+    set_level(0, 7);
+    EXPECT_EQ(step(30), 1);
+
+    sched_.set_nice(1, 5);
+    replay.set_nice(1, 5);
+    EXPECT_EQ(step(30), 1);
+
+    // Every tick of the charge misses (a blocked task never caches).
+    const SimTime charge = sched_.migrate(0, 4, now);
+    ASSERT_EQ(replay.migrate(0, 4, now), charge);
+    ASSERT_GT(charge, dt);
+    const int blocked = static_cast<int>((charge + dt - 1) / dt);
+    EXPECT_EQ(step(blocked + 30), blocked + 1);
+
+    sched_.set_active(2, false);
+    replay.set_active(2, false);
+    EXPECT_EQ(step(30), 1);
 }
 
 } // namespace

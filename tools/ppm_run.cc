@@ -82,8 +82,9 @@
  * slot-cache hits and misses, power vetoes, and bulk intervals that
  * ran past a governor wake under a rest grant or were refused when
  * the grant broke.  A fleet prints one line per chip.  The counters
- * differ between macro-stepped and --per-tick runs by design, so they
- * never reach stdout; a restored run counts from the restore.  It
+ * differ between macro-stepped and --per-tick runs by design (a
+ * --per-tick run steps every tick and makes no slot-cache lookup), so
+ * they never reach stdout; a restored run counts from the restore.  It
  * reports one run, so --avg-seeds rejects it.
  *
  * --avg-seeds N runs N seeds (seed, +100, +200, ...) and prints the
@@ -184,7 +185,8 @@ usage(const char* argv0)
         "MS saves periodically while running to completion.\n"
         "--engine-stats prints the engine's tick, interval, span-window,\n"
         "horizon-cap, slot-cache, power-veto and rest counters to stderr\n"
-        "after the run (one line per chip with --fleet).\n",
+        "after the run (one line per chip with --fleet; a --per-tick run\n"
+        "makes no slot-cache lookup).\n",
         argv0);
     std::exit(2);
 }
@@ -607,9 +609,9 @@ main(int argc, char** argv)
             std::chrono::duration<double, std::milli>(
                 std::chrono::steady_clock::now() - t0)
                 .count();
-        bus.count("snapshot.saves");
-        bus.count("snapshot.bytes", static_cast<long>(w.size()));
-        bus.count("snapshot.ms", static_cast<long>(ms + 0.5));
+        bus.count(bus.intern("snapshot.saves"));
+        bus.count(bus.intern("snapshot.bytes"), static_cast<long>(w.size()));
+        bus.count(bus.intern("snapshot.ms"), static_cast<long>(ms + 0.5));
         std::fprintf(stderr, "snapshot: %zu bytes to %s (%.1f ms)\n",
                      w.size(), snap_out.c_str(), ms);
     };

@@ -11,13 +11,15 @@
  * The format is inferred from the extension (.jsonl / .csv) unless
  * --format is given.  --series restricts the per-series table to
  * names matching the ECMAScript regular expression.  --csv prints the
- * table as CSV instead of aligned columns.
+ * table as CSV instead of aligned columns.  Every number in the file
+ * must be finite (ppm::parse_double); a line holding one that is not
+ * is skipped whole with a warning on stderr.
  */
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -27,6 +29,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
 
@@ -139,11 +142,12 @@ parse_json_line(const std::string& line, JsonRecord& out)
                 return false;
             out.str.emplace_back(std::move(key), std::move(value));
         } else {
-            char* end = nullptr;
-            const double v = std::strtod(line.c_str() + i, &end);
-            if (end == line.c_str() + i)
+            const std::size_t end = std::min(
+                line.find_first_of(",} \t\n\v\f\r", i), n);
+            double v = 0.0;
+            if (!ppm::parse_double(line.substr(i, end - i), &v))
                 return false;
-            i = static_cast<std::size_t>(end - line.c_str());
+            i = end;
             out.num.emplace_back(std::move(key), v);
         }
         skip_ws();
@@ -159,6 +163,12 @@ parse_json_line(const std::string& line, JsonRecord& out)
 }
 
 void
+warn_malformed(long lineno)
+{
+    std::fprintf(stderr, "warning: skipping malformed line %ld\n", lineno);
+}
+
+void
 read_jsonl(std::istream& in, TraceStats& st)
 {
     std::string line;
@@ -169,8 +179,7 @@ read_jsonl(std::istream& in, TraceStats& st)
             continue;
         JsonRecord rec;
         if (!parse_json_line(line, rec)) {
-            std::fprintf(stderr, "warning: skipping malformed line %ld\n",
-                         lineno);
+            warn_malformed(lineno);
             continue;
         }
         double t = 0.0;
@@ -216,6 +225,41 @@ split_csv(const std::string& line)
     return out;
 }
 
+/**
+ * The samples of one CSV data line: its time `t` and (series, value)
+ * pairs.  False, and no sample, when a cell is not a finite number or
+ * a narrow line does not have three cells.
+ */
+bool
+parse_csv_line(const std::vector<std::string>& cells,
+               const std::vector<std::string>& header, bool narrow,
+               double& t,
+               std::vector<std::pair<const std::string*, double>>& out)
+{
+    out.clear();
+    if (!ppm::parse_double(cells[0], &t))
+        return false;
+    if (narrow) {
+        double v = 0.0;
+        if (cells.size() != 3 || !ppm::parse_double(cells[2], &v))
+            return false;
+        out.emplace_back(&cells[1], v);
+        return true;
+    }
+    // Wide format from TraceRecorder::write_csv: one column per
+    // series, cells may be empty when a series has no sample at that
+    // time.
+    for (std::size_t c = 1; c < cells.size() && c < header.size(); ++c) {
+        if (cells[c].empty())
+            continue;
+        double v = 0.0;
+        if (!ppm::parse_double(cells[c], &v))
+            return false;
+        out.emplace_back(&header[c], v);
+    }
+    return true;
+}
+
 void
 read_csv(std::istream& in, TraceStats& st)
 {
@@ -227,6 +271,7 @@ read_csv(std::istream& in, TraceStats& st)
         ppm::fatal("not a trace CSV: first column must be time_s");
     const bool narrow = header.size() == 3 && header[1] == "series" &&
         header[2] == "value";
+    std::vector<std::pair<const std::string*, double>> samples;
     long lineno = 1;
     while (std::getline(in, line)) {
         ++lineno;
@@ -235,27 +280,13 @@ read_csv(std::istream& in, TraceStats& st)
         const std::vector<std::string> cells = split_csv(line);
         if (cells.empty())
             continue;
-        const double t = std::atof(cells[0].c_str());
-        if (narrow) {
-            if (cells.size() != 3) {
-                std::fprintf(stderr,
-                             "warning: skipping malformed line %ld\n",
-                             lineno);
-                continue;
-            }
-            add_sample(st, cells[1], t, std::atof(cells[2].c_str()));
-        } else {
-            // Wide format from TraceRecorder::write_csv: one column
-            // per series, cells may be empty when a series has no
-            // sample at that time.
-            for (std::size_t c = 1;
-                 c < cells.size() && c < header.size(); ++c) {
-                if (cells[c].empty())
-                    continue;
-                add_sample(st, header[c], t,
-                           std::atof(cells[c].c_str()));
-            }
+        double t = 0.0;
+        if (!parse_csv_line(cells, header, narrow, t, samples)) {
+            warn_malformed(lineno);
+            continue;
         }
+        for (const auto& [name, v] : samples)
+            add_sample(st, *name, t, v);
     }
 }
 
