@@ -1,8 +1,8 @@
 /**
  * @file
  * Hot-path microbenchmarks: the per-tick cost of `Simulation::step()`
- * end-to-end, `Scheduler::tick()` and one `Market::round()` at the
- * paper's Table-7 chip shapes.  Every
+ * end-to-end, `Scheduler::tick()`, `ThermalModel::advance()` and one
+ * `Market::round()` at the paper's Table-7 chip shapes.  Every
  * later change compares against the JSON this benchmark emits
  * (scripts/bench_hotpath.sh -> BENCH_hotpath.json); the acceptance
  * bar for hot-path work is tracked on the BM_SimulationStep
@@ -22,6 +22,7 @@
 
 #include "common/rng.hh"
 #include "hw/platform.hh"
+#include "hw/thermal.hh"
 #include "market/market.hh"
 #include "market/ppm_governor.hh"
 #include "metrics/telemetry.hh"
@@ -162,6 +163,38 @@ BM_SchedulerTick(benchmark::State& state)
                    " tasks=" + std::to_string(tasks));
 }
 
+/**
+ * ThermalModel::advance alone: `nodes` RC nodes advanced `ticks`
+ * 1-ms ticks per call, through the public API only, so the same
+ * benchmark runs against any version of the model.  The held power
+ * alternates between a hot and a cold draw call by call, so the nodes
+ * never settle and the early exit at the joint fixed point never cuts
+ * a call short.  `ns_per_tick` is the time per simulated tick.
+ */
+void
+BM_ThermalAdvance(benchmark::State& state)
+{
+    const auto nodes = static_cast<std::size_t>(state.range(0));
+    const long ticks = state.range(1);
+    hw::ThermalParams params;
+    for (std::size_t v = 0; v < nodes; ++v)
+        params.nodes.push_back({8.0 + static_cast<double>(v), 1.25});
+    hw::ThermalModel model(params);
+    const std::vector<Watts> hot(nodes, 6.0);
+    const std::vector<Watts> cold(nodes, 0.5);
+    bool heating = true;
+    for (auto _ : state) {
+        model.advance(heating ? hot : cold, kMillisecond, ticks);
+        heating = !heating;
+    }
+    benchmark::DoNotOptimize(model.peak_temperature());
+    // The inverse of a rate in billions of ticks per second.
+    state.counters["ns_per_tick"] = benchmark::Counter(
+        static_cast<double>(ticks) * 1e-9,
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+}
+
 /** One market round at the Table-7 16-task shape. */
 void
 BM_MarketRound(benchmark::State& state)
@@ -212,6 +245,9 @@ BENCHMARK(BM_SchedulerTick)
     ->Args({2, 4, 2})
     ->Args({4, 8, 4})
     ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ThermalAdvance)
+    ->ArgNames({"nodes", "ticks"})
+    ->ArgsProduct({{2, 6}, {1, 32, 2048}});
 BENCHMARK(BM_MarketRound)
     ->ArgNames({"v", "c", "t"})
     ->Args({2, 4, 2})

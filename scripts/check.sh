@@ -24,7 +24,7 @@ rm -f /tmp/ppm_bench_hotpath.json
 
 ./build/examples/quickstart l1 5 > /dev/null
 ./build/examples/mixed_criticality 5 > /dev/null
-./build/examples/thermal_budget l1 > /dev/null || true
+./build/examples/thermal_budget l1 > /dev/null
 ./build/examples/custom_platform 5 > /dev/null
 ./build/examples/app_lifecycle 5 > /dev/null
 (cd /tmp && "$OLDPWD"/build/examples/trace_replay > /dev/null)
@@ -319,8 +319,10 @@ done
 ./build-asan/tests/test_market \
     --gtest_filter='Watchdog.*:OnlineEstimator.*:Incremental.*:ParallelClearing.*' \
     > /dev/null
+# Thermal.* runs the relaxation kernel's compile-time and run-time
+# node counts, whose columns are locals or the model's own vectors.
 ./build-asan/tests/test_hw \
-    --gtest_filter='VfTable.*:PowerModel*.*' > /dev/null
+    --gtest_filter='VfTable.*:PowerModel*.*:Thermal.*' > /dev/null
 # Evacuation re-admits tasks into grown per-task containers (the
 # online estimator and residency tables resize mid-run), and restore
 # rebuilds every container through the admission log -- both are

@@ -14,6 +14,7 @@
 #ifndef PPM_HW_THERMAL_HH
 #define PPM_HW_THERMAL_HH
 
+#include <cstddef>
 #include <vector>
 
 #include "common/types.hh"
@@ -45,7 +46,8 @@ class ThermalModel
      * cycle detector, so n steps in one call give the bits of n calls
      * of one step.  Stops integrating early once the temperatures and
      * the detector reach their joint fixed point, which for the
-     * exponential map is stable under further steps.
+     * exponential map is stable under further steps.  The nodes'
+     * decays exp(-dt/tau) are computed once per dt.
      */
     void advance(const std::vector<Watts>& cluster_power, SimTime dt,
                  long n);
@@ -53,18 +55,15 @@ class ThermalModel
     /** Current temperature of cluster `v` (deg C). */
     double temperature(ClusterId v) const;
 
-    /** Hottest cluster right now. */
-    double max_temperature() const;
-
     /** Hottest temperature seen since construction. */
-    double peak_temperature() const { return peak_; }
+    double peak_temperature() const { return ext_.peak; }
 
     /**
      * Thermal cycles observed: completed temperature swings of at
      * least `cycle_threshold_k` (peak-to-valley), a proxy for the
      * thermal-cycling reliability stress of V-F thrashing.
      */
-    long thermal_cycles() const { return cycles_; }
+    long thermal_cycles() const { return ext_.cycles; }
 
     /** Swing size that counts as a cycle (default 3 K). */
     void set_cycle_threshold(double kelvin);
@@ -82,25 +81,43 @@ class ThermalModel
     template <class A>
     void visit(A& a)
     {
-        a(temp_, peak_, cycle_ref_, rising_, cycle_threshold_, cycles_);
+        a(temp_, ext_.peak, ext_.ref, ext_.rising, cycle_threshold_,
+          ext_.cycles);
     }
 
   private:
-    /** Fold one step's hottest reading into peak/cycle tracking. */
-    void observe_extremes(double hottest);
+    /** Peak and cycle detector on the hottest node's temperature. */
+    struct Extremes {
+        double peak;
+        double ref;  ///< Running extreme of the current swing.
+        bool rising = true;
+        long cycles = 0;
+
+        /** Fold one step's hottest reading in. */
+        void observe(double hottest, double threshold);
+
+        bool operator==(const Extremes&) const = default;
+    };
+
+    /**
+     * The relaxation kernel: `n` steps from target_ and decay_.  N is
+     * the node count when it is a compile-time constant, so the
+     * temperatures and the detector stay in registers across the
+     * steps; N = 0 takes the count from temp_ at run time.
+     */
+    template <std::size_t N>
+    void relax(long n);
 
     ThermalParams params_;
     std::vector<double> temp_;
-    double peak_;
-    // Cycle detection on the hottest node's temperature.
-    double cycle_ref_;
-    bool rising_ = true;
+    Extremes ext_;
     double cycle_threshold_ = 3.0;
-    long cycles_ = 0;
-    // Scratch for advance() (sized once; keeps the hot path
-    // allocation-free).
-    std::vector<double> adv_target_;
-    std::vector<double> adv_decay_;
+    // Per-call targets ambient + P x R and the per-dt decays, sized by
+    // the first advance() (so the hot path allocates nothing after
+    // it); derived state that the archive leaves out.
+    std::vector<double> target_;
+    std::vector<double> decay_;
+    SimTime decay_dt_ = -1;  ///< The dt decay_ belongs to.
 };
 
 } // namespace ppm::hw

@@ -273,8 +273,6 @@ Scheduler::distribute(CoreId core, const std::vector<TaskId>& ids,
 
     // Advance tasks and update signals.
     Cycles used_total = 0.0;
-    const double alpha =
-        1.0 - std::exp(-to_seconds(dt) / kLoadTauSeconds);
     for (std::size_t i = 0; i < ids.size(); ++i) {
         Entry& e = entry(ids[i]);
         const Cycles g = granted_[i];
@@ -291,16 +289,26 @@ Scheduler::distribute(CoreId core, const std::vector<TaskId>& ids,
         double runnable_frac = 0.0;
         if (runnable_now)
             runnable_frac = g + 1e-6 >= want ? share : 1.0;
-        e.load_ewma += alpha * (runnable_frac - e.load_ewma);
+        e.load_ewma += load_weight_ * (runnable_frac - e.load_ewma);
     }
     core_util_[static_cast<std::size_t>(core)] =
         capacity > 0.0 ? std::min(1.0, used_total / capacity) : 0.0;
 }
 
 void
+Scheduler::use_dt(SimTime dt)
+{
+    if (dt == load_weight_dt_)
+        return;
+    load_weight_ = 1.0 - std::exp(-to_seconds(dt) / kLoadTauSeconds);
+    load_weight_dt_ = dt;
+}
+
+void
 Scheduler::tick(SimTime now, SimTime dt)
 {
     PPM_ASSERT(dt > 0, "tick must be positive");
+    use_dt(dt);
     for (CoreId c = 0; c < chip_->num_cores(); ++c)
         distribute(c, core_tasks_[static_cast<std::size_t>(c)], now, dt);
 }
@@ -326,11 +334,12 @@ bool
 Scheduler::begin_replay(SimTime now, SimTime dt)
 {
     PPM_ASSERT(dt > 0, "tick must be positive");
+    // Keyed here on a hit too: the replay paths read the weight.
+    use_dt(dt);
     if (replay_cache_reusable(dt))
         return true;  // The cached slots and observables are still exact.
     // A latched verdict belongs to the slots it was checked on.
     replay_steady_hold_ = false;
-    replay_alpha_ = 1.0 - std::exp(-to_seconds(dt) / kLoadTauSeconds);
     replay_slots_.clear();
     for (CoreId c = 0; c < chip_->num_cores(); ++c) {
         const auto& ids = core_tasks_[static_cast<std::size_t>(c)];
@@ -385,7 +394,7 @@ Scheduler::replay_tick(SimTime now, SimTime dt)
     for (const ReplaySlot& s : replay_slots_) {
         s.task->replay_advance(now, dt, s.beats, s.supplied);
         Entry& e = entries_[s.entry];
-        e.load_ewma += replay_alpha_ * (s.runnable_frac - e.load_ewma);
+        e.load_ewma += load_weight_ * (s.runnable_frac - e.load_ewma);
     }
 }
 
@@ -406,7 +415,7 @@ Scheduler::replay_bulk_ready(SimTime now, SimTime dt) const
         // more update step must reproduce the same bits.
         if (!bit_equal(
                 e.load_ewma +
-                    replay_alpha_ * (s.runnable_frac - e.load_ewma),
+                    load_weight_ * (s.runnable_frac - e.load_ewma),
                 e.load_ewma))
             return false;
         if (!s.task->replay_steady(now, dt, s.beats, s.supplied))
@@ -446,7 +455,7 @@ Scheduler::replay_ewma_bulk(long n)
         for (const ReplaySlot& s : replay_slots_) {
             Entry& e = entries_[s.entry];
             e.load_ewma +=
-                replay_alpha_ * (s.runnable_frac - e.load_ewma);
+                load_weight_ * (s.runnable_frac - e.load_ewma);
         }
     }
 }

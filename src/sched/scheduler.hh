@@ -265,6 +265,12 @@ class Scheduler
      */
     void replay_ewma_bulk(long n);
 
+    /**
+     * Key load_weight_ on `dt`: tick() and begin_replay() call it, so
+     * distribute() and the replay paths read the weight of their dt.
+     */
+    void use_dt(SimTime dt);
+
     /** Water-filling split of `capacity` cycles among `ids` on `core`. */
     void distribute(CoreId core, const std::vector<TaskId>& ids,
                     SimTime now, SimTime dt);
@@ -303,9 +309,13 @@ class Scheduler
     std::vector<double> wf_weight_;
     std::vector<Cycles> wf_want_;
 
+    // The load EWMA's weight 1 - exp(-dt/tau), computed once per dt
+    // (use_dt()); derived, so the archive leaves it out.
+    double load_weight_ = 0.0;
+    SimTime load_weight_dt_ = 0;
+
     // Replay state (begin_replay / replay_tick / replay_bulk).
     std::vector<ReplaySlot> replay_slots_;
-    double replay_alpha_ = 0.0;
     bool replay_cache_valid_ = false;
     bool replay_all_unblocked_ = false;
     SimTime replay_dt_ = 0;

@@ -1,6 +1,7 @@
 /** @file Unit tests for the proportional-share scheduler substrate. */
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 
 #include <gtest/gtest.h>
@@ -302,6 +303,66 @@ TEST_F(SchedulerTest, ReplayStepMatchesTick)
     sched_.set_active(2, false);
     replay.set_active(2, false);
     EXPECT_EQ(step(30), 1);
+}
+
+TEST_F(SchedulerTest, LoadWeightFollowsDt)
+{
+    // The load EWMA's weight 1 - exp(-dt/tau) is computed once per dt.
+    // Ticked at 1 ms, then 10 ms, then 1 ms again, every task_load must
+    // be the recurrence with the weight of that tick's dt, bit for bit,
+    // through tick() and through the slot cache alike: a weight kept
+    // from an earlier dt misses.  Every task wants more than any core
+    // supplies, so its runnable fraction is 1, or 0 while a migration
+    // charge blocks it.
+    hw::Chip replay_chip = hw::tc2_chip();
+    Scheduler replay(&replay_chip, {});
+    std::vector<std::unique_ptr<workload::Task>> replay_tasks;
+    const CoreId cores[] = {0, 0, 3};
+    for (std::size_t i = 0; i < 3; ++i) {
+        const auto spec =
+            test::steady_spec("greedy" + std::to_string(i), 1, 5000.0);
+        add(spec, cores[i]);
+        replay_tasks.push_back(std::make_unique<workload::Task>(
+            static_cast<TaskId>(i), spec));
+        replay.add_task(replay_tasks.back().get(), cores[i]);
+    }
+    for (hw::Chip* chip : {&chip_, &replay_chip}) {
+        chip->cluster(0).set_level(7);
+        chip->cluster(1).set_level(3);
+    }
+
+    std::vector<double> expected(3, 0.0);
+    SimTime now = 0;
+    const auto run_at = [&](SimTime dt, int ticks) {
+        const double weight = 1.0 - std::exp(-to_seconds(dt) / 0.1);
+        for (int i = 0; i < ticks; ++i, now += dt) {
+            for (TaskId t = 0; t < 3; ++t) {
+                const double frac =
+                    sched_.blocked_until(t) <= now ? 1.0 : 0.0;
+                auto& x = expected[static_cast<std::size_t>(t)];
+                x += weight * (frac - x);
+            }
+            sched_.tick(now, dt);
+            replay.begin_replay(now, dt);
+            replay.replay_tick(now, dt);
+            for (TaskId t = 0; t < 3; ++t) {
+                const double x = expected[static_cast<std::size_t>(t)];
+                EXPECT_EQ(bits(sched_.task_load(t)), bits(x))
+                    << "task " << t << " at " << now;
+                EXPECT_EQ(bits(replay.task_load(t)), bits(x))
+                    << "task " << t << " at " << now;
+            }
+        }
+    };
+
+    run_at(kMillisecond, 5);
+    // A migration charge: the task's fraction is 0 until it ends.
+    const SimTime charge = sched_.migrate(0, 4, now);
+    ASSERT_EQ(replay.migrate(0, 4, now), charge);
+    ASSERT_GT(charge, kMillisecond);
+    run_at(kMillisecond, 15);
+    run_at(10 * kMillisecond, 20);
+    run_at(kMillisecond, 20);
 }
 
 } // namespace
