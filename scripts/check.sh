@@ -247,15 +247,16 @@ rm -f /tmp/ppm_bench_clearing.json /tmp/ppm_bench_fleet.json
 # Fault-resilience smoke: the fault bench must run end to end.
 ./build/bench/bench_fault_resilience > /dev/null
 
-# Differential fuzz smoke: a few hundred seeded scenarios checked
+# Differential fuzz smoke: several hundred seeded scenarios checked
 # across every engine equivalence (policies x macro-vs-tick,
 # incremental on/off, budget conservation, fault counters,
-# chip-failure conservation, snapshot restore-equivalence).  The full
-# sweep is scripts/fuzz_sweep.sh; this pass proves the fuzzer and the
+# chip-failure conservation, snapshot restore-equivalence), each run's
+# stream and traced series compared bit for bit.  The full sweep is
+# scripts/fuzz_sweep.sh; this pass proves the fuzzer and the
 # invariants hold on a fresh build.  The second seed skews toward
 # federated scenarios, where the chip-fault and snapshot genes live.
-./build/tools/ppm_fuzz --count 200 --seed 1 > /dev/null
-./build/tools/ppm_fuzz --count 100 --seed 77 > /dev/null
+./build/tools/ppm_fuzz --count 500 --seed 1 > /dev/null
+./build/tools/ppm_fuzz --count 250 --seed 77 > /dev/null
 
 # Race check: the parallel sweep is only deterministic if cells share
 # no mutable state, so run the threaded tests under ThreadSanitizer.
@@ -285,14 +286,15 @@ cmake --build build-tsan --parallel "$(nproc)" --target test_common \
 # a short sweep under TSAN sanitizes the differential checker and
 # those nested pools.
 cmake --build build-tsan --parallel "$(nproc)" --target ppm_fuzz
-./build-tsan/tools/ppm_fuzz --count 20 --seed 1 > /dev/null
+./build-tsan/tools/ppm_fuzz --count 50 --seed 1 > /dev/null
 
 # Memory/UB check: the fault layer mutates hardware state (offlining
 # cores, deferring DVFS) on irregular schedules, so run its tests and
 # the hardened-market tests under ASan+UBSan.
 cmake -B build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DPPM_ASAN=ON
 cmake --build build-asan --parallel "$(nproc)" --target test_fault \
-    test_market test_hw test_fleet test_snapshot test_common ppm_run
+    test_market test_hw test_fleet test_snapshot test_common test_metrics \
+    test_fuzz ppm_run
 ./build-asan/tests/test_fault > /dev/null
 # Times that overflow the simulated clock are refused with exit 2
 # before any conversion could overflow (UBSan would abort with 1).
@@ -330,5 +332,13 @@ done
 ./build-asan/tests/test_fleet --gtest_filter='FleetFaults.*' \
     > /dev/null
 ./build-asan/tests/test_snapshot > /dev/null
+# A stream log indexes flat field arrays by per-record offsets, and
+# the fuzzer's comparator walks two of them side by side: run the
+# comparator tests and one whole differential check.
+./build-asan/tests/test_metrics \
+    --gtest_filter='StreamLog.*:TraceRecorder.*' > /dev/null
+./build-asan/tests/test_fuzz \
+    --gtest_filter='Difference.*:CheckScenario.TrivialScenarioIsClean' \
+    > /dev/null
 
 echo "all checks passed"

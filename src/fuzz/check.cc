@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
-#include <sstream>
 #include <string_view>
 #include <type_traits>
 #include <utility>
@@ -31,8 +30,9 @@ fmt_exact(double v)
  * Streaming auditor of the market's per-round telemetry: checks that
  * every numeric field is finite and that the cluster allowances the
  * market hands its task agents sum back to the global allowance (the
- * distribute_allowance() telescoping).  Attached to the PPM runs
- * alongside the byte-comparison JSONL sink.
+ * distribute_allowance() telescoping).  Attached to the uninterrupted
+ * PPM runs beside the StreamLog that difference() compares; it checks
+ * each round as it arrives and stores none of them.
  */
 class MarketAuditSink final : public metrics::TraceSink
 {
@@ -180,30 +180,19 @@ resume(std::unique_ptr<Model> killed, const Make& make)
     return resumed;
 }
 
-/** The recorder's CSV dump when the scenario is traced, else empty. */
-std::string
-traced_series(const Scenario& sc, sim::Simulation& s)
-{
-    if (!sc.trace)
-        return {};
-    std::ostringstream csv;
-    s.recorder().write_csv(csv);
-    return csv.str();
-}
-
 /**
  * Run the scenario on one chip under `policy`.  With `kill_at` > 0
  * the run is killed there and resumed in a fresh simulation: the
  * telemetry stream spans both halves and everything else comes from
  * the resumed one.  The market audit rides on uninterrupted PPM runs.
+ * The traced series are taken out of the finished simulation (an
+ * untraced run's recorder is empty).
  */
 RunOutput
 run_chip(const Scenario& sc, const std::string& policy, bool macro_step,
          bool incremental, SimTime kill_at = 0)
 {
     RunOutput out;
-    std::ostringstream jsonl_os;
-    metrics::JsonlSink jsonl(jsonl_os);
     MarketAuditSink audit(lifetimes(sc).empty());
     const auto make = [&] {
         hw::Chip chip = make_chip(sc);
@@ -212,7 +201,7 @@ run_chip(const Scenario& sc, const std::string& policy, bool macro_step,
         auto s = std::make_unique<sim::Simulation>(
             std::move(chip), make_specs(sc),
             make_policy(sc, policy, incremental), cfg);
-        s->bus().add_sink(&jsonl);
+        s->bus().add_sink(&out.stream);
         return s;
     };
     std::unique_ptr<sim::Simulation> simulation = make();
@@ -223,8 +212,7 @@ run_chip(const Scenario& sc, const std::string& policy, bool macro_step,
         simulation->bus().add_sink(&audit);
     }
     out.summary = simulation->run();
-    out.jsonl = jsonl_os.str();
-    out.trace_csv = traced_series(sc, *simulation);
+    out.traced = std::move(simulation->recorder());
     out.audit_error = audit.first_error();
     return out;
 }
@@ -365,18 +353,15 @@ FleetOutput
 run_fleet(const Scenario& sc, int chips, int jobs, bool incremental,
           bool fleet_faults, SimTime kill_at = 0)
 {
-    std::ostringstream fleet_os;
-    std::ostringstream chip_os;
-    metrics::JsonlSink fleet_sink(fleet_os);
-    metrics::JsonlSink chip_sink(chip_os);
+    FleetOutput out;
     FleetAuditSink audit(sc.tdp * static_cast<double>(chips));
     const bool check_budget =
         kill_at == 0 && sc.tdp > 0.0 && chips > 1 && !fleet_faults;
     const auto make = [&] {
         auto f = std::make_unique<fleet::Fleet>(make_fleet_config(
             sc, chips, jobs, incremental, fleet_faults));
-        f->bus().add_sink(&fleet_sink);
-        f->shard(0).bus().add_sink(&chip_sink);
+        f->bus().add_sink(&out.fleet.stream);
+        f->shard(0).bus().add_sink(&out.chip0.stream);
         return f;
     };
     std::unique_ptr<fleet::Fleet> federation = make();
@@ -387,13 +372,10 @@ run_fleet(const Scenario& sc, int chips, int jobs, bool incremental,
     } else if (check_budget) {
         federation->bus().add_sink(&audit);
     }
-    FleetOutput out;
     out.result = federation->run();
     out.fleet.summary = out.result.combined;
-    out.fleet.jsonl = fleet_os.str();
     out.chip0.summary = out.result.per_chip[0];
-    out.chip0.jsonl = chip_os.str();
-    out.chip0.trace_csv = traced_series(sc, federation->shard(0));
+    out.chip0.traced = std::move(federation->shard(0).recorder());
     if (check_budget)
         out.budget_error = audit.finish();
     return out;
@@ -535,12 +517,12 @@ difference(const RunOutput& a, const RunOutput& b)
 {
     if (summary_fingerprint(a.summary) != summary_fingerprint(b.summary))
         return "summary fingerprints differ";
-    if (a.jsonl != b.jsonl)
-        return "telemetry streams differ (" +
-               std::to_string(a.jsonl.size()) + " vs " +
-               std::to_string(b.jsonl.size()) + " bytes)";
-    if (a.trace_csv != b.trace_csv)
-        return "traced series differ";
+    if (std::string d = metrics::first_difference(a.stream, b.stream);
+        !d.empty())
+        return "telemetry streams differ at " + d;
+    if (std::string d = metrics::first_difference(a.traced, b.traced);
+        !d.empty())
+        return "traced series differ at " + d;
     return {};
 }
 
@@ -558,7 +540,7 @@ std::vector<Violation>
 check_scenario(const Scenario& sc)
 {
     std::vector<Violation> violations;
-    // A differential: `runs` must match byte for byte, and `diff`
+    // A differential: `runs` must match bit for bit, and `diff`
     // (a difference() result) names where they did not.
     const auto expect_same = [&violations](const char* invariant,
                                            const std::string& policy,
@@ -584,8 +566,8 @@ check_scenario(const Scenario& sc)
         const RunOutput tick = run_chip(sc, policy, false, sc.incremental);
         expect_same("macro-vs-tick", policy, difference(macro, tick),
                     "macro-step and per-tick execution");
-        // Every run here streams JSONL, and HL rests only while its
-        // bus is disabled, so it gets one sink-free run as well.
+        // Every run here logs its bus stream, and HL rests only while
+        // its bus is disabled, so it gets one sink-free run as well.
         if (std::string_view(policy) == "HL") {
             expect_same("macro-vs-tick", policy,
                         summary_fingerprint(run_quiet(sc, policy)) ==

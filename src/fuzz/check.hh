@@ -6,12 +6,12 @@
  * vs per-tick (for HL also with no sink attached, the only way it
  * rests through its wakes), and (for PPM) incremental vs
  * full-recompute clearing, fleet shards on one worker vs many, and
- * snapshot restores -- and
- * the runs are compared byte-for-byte by one comparator,
- * difference(): the full-precision RunSummary fingerprint, the JSONL
- * telemetry stream (every market round, every field), and the traced
- * time series when the scenario records them; for a fleet, its
- * combined summary and fleet stream, then chip 0's three parts.  On
+ * snapshot restores -- and the runs are compared bit for bit, as
+ * recorded, by one comparator, difference(): the full-precision
+ * RunSummary fingerprint, the telemetry stream (every bus record,
+ * every field, each number as the double it was), and the traced time
+ * series when the scenario records them; for a fleet, its combined
+ * summary and fleet stream, then chip 0's three parts.  On
  * top of the differentials, global invariants are checked per run:
  * market budget conservation round by round, summary sanity (finite,
  * fractions in range, energy/power consistency), and fault-counter
@@ -28,6 +28,8 @@
 
 #include "fleet/fleet.hh"
 #include "fuzz/scenario.hh"
+#include "metrics/recorder.hh"
+#include "metrics/telemetry.hh"
 #include "sim/simulation.hh"
 
 namespace ppm::fuzz {
@@ -54,10 +56,10 @@ using sim::summary_fingerprint;
 /** Everything one single-chip execution of a scenario produces. */
 struct RunOutput {
     sim::RunSummary summary;
-    std::string jsonl;            ///< Full telemetry stream, bytes.
-    std::string trace_csv;        ///< Recorder dump; empty unless traced.
-    std::string audit_error;      ///< First market audit failure.
-    std::size_t plan_events = 0;  ///< Compiled fault windows.
+    metrics::StreamLog stream;      ///< Every bus record, as recorded.
+    metrics::TraceRecorder traced;  ///< Traced series; empty unless traced.
+    std::string audit_error;        ///< First market audit failure.
+    std::size_t plan_events = 0;    ///< Compiled fault windows.
 };
 
 /** Everything one federated execution of a scenario produces. */
@@ -69,10 +71,11 @@ struct FleetOutput {
 };
 
 /**
- * The first part in which two runs differ, with its evidence:
- * "summary fingerprints differ", "telemetry streams differ (A vs B
- * bytes)" or "traced series differ"; empty when the runs match byte
- * for byte.
+ * The first part in which two runs differ, and where in it:
+ * "summary fingerprints differ", "telemetry streams differ at <the
+ * first differing record>" or "traced series differ at <the first
+ * differing sample>" (metrics::first_difference); empty when the runs
+ * match bit for bit.
  */
 std::string difference(const RunOutput& a, const RunOutput& b);
 

@@ -87,8 +87,8 @@ struct Scenario {
     /**
      * Incremental active-set clearing (PpmConfig::incremental) for
      * the scenario's *primary* run.  check.cc always also runs the
-     * flag's complement and requires byte-identical summaries and
-     * trace fingerprints (the incremental differential); the gene
+     * flag's complement and requires bit-identical summaries and
+     * telemetry (the incremental differential); the gene
      * exists so fixture files pin the mode a bug was found under and
      * so shrinking can try the full-recompute path first.
      */
@@ -106,9 +106,9 @@ struct Scenario {
      * > 0 runs the snapshot differential: the scenario executes to
      * this simulated time, saves a snapshot, restores it into a
      * freshly constructed simulation (or fleet) and runs to the end;
-     * the stitched run must match the uninterrupted one byte for
-     * byte (summary fingerprint, telemetry stream concatenation and
-     * traced time series).  0 = differential off.
+     * the stitched run must match the uninterrupted one bit for bit
+     * (summary fingerprint, the telemetry stream logged across both
+     * halves and the traced time series).  0 = differential off.
      */
     SimTime snapshot_at = 0;
     std::vector<TaskGene> tasks; ///< At least one.

@@ -1,6 +1,9 @@
 #include "metrics/telemetry.hh"
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
+#include <sstream>
 
 #include "common/logging.hh"
 #include "common/table.hh"
@@ -38,6 +41,24 @@ json_string(const std::string& s)
     }
     out.push_back('"');
     return out;
+}
+
+/** Exact seconds of a whole-microsecond time: "1.248", "2". */
+std::string
+seconds(SimTime t)
+{
+    std::string s = fmt_double(to_seconds(t), 6);
+    s.erase(s.find_last_not_of('0') + 1);
+    if (s.back() == '.')
+        s.pop_back();
+    return s;
+}
+
+/** Bit equality: -0.0 differs from 0.0, and equal NaN bits are equal. */
+bool
+same_bits(double a, double b)
+{
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
 } // namespace
@@ -221,6 +242,158 @@ JsonlSink::flush()
         return;
     os_->flush();
     check_stream();
+}
+
+StreamLog::StreamLog()
+{
+    intern("value");  // Id 0: the key of a sample's one field.
+}
+
+std::uint32_t
+StreamLog::intern(const std::string& s)
+{
+    const auto [it, added] =
+        index_.try_emplace(s, static_cast<std::uint32_t>(names_.size()));
+    if (added)
+        names_.push_back(s);
+    return it->second;
+}
+
+void
+StreamLog::sample(const std::string& series, SimTime time, double value)
+{
+    records_.push_back({time, fields_.size(), intern(series), false});
+    fields_.push_back({value, 0, kNumeric});
+}
+
+void
+StreamLog::event(const TraceEvent& e)
+{
+    records_.push_back({e.time, fields_.size(), intern(e.type), true});
+    for (const auto& [key, label] : e.str)
+        fields_.push_back({0.0, intern(key), intern(label)});
+    for (const auto& [key, value] : e.num)
+        fields_.push_back({value, intern(key), kNumeric});
+}
+
+std::size_t
+StreamLog::end(std::size_t i) const
+{
+    return i + 1 < records_.size() ? records_[i + 1].first : fields_.size();
+}
+
+void
+StreamLog::put_record(std::ostream& os, std::size_t i) const
+{
+    if (i == records_.size()) {
+        os << "end of stream";
+        return;
+    }
+    const Record& r = records_[i];
+    os << (r.event ? "event " : "sample ") << names_[r.name] << " at t="
+       << seconds(r.time) << " s";
+}
+
+void
+StreamLog::put_value(std::ostream& os, const Field& f) const
+{
+    if (f.label == kNumeric)
+        os << f.value;
+    else
+        os << json_string(names_[f.label]);
+}
+
+std::string
+first_difference(const StreamLog& a, const StreamLog& b)
+{
+    std::ostringstream os;
+    os.precision(17);  // Every bit of a double, and the sign of a zero.
+    const auto records = [&](std::size_t i) {
+        os << "record " << i << ": ";
+        a.put_record(os, i);
+        os << " vs ";
+        b.put_record(os, i);
+        return os.str();
+    };
+    const auto field = [&](std::size_t i) -> std::ostream& {
+        os << "record " << i << " (";
+        a.put_record(os, i);
+        return os << ", ";
+    };
+    const std::size_t n = std::min(a.size(), b.size());
+    for (std::size_t i = 0; i < n; ++i) {
+        const StreamLog::Record& ra = a.records_[i];
+        const StreamLog::Record& rb = b.records_[i];
+        if (ra.event != rb.event || ra.time != rb.time ||
+            a.names_[ra.name] != b.names_[rb.name])
+            return records(i);
+        const std::size_t na = a.end(i) - ra.first;
+        const std::size_t nb = b.end(i) - rb.first;
+        for (std::size_t j = 0; j < std::min(na, nb); ++j) {
+            const StreamLog::Field& x = a.fields_[ra.first + j];
+            const StreamLog::Field& y = b.fields_[rb.first + j];
+            const std::string& key = a.names_[x.key];
+            if (key != b.names_[y.key]) {
+                field(i) << "field " << j << ": " << key << " vs "
+                         << b.names_[y.key] << ')';
+                return os.str();
+            }
+            const bool same_label =
+                x.label == StreamLog::kNumeric
+                    ? y.label == StreamLog::kNumeric
+                    : y.label != StreamLog::kNumeric &&
+                          a.names_[x.label] == b.names_[y.label];
+            if (!same_label || !same_bits(x.value, y.value)) {
+                field(i) << key << ": ";
+                a.put_value(os, x);
+                os << " vs ";
+                b.put_value(os, y);
+                os << ')';
+                return os.str();
+            }
+        }
+        if (na != nb) {
+            field(i) << na << " vs " << nb << " fields)";
+            return os.str();
+        }
+    }
+    return a.size() == b.size() ? std::string() : records(n);
+}
+
+std::string
+first_difference(const TraceRecorder& a, const TraceRecorder& b)
+{
+    std::ostringstream os;
+    os.precision(17);  // Every bit of a double, and the sign of a zero.
+    const std::vector<std::string> na = a.names();
+    const std::vector<std::string> nb = b.names();
+    for (std::size_t k = 0; k < std::max(na.size(), nb.size()); ++k) {
+        if (k == na.size() || k == nb.size() || na[k] != nb[k]) {
+            os << "series " << (k < na.size() ? na[k] : "(none)") << " vs "
+               << (k < nb.size() ? nb[k] : "(none)");
+            return os.str();
+        }
+        const std::vector<Sample>& sa = a.series(na[k]);
+        const std::vector<Sample>& sb = b.series(nb[k]);
+        const auto put = [&](const std::vector<Sample>& s, std::size_t i) {
+            if (i == s.size())
+                os << "end of series";
+            else
+                os << "t=" << seconds(s[i].time) << " s, " << s[i].value;
+        };
+        for (std::size_t i = 0; i < std::max(sa.size(), sb.size()); ++i) {
+            if (i < sa.size() && i < sb.size() &&
+                sa[i].time == sb[i].time &&
+                same_bits(sa[i].value, sb[i].value))
+                continue;
+            os << na[k] << " sample " << i << ": ";
+            put(sa, i);
+            os << " vs ";
+            put(sb, i);
+            return os.str();
+        }
+    }
+    return {};
 }
 
 void

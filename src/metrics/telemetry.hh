@@ -12,11 +12,12 @@
  *
  * Sinks decide the rendering: `MemorySink` appends samples to a
  * `TraceRecorder` (the historical in-memory behaviour), `CsvStreamSink`
- * streams narrow `time_s,series,value` rows, and `JsonlSink` writes one
- * JSON object per record.  A sink that does not override `event()`
- * receives each numeric field as an individual sample, so per-round
- * market telemetry reaches every sink format without emitters knowing
- * which sinks are attached.
+ * streams narrow `time_s,series,value` rows, `JsonlSink` writes one
+ * JSON object per record, and `StreamLog` keeps every record's raw
+ * values for a bit-for-bit comparison.  A sink that does not override
+ * `event()` receives each numeric field as an individual sample, so
+ * per-round market telemetry reaches every sink format without
+ * emitters knowing which sinks are attached.
  *
  * The bus also keeps cheap named counters and histograms (migrations,
  * V-F steps per cluster, bid-freeze epochs, allowance clamps, ...).
@@ -40,6 +41,7 @@
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -223,6 +225,83 @@ class JsonlSink : public TraceSink
     std::ostream* os_;
     bool failed_ = false;
 };
+
+/**
+ * Records every sample and event it receives, in arrival order, as the
+ * raw values the bus carried: the record's kind, its series or event
+ * type, its time, and its fields -- string fields, then numeric ones,
+ * as a TraceEvent holds them; a sample is one numeric field "value".
+ * Each log interns its names, keys and labels once, so a record costs
+ * a few appends: no formatting, and no heap string per value.  Two
+ * logs are compared bit for bit by first_difference().
+ */
+class StreamLog final : public TraceSink
+{
+  public:
+    StreamLog();
+
+    void sample(const std::string& series, SimTime time,
+                double value) override;
+    void event(const TraceEvent& e) override;
+
+    /** Number of records received. */
+    std::size_t size() const { return records_.size(); }
+
+  private:
+    friend std::string first_difference(const StreamLog& a,
+                                        const StreamLog& b);
+
+    /** `Field::label` of a numeric field. */
+    static constexpr std::uint32_t kNumeric = UINT32_MAX;
+
+    struct Record {
+        SimTime time;
+        std::size_t first;   ///< Index of its first field in fields_.
+        std::uint32_t name;  ///< Interned series or event type.
+        bool event;          ///< An event, else a sample.
+    };
+
+    struct Field {
+        double value;         ///< The numeric value; 0 under a label.
+        std::uint32_t key;    ///< Interned field key.
+        std::uint32_t label;  ///< Interned string value, or kNumeric.
+    };
+
+    std::uint32_t intern(const std::string& s);
+
+    /** End of record `i`'s fields in fields_. */
+    std::size_t end(std::size_t i) const;
+
+    /** Write record `i` ("event market_round at t=1.248 s"), or "end
+     *  of stream" when `i` is one past the last. */
+    void put_record(std::ostream& os, std::size_t i) const;
+
+    /** Write field `f`'s value: the number, or its label quoted. */
+    void put_value(std::ostream& os, const Field& f) const;
+
+    std::vector<Record> records_;
+    std::vector<Field> fields_;
+    std::vector<std::string> names_;  ///< Interned strings by id.
+    std::unordered_map<std::string, std::uint32_t> index_;
+};
+
+/**
+ * Where two logs first differ, compared bit for bit: -0.0 differs from
+ * 0.0, and NaNs with equal bits are equal.  Names the record's index,
+ * kind and name, time and field key, with both values at %.17g, e.g.
+ * "record 812 (event market_round at t=1.248 s, task3_bid: 0.5 vs
+ * 0.50000000000000011)", or both records when their kind, name or time
+ * differ or one log has ended; "" when the logs are equal.
+ */
+std::string first_difference(const StreamLog& a, const StreamLog& b);
+
+/**
+ * The same for two recorders, series by series in name order: e.g.
+ * "chip_power_w sample 5: t=0.1 s, 1.5 vs t=0.1 s, 1.5000001000000001",
+ * or "series b vs c" when the series differ; "" when they are equal.
+ */
+std::string first_difference(const TraceRecorder& a,
+                             const TraceRecorder& b);
 
 /**
  * The telemetry fan-out point.  One bus per Simulation; each sweep

@@ -5,14 +5,17 @@
  * field change -- including a 1-ulp float change and the fault
  * counters -- changes it), simple clean scenarios really check clean,
  * check_scenario is deterministic, the comparator of its differentials
- * names every part that differs, and every checked-in fixture under
+ * names every part that differs and the first record in it that does,
+ * bit for bit, below any text precision, and every checked-in fixture under
  * tests/fuzz/fixtures/ stays fixed (each one is a shrunken reproducer
  * of a bug this invariant suite once caught).
  */
 
 #include <cmath>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,6 +24,7 @@
 
 #include "src/fuzz/check.hh"
 #include "src/fuzz/scenario.hh"
+#include "src/metrics/telemetry.hh"
 
 namespace ppm::fuzz {
 namespace {
@@ -72,23 +76,75 @@ TEST(SummaryFingerprint, SensitiveToEveryKindOfField)
     EXPECT_NE(summary_fingerprint(s), base);
 }
 
+/** Every bit of `v`, as difference() prints it. */
+std::string
+fmt_exact(double v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    return buf;
+}
+
+/** The market round every planted stream below starts from. */
+metrics::TraceEvent
+sample_round()
+{
+    metrics::TraceEvent e("market_round", 1248 * kMillisecond);
+    e.set("state", std::string("nominal"));
+    e.set("task3_bid", 0.5);
+    e.set("allowance", 0.0);
+    return e;
+}
+
+/** Feed `sink` a sample, `round`, then another sample. */
+void
+feed(metrics::TraceSink& sink, const metrics::TraceEvent& round)
+{
+    sink.sample("chip_power_w", 1247 * kMillisecond, 1.5);
+    sink.event(round);
+    sink.sample("chip_power_w", 1248 * kMillisecond, 1.75);
+}
+
 /** A run output with every compared part non-empty. */
 RunOutput
-sample_output()
+sample_output(const metrics::TraceEvent& round = sample_round())
 {
     RunOutput out;
     out.summary = sample_summary();
-    out.jsonl = "{\"type\":\"market_round\",\"t\":32000}\n";
-    out.trace_csv = "time_s,series,value\n0.1,chip_power,1.5\n";
+    feed(out.stream, round);
+    out.traced.record("chip_power_w", 100 * kMillisecond, 1.5);
+    out.traced.record("chip_power_w", 200 * kMillisecond, 1.25);
     return out;
 }
 
-/** `text` with its byte `i` changed. */
-std::string
-flip_byte(std::string text, std::size_t i)
+/** sample_round() with numeric field `key` set to `value`. */
+metrics::TraceEvent
+round_with(const std::string& key, double value)
 {
-    text.at(i) ^= 1;
-    return text;
+    metrics::TraceEvent e = sample_round();
+    for (auto& [k, v] : e.num)
+        if (k == key)
+            v = value;
+    return e;
+}
+
+/** The JSONL text a run's stream would have rendered. */
+std::string
+jsonl_of(const metrics::TraceEvent& round)
+{
+    std::ostringstream os;
+    metrics::JsonlSink sink(os);
+    feed(sink, round);
+    return os.str();
+}
+
+/** The wide CSV a recorder would have rendered. */
+std::string
+csv_of(const metrics::TraceRecorder& rec)
+{
+    std::ostringstream os;
+    rec.write_csv(os);
+    return os.str();
 }
 
 /**
@@ -106,28 +162,85 @@ TEST(Difference, NamesEachPlantedChange)
     run.summary.avg_power = std::nextafter(run.summary.avg_power, 2.0);
     EXPECT_EQ(difference(base, run), "summary fingerprints differ");
 
-    run = base;
-    run.jsonl = flip_byte(run.jsonl, 5);
-    const std::string n = std::to_string(base.jsonl.size());
-    EXPECT_EQ(difference(base, run),
-              "telemetry streams differ (" + n + " vs " + n + " bytes)");
+    const std::string stream =
+        "telemetry streams differ at record 1 (event market_round at "
+        "t=1.248 s, task3_bid: 0.5 vs 0.75)";
+    EXPECT_EQ(difference(base, sample_output(round_with("task3_bid", 0.75))),
+              stream);
 
     run = base;
-    run.trace_csv = flip_byte(run.trace_csv, run.trace_csv.size() - 2);
-    EXPECT_EQ(difference(base, run), "traced series differ");
+    run.traced.record("chip_power_w", 300 * kMillisecond, 1.0);
+    const std::string traced =
+        "traced series differ at chip_power_w sample 2: end of series "
+        "vs t=0.3 s, 1";
+    EXPECT_EQ(difference(base, run), traced);
 
     FleetOutput fleet;
     fleet.fleet = base;
     fleet.chip0 = base;
     EXPECT_EQ(difference(fleet, fleet), "");
     FleetOutput other = fleet;
-    other.fleet.jsonl = flip_byte(other.fleet.jsonl, 0);
-    EXPECT_EQ(difference(fleet, other),
-              "fleet telemetry streams differ (" + n + " vs " + n +
-                  " bytes)");
+    other.fleet = sample_output(round_with("task3_bid", 0.75));
+    EXPECT_EQ(difference(fleet, other), "fleet " + stream);
     other = fleet;
-    other.chip0.trace_csv = flip_byte(other.chip0.trace_csv, 0);
-    EXPECT_EQ(difference(fleet, other), "chip 0 traced series differ");
+    other.chip0 = run;
+    EXPECT_EQ(difference(fleet, other), "chip 0 " + traced);
+}
+
+/**
+ * Changes the old text comparison could not see -- below JSONL's
+ * %.9g or the wide CSV's 6 decimals, or in the sign of a zero -- and
+ * changes to every other part of a record are each named by record
+ * or series, time and field.
+ */
+TEST(Difference, NamesChangesBelowTheTextPrecision)
+{
+    const RunOutput base = sample_output();
+    const double bid = std::nextafter(0.5, 1.0);  // 1 ulp.
+    EXPECT_EQ(jsonl_of(sample_round()),
+              jsonl_of(round_with("task3_bid", bid)));
+    EXPECT_EQ(difference(base, sample_output(round_with("task3_bid", bid))),
+              "telemetry streams differ at record 1 (event market_round at "
+              "t=1.248 s, task3_bid: 0.5 vs " + fmt_exact(bid) + ")");
+
+    RunOutput run = sample_output();
+    run.traced = {};
+    run.traced.record("chip_power_w", 100 * kMillisecond, 1.5);
+    run.traced.record("chip_power_w", 200 * kMillisecond, 1.25 + 1e-7);
+    EXPECT_EQ(csv_of(base.traced), csv_of(run.traced));
+    EXPECT_EQ(difference(base, run),
+              "traced series differ at chip_power_w sample 1: t=0.2 s, 1.25 "
+              "vs t=0.2 s, " + fmt_exact(1.25 + 1e-7));
+
+    EXPECT_EQ(difference(base, sample_output(round_with("allowance", -0.0))),
+              "telemetry streams differ at record 1 (event market_round at "
+              "t=1.248 s, allowance: 0 vs -0)");
+
+    metrics::TraceEvent safe = sample_round();
+    safe.str[0].second = "safe";
+    EXPECT_EQ(difference(base, sample_output(safe)),
+              "telemetry streams differ at record 1 (event market_round at "
+              "t=1.248 s, state: \"nominal\" vs \"safe\")");
+
+    metrics::TraceEvent renamed = sample_round();
+    renamed.type = "ppm_epoch";
+    EXPECT_EQ(difference(base, sample_output(renamed)),
+              "telemetry streams differ at record 1: event market_round "
+              "at t=1.248 s vs event ppm_epoch at t=1.248 s");
+
+    run = RunOutput{};
+    run.summary = sample_summary();
+    run.stream.sample("chip_power_w", 1247 * kMillisecond, 1.5);
+    run.stream.event(sample_round());
+    run.traced = base.traced;
+    EXPECT_EQ(difference(base, run),
+              "telemetry streams differ at record 2: sample chip_power_w "
+              "at t=1.248 s vs end of stream");
+
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_EQ(difference(sample_output(round_with("allowance", nan)),
+                         sample_output(round_with("allowance", nan))),
+              "");
 }
 
 /** A small, fault-free, single-phase scenario that must be clean. */

@@ -5,11 +5,11 @@
 #include <atomic>
 #include <chrono>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 
 #include "experiment/sweep.hh"
+#include "metrics/telemetry.hh"
 #include "tests/test_util.hh"
 
 namespace ppm::experiment {
@@ -267,7 +267,7 @@ TEST(SweepDeath, ZeroSeedStrideIsRejected)
 TEST(Sweep, TracesAreByteIdenticalForAnyJobCount)
 {
     // Each cell owns its TraceBus, sinks and recorder, so the full
-    // trace stream -- not just the summary -- must be byte-identical
+    // traced series -- not just the summary -- must be bit-identical
     // whether the cells run serially or on four workers.
     auto make_cell = [](std::uint64_t seed) {
         return [seed]() {
@@ -275,22 +275,19 @@ TEST(Sweep, TracesAreByteIdenticalForAnyJobCount)
             p.duration = 5 * kSecond;
             p.trace = true;
             p.seed = seed;
-            const RunResult r =
-                run_set(workload::workload_set("l1"), p);
-            std::ostringstream os;
-            r.traces.write_csv(os);
-            return os.str();
+            return run_set(workload::workload_set("l1"), p).traces;
         };
     };
-    std::vector<std::function<std::string()>> cells;
+    std::vector<std::function<metrics::TraceRecorder()>> cells;
     for (int k = 0; k < 4; ++k)
         cells.push_back(make_cell(42 + 100 * static_cast<std::uint64_t>(k)));
-    const auto serial = run_cells<std::string>(cells, 1);
-    const auto parallel = run_cells<std::string>(cells, 4);
+    const auto serial = run_cells<metrics::TraceRecorder>(cells, 1);
+    const auto parallel = run_cells<metrics::TraceRecorder>(cells, 4);
     ASSERT_EQ(serial.size(), 4u);
     for (std::size_t k = 0; k < 4; ++k) {
-        EXPECT_FALSE(serial[k].empty());
-        EXPECT_EQ(serial[k], parallel[k]) << "cell " << k;
+        EXPECT_FALSE(serial[k].names().empty());
+        EXPECT_EQ(metrics::first_difference(serial[k], parallel[k]), "")
+            << "cell " << k;
     }
 }
 

@@ -1,5 +1,7 @@
 /** @file Unit tests for the QoS tracker and trace recorder. */
 
+#include <cstdio>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -9,6 +11,7 @@
 #include "common/rng.hh"
 #include "metrics/qos.hh"
 #include "metrics/recorder.hh"
+#include "metrics/telemetry.hh"
 #include "snapshot/archive.hh"
 #include "tests/test_util.hh"
 
@@ -223,6 +226,73 @@ TEST(TraceRecorder, DuplicateTimestampsDoNotDesyncCsvCursor)
               "time_s,a,b\n"
               "1.000,2.000000,\n"
               "2.000,3.000000,4.000000\n");
+}
+
+/** Every bit of `v`, as first_difference() prints it. */
+std::string
+fmt_exact(double v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    return buf;
+}
+
+/** Two series, "a" with two samples and "b" with one. */
+TraceRecorder
+sample_recorder(double a1 = 1.25)
+{
+    TraceRecorder rec;
+    rec.record("a", 100 * kMillisecond, 1.5);
+    rec.record("a", 200 * kMillisecond, a1);
+    rec.record("b", 200 * kMillisecond, 4.0);
+    return rec;
+}
+
+TEST(TraceRecorder, FirstDifferenceOfEqualRecordersIsEmpty)
+{
+    EXPECT_EQ(first_difference(sample_recorder(), sample_recorder()), "");
+    EXPECT_EQ(first_difference(TraceRecorder{}, TraceRecorder{}), "");
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_EQ(first_difference(sample_recorder(nan), sample_recorder(nan)),
+              "");
+}
+
+TEST(TraceRecorder, FirstDifferenceNamesSeriesSampleTimeAndValue)
+{
+    const TraceRecorder base = sample_recorder();
+
+    // Below the CSV's 6 decimals: equal text, named difference.
+    const TraceRecorder moved = sample_recorder(1.25 + 1e-7);
+    std::ostringstream csv_base;
+    std::ostringstream csv_moved;
+    base.write_csv(csv_base);
+    moved.write_csv(csv_moved);
+    EXPECT_EQ(csv_base.str(), csv_moved.str());
+    EXPECT_EQ(first_difference(base, moved),
+              "a sample 1: t=0.2 s, 1.25 vs t=0.2 s, " +
+                  fmt_exact(1.25 + 1e-7));
+    EXPECT_EQ(first_difference(sample_recorder(0.0), sample_recorder(-0.0)),
+              "a sample 1: t=0.2 s, 0 vs t=0.2 s, -0");
+
+    TraceRecorder later;
+    later.record("a", 100 * kMillisecond, 1.5);
+    later.record("a", 201 * kMillisecond, 1.25);
+    EXPECT_EQ(first_difference(base, later),
+              "a sample 1: t=0.2 s, 1.25 vs t=0.201 s, 1.25");
+
+    TraceRecorder longer = sample_recorder();
+    longer.record("b", 300 * kMillisecond, 5.0);
+    EXPECT_EQ(first_difference(base, longer),
+              "b sample 1: end of series vs t=0.3 s, 5");
+
+    TraceRecorder other = sample_recorder();
+    other.record("c", kSecond, 1.0);
+    EXPECT_EQ(first_difference(base, other), "series (none) vs c");
+    TraceRecorder renamed;
+    renamed.record("a", 100 * kMillisecond, 1.5);
+    renamed.record("a", 200 * kMillisecond, 1.25);
+    renamed.record("c", 200 * kMillisecond, 4.0);
+    EXPECT_EQ(first_difference(base, renamed), "series b vs c");
 }
 
 TEST(TraceRecorder, MeanAfterWindow)

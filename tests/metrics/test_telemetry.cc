@@ -1,6 +1,10 @@
 /** @file Unit tests for the telemetry bus and its sinks. */
 
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -213,11 +217,7 @@ TEST(TraceBus, MemorySinkMatchesDirectRecording)
     bus.sample(x, kSecond, 1.0);
     bus.sample(x, 2 * kSecond, 2.0);
 
-    std::ostringstream a;
-    std::ostringstream b;
-    direct.write_csv(a);
-    via_bus.write_csv(b);
-    EXPECT_EQ(a.str(), b.str());
+    EXPECT_EQ(first_difference(direct, via_bus), "");
 }
 
 
@@ -256,6 +256,134 @@ TEST(JsonlSink, LatchesFailureAndDropsFurtherOutput)
     sink.event(e);  // Dropped, no crash.
     sink.flush();
     EXPECT_TRUE(sink.failed());
+}
+
+/** Every bit of `v`, as first_difference() prints it. */
+std::string
+fmt_exact(double v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    return buf;
+}
+
+/** The event every StreamLog test below starts from. */
+TraceEvent
+round_event()
+{
+    TraceEvent e("market_round", 1248 * kMillisecond);
+    e.set("state", std::string("nominal"));
+    e.set("task3_bid", 0.5);
+    return e;
+}
+
+/** A log fed a sample, `e`, then another sample. */
+StreamLog
+log_of(const TraceEvent& e)
+{
+    StreamLog log;
+    log.sample("chip_power_w", 1247 * kMillisecond, 1.5);
+    log.event(e);
+    log.sample("chip_power_w", 1248 * kMillisecond, 1.75);
+    return log;
+}
+
+TEST(StreamLog, EqualWhenFedTheSameBusRecords)
+{
+    StreamLog a;
+    StreamLog b;
+    TraceBus bus;
+    bus.add_sink(&a);
+    bus.add_sink(&b);
+    const SeriesId power = bus.intern("chip_power_w");
+    for (int i = 0; i < 3; ++i) {
+        bus.sample(power, i * kMillisecond, 1.5 * i);
+        TraceEvent e = round_event();
+        e.time = i * kMillisecond;
+        e.set("round", static_cast<double>(i));
+        bus.event(e);
+    }
+    EXPECT_EQ(a.size(), 6u);
+    EXPECT_EQ(first_difference(a, b), "");
+    EXPECT_EQ(first_difference(StreamLog{}, StreamLog{}), "");
+}
+
+TEST(StreamLog, NamesEachPartOfARecord)
+{
+    const StreamLog base = log_of(round_event());
+    const std::string at = "record 1 (event market_round at t=1.248 s, ";
+
+    // Kind: the same name arriving as a sample instead of an event.
+    StreamLog kind;
+    kind.sample("chip_power_w", 1247 * kMillisecond, 1.5);
+    kind.sample("market_round", 1248 * kMillisecond, 0.5);
+    EXPECT_EQ(first_difference(base, kind),
+              "record 1: event market_round at t=1.248 s vs sample "
+              "market_round at t=1.248 s");
+
+    TraceEvent e = round_event();
+    e.type = "hl_dvfs_epoch";
+    EXPECT_EQ(first_difference(base, log_of(e)),
+              "record 1: event market_round at t=1.248 s vs event "
+              "hl_dvfs_epoch at t=1.248 s");
+
+    e = round_event();
+    e.time += 1;
+    EXPECT_EQ(first_difference(base, log_of(e)),
+              "record 1: event market_round at t=1.248 s vs event "
+              "market_round at t=1.248001 s");
+
+    e = round_event();
+    e.num[0].first = "task4_bid";
+    EXPECT_EQ(first_difference(base, log_of(e)),
+              at + "field 1: task3_bid vs task4_bid)");
+
+    e = round_event();
+    e.num[0].second = 0.25;
+    EXPECT_EQ(first_difference(base, log_of(e)),
+              at + "task3_bid: 0.5 vs 0.25)");
+
+    e = round_event();
+    e.str[0].second = "safe";
+    EXPECT_EQ(first_difference(base, log_of(e)),
+              at + "state: \"nominal\" vs \"safe\")");
+
+    // A label where the other run has a number.
+    e = TraceEvent("market_round", 1248 * kMillisecond);
+    e.set("state", 1.0);
+    e.set("task3_bid", 0.5);
+    EXPECT_EQ(first_difference(base, log_of(e)),
+              at + "state: \"nominal\" vs 1)");
+
+    e = round_event();
+    e.set("allowance", 2.0);
+    EXPECT_EQ(first_difference(base, log_of(e)), at + "2 vs 3 fields)");
+
+    StreamLog shorter;
+    shorter.sample("chip_power_w", 1247 * kMillisecond, 1.5);
+    shorter.event(round_event());
+    EXPECT_EQ(first_difference(shorter, base),
+              "record 2: end of stream vs sample chip_power_w at "
+              "t=1.248 s");
+}
+
+TEST(StreamLog, ComparesBitsNotPrintedValues)
+{
+    const auto with_bid = [](double bid) {
+        TraceEvent e = round_event();
+        e.num[0].second = bid;
+        return log_of(e);
+    };
+    const std::string at = "record 1 (event market_round at t=1.248 s, ";
+    const double ulp = std::nextafter(0.5, 1.0);
+    EXPECT_EQ(first_difference(with_bid(0.5), with_bid(ulp)),
+              at + "task3_bid: 0.5 vs " + fmt_exact(ulp) + ")");
+    EXPECT_EQ(first_difference(with_bid(0.0), with_bid(-0.0)),
+              at + "task3_bid: 0 vs -0)");
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_EQ(first_difference(with_bid(nan), with_bid(nan)), "");
+    // Another NaN is other bits.
+    EXPECT_NE(first_difference(with_bid(nan), with_bid(-nan)), "");
 }
 
 TEST(TraceSink, DefaultFailedIsFalse)

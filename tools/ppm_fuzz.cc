@@ -4,11 +4,11 @@
  * each one every way the engine is supposed to be equivalent (every
  * policy, macro-step vs per-tick, incremental vs full-recompute
  * clearing, fleet shards on one worker vs a pool) and check the
- * global invariants (byte-identical summaries and
- * telemetry, market budget conservation, summary sanity, fault
- * counters).  On a violation the scenario is auto-shrunk and the
- * minimized reproducer written as a fixture file with a one-line
- * replay command.
+ * global invariants (bit-identical summaries, telemetry streams and
+ * traced series, compared as recorded rather than as rendered text;
+ * market budget conservation, summary sanity, fault counters).  On a
+ * violation the scenario is auto-shrunk and the minimized reproducer
+ * written as a fixture file with a one-line replay command.
  *
  * Usage:
  *   ppm_fuzz [--count N] [--seed N] [--jobs N] [--no-shrink]
